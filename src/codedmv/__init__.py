@@ -14,7 +14,6 @@ from .bounds import (
 from .core import (
     AssignmentPlan,
     Coded,
-    EquationSet,
     Placement,
     SystemParams,
     Uncoded,
@@ -23,7 +22,6 @@ from .core import (
     plan_from_json,
     plan_to_dict,
     plan_to_json,
-    processed_equations,
     validate_plan,
 )
 from .oracle import (
@@ -34,7 +32,7 @@ from .oracle import (
     straggler_resilience,
     uncoded_q_fast,
 )
-from .schemes import CauchyMatrix, cauchy, cyclic_coded, cyclic_uncoded, mds_plan
+from .schemes import cauchy, cyclic_coded, cyclic_uncoded, mds_plan
 from .sim import (
     Deterministic,
     HaltAfter,

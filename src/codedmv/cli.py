@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: design, bounds, verify, simulate, decode.
-Exit codes: 0 success, 1 usage or input error, 2 verification mismatch,
-3 search budget exceeded. Identical flags and inputs always produce
-byte-identical output files.
+Exit codes: 0 success, 1 usage or input error, 2 verification mismatch or
+a decode refused as numerically unsafe, 3 search budget exceeded.
+Identical flags and inputs always produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -99,9 +99,7 @@ def _cmd_design(args) -> int:
                 if args.scheme == "cyclic-coded-bottom"
                 else Placement.CODED_TOP
             )
-            plan = schemes.cyclic_coded(
-                args.n, args.r_u, args.ell_c, placement, masked_top=args.masked_top
-            )
+            plan = schemes.cyclic_coded(args.n, args.r_u, args.ell_c, placement)
         else:
             if args.ell is None or args.delta is None:
                 raise UsageError("mds needs --n, --ell and --delta")
@@ -239,8 +237,10 @@ def _verify_checks(plan: AssignmentPlan, report: oracle_mod.OracleReport) -> lis
 
 def _cmd_verify(args) -> int:
     plan = _load_plan(args.plan)
-    budget = args.budget
-    report = oracle_mod.analyze(plan, budget)
+    try:
+        report = oracle_mod.analyze(plan, args.budget)
+    except ValueError as e:
+        raise UsageError(str(e))
     print(f"q_true             {report.q_true}")
     print(f"worst_state        {list(report.worst_state)}")
     print(f"resilience_true    {report.resilience_true}")
@@ -296,12 +296,10 @@ def _cost_from_config(doc) -> sim.CostModel:
     raise UsageError(f"unknown cost model kind {kind!r}")
 
 
-def _cmd_simulate(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError) as e:
-        raise UsageError(f"cannot read config {args.config}: {e}")
-    base = Path(args.config).parent
+def _experiment_from_config(cfg, base: Path, seed_override):
+    """run_experiment's (plans, speed, cost, trials, seed, plan_ids)."""
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
     plans, ids = [], []
     for entry in cfg.get("plans", []):
         if isinstance(entry, str):
@@ -327,11 +325,23 @@ def _cmd_simulate(args) -> int:
     trials = int(cfg.get("trials", 0))
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
+    speed = _speed_from_config(cfg.get("speed", {"kind": "shifted-exponential"}))
+    cost = _cost_from_config(cfg.get("cost", {"kind": "uniform"}))
+    return plans, speed, cost, trials, seed, ids
+
+
+def _cmd_simulate(args) -> int:
     try:
-        speed = _speed_from_config(cfg.get("speed", {"kind": "shifted-exponential"}))
-        cost = _cost_from_config(cfg.get("cost", {"kind": "uniform"}))
-        rows, summaries = sim.run_experiment(plans, speed, cost, trials, seed, ids)
+        cfg = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as e:
+        raise UsageError(f"cannot read config {args.config}: {e}")
+    try:
+        experiment = _experiment_from_config(cfg, Path(args.config).parent, args.seed)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"malformed config {args.config}: {type(e).__name__}: {e}")
+    try:
+        rows, summaries = sim.run_experiment(*experiment)
     except ValueError as e:
         raise UsageError(str(e))
     print(sim.summaries_to_csv(summaries), end="")
@@ -400,10 +410,11 @@ def _cmd_decode(args) -> int:
         check_state(plan, state)
         received = sim.state_received(plan, state)
         y = sim.numeric_decode(plan, A, x, received)
-    except sim.NotDecodableError as e:
+    except ValueError as e:  # NotDecodableError included
         raise UsageError(str(e))
-    except ValueError as e:
-        raise UsageError(str(e))
+    except sim.DecodeFailure as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_MISMATCH
     text = "\n".join(repr(float(v)) for v in y) + "\n"
     if args.out:
         _write(args.out, text)
@@ -432,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--ell_c", type=int, help="coded rows per worker (cyclic-coded-*)")
     d.add_argument("--ell", type=int, help="rows per worker (mds)")
     d.add_argument("--delta", type=int, help="block count (mds)")
-    d.add_argument("--masked-top", action="store_true",
-                   help="experimental: mask coded-top rows by the worker's uncoded support")
     d.add_argument("--out", help="write the plan JSON here")
     d.set_defaults(func=_cmd_design)
 
@@ -456,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"max decodability evaluations (default {oracle_mod.DEFAULT_BUDGET}, "
                         "or the CODEDMV_BUDGET environment variable)")
     v.add_argument("--out")
-    v.add_argument("--format", choices=["json"], default="json")
     v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("simulate", help="run a trial experiment from a JSON config")

@@ -164,18 +164,6 @@ class AssignmentPlan:
         return self.params.ell
 
 
-@dataclass(frozen=True)
-class EquationSet:
-    """What the master holds at some state: distinct known uncoded block
-    indices plus every received coded coefficient row (verbatim)."""
-
-    known: frozenset
-    coded: tuple
-
-    def total_equations(self) -> int:
-        return len(self.known) + len(self.coded)
-
-
 def _block_label(b: int) -> str:
     return f"A_{b + 1}"
 
@@ -268,25 +256,6 @@ def check_state(plan: AssignmentPlan, state: Sequence) -> StateVector:
     return w
 
 
-def processed_equations(plan: AssignmentPlan, state: Sequence) -> EquationSet:
-    """Equations available to the master at ``state``.
-
-    Sequential processing means worker i contributes exactly the first
-    w_i tasks of its list. Duplicate uncoded products are deduplicated
-    (they carry no new information); coded rows are kept verbatim.
-    """
-    w = check_state(plan, state)
-    known = set()
-    coded = []
-    for i, count in enumerate(w):
-        for t in plan.workers[i][:count]:
-            if isinstance(t, Uncoded):
-                known.add(t.block)
-            else:
-                coded.append(t)
-    return EquationSet(known=frozenset(known), coded=tuple(coded))
-
-
 class DecodabilityChecker:
     """Precomputed fast path for repeated decodability queries on one plan.
 
@@ -360,18 +329,6 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     """
     w = check_state(plan, state)
     return decodability_checker(plan).decodable(w)
-
-
-def equations_decodable(delta: int, known: frozenset, coded: Sequence) -> bool:
-    """Decodability of a bare equation set (no prefix structure needed)."""
-    missing = delta - len(known)
-    if missing == 0:
-        return True
-    if len(coded) < missing:
-        return False
-    cols = [j for j in range(delta) if j not in known]
-    mat = [[t.coeff_map().get(j, 0) for j in cols] for t in coded]
-    return rank(mat) == missing
 
 
 def plan_to_dict(plan: AssignmentPlan) -> dict:

@@ -61,24 +61,20 @@ class OracleReport:
             else list(self.worst_straggler_set),
         }
 
-    def merged(self, other: "OracleReport") -> "OracleReport":
-        return OracleReport(
-            q_true=self.q_true if other.q_true is None else other.q_true,
-            worst_state=self.worst_state if other.worst_state is None else other.worst_state,
-            resilience_true=self.resilience_true
-            if other.resilience_true is None
-            else other.resilience_true,
-            worst_straggler_set=self.worst_straggler_set
-            if other.worst_straggler_set is None
-            else other.worst_straggler_set,
-        )
-
 
 def default_budget() -> int:
+    """The evaluation budget from the environment, else the default.
+
+    Raises:
+        ValueError: the environment variable is not an integer.
+    """
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 def _states_with_total(total: int, n: int, ell: int):
@@ -213,4 +209,11 @@ def min_uncoded_coverage(plan: AssignmentPlan, k: int, budget: int | None = None
 
 def analyze(plan: AssignmentPlan, budget: int | None = None) -> OracleReport:
     """Threshold and resilience in one report."""
-    return brute_force_q(plan, budget).merged(straggler_resilience(plan, budget))
+    q = brute_force_q(plan, budget)
+    res = straggler_resilience(plan, budget)
+    return OracleReport(
+        q_true=q.q_true,
+        worst_state=q.worst_state,
+        resilience_true=res.resilience_true,
+        worst_straggler_set=res.worst_straggler_set,
+    )

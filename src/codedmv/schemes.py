@@ -9,8 +9,7 @@ Four families:
     bottom or at the top. Bottom rows are masked so a worker never codes
     over blocks it already stores uncoded; top rows keep full support
     (the worker has established nothing when it processes them, so every
-    unknown must stay reachable). A ``masked_top`` flag exposes the masked
-    variant at the top for experimentation.
+    unknown must stay reachable).
   * ``mds_plan(n, ell, delta)``: the dense baseline; every task is a
     full-support coded row, any delta received rows decode.
 
@@ -22,31 +21,14 @@ index so identical inputs always produce bit-identical plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import AssignmentPlan, Coded, Placement, SystemParams, Task, Uncoded
+from .core import AssignmentPlan, Coded, Placement, SystemParams, Uncoded
 from .field import P, inv
 
 
-@dataclass(frozen=True)
-class CauchyMatrix:
-    """m x k matrix with entries (x_i - y_j)^-1 over GF(P)."""
-
-    m: int
-    k: int
-    x_params: tuple
-    y_params: tuple
-    entries: tuple  # m tuples of k residues
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-
-def cauchy(m: int, k: int, seed: int = 0) -> CauchyMatrix:
-    """Deterministic Cauchy matrix: y_j = seed + j, x_i = seed + k + i.
+def cauchy(m: int, k: int, seed: int = 0) -> tuple:
+    """Deterministic m x k Cauchy matrix over GF(P), as a tuple of m rows
+    of k residues: entry (i, j) is (x_i - y_j)^-1 with y_j = seed + j and
+    x_i = seed + k + i.
 
     The m + k parameters are consecutive integers reduced into the field,
     hence pairwise distinct as long as m + k < P.
@@ -60,10 +42,7 @@ def cauchy(m: int, k: int, seed: int = 0) -> CauchyMatrix:
         raise ValueError(f"m + k = {m + k} must stay below the field size {P}")
     y = tuple((seed + j) % P for j in range(k))
     x = tuple((seed + k + i) % P for i in range(m))
-    entries = tuple(
-        tuple(inv(x[i] - y[j]) for j in range(k)) for i in range(m)
-    )
-    return CauchyMatrix(m=m, k=k, x_params=x, y_params=y, entries=entries)
+    return tuple(tuple(inv(x[i] - y[j]) for j in range(k)) for i in range(m))
 
 
 def cyclic_uncoded(n: int, r: int) -> AssignmentPlan:
@@ -88,13 +67,7 @@ def _coded_task(row: tuple, excluded: frozenset) -> Coded:
     return Coded(coeffs)
 
 
-def cyclic_coded(
-    n: int,
-    r_u: int,
-    ell_c: int,
-    placement: Placement,
-    masked_top: bool = False,
-) -> AssignmentPlan:
+def cyclic_coded(n: int, r_u: int, ell_c: int, placement: Placement) -> AssignmentPlan:
     """Cyclic plan with r_u-replicated uncoded blocks plus ell_c coded rows
     per worker, at the bottom or the top. delta is fixed to n.
 
@@ -117,15 +90,15 @@ def cyclic_coded(
         n=n, delta=n, ell_u=r_u, ell_c=ell_c, r_u=r_u, placement=placement
     )
     mat = cauchy(n * ell_c, n, 0)
-    mask_rows = placement is Placement.CODED_BOTTOM or masked_top
+    bottom = placement is Placement.CODED_BOTTOM
     workers = []
     for i in range(n):
         uncoded = [Uncoded((i + t) % n) for t in range(r_u)]
-        excluded = frozenset((i + t) % n for t in range(r_u)) if mask_rows else frozenset()
+        excluded = frozenset((i + t) % n for t in range(r_u)) if bottom else frozenset()
         coded = [
-            _coded_task(mat.row(i * ell_c + j), excluded) for j in range(ell_c)
+            _coded_task(mat[i * ell_c + j], excluded) for j in range(ell_c)
         ]
-        if placement is Placement.CODED_BOTTOM:
+        if bottom:
             workers.append(tuple(uncoded + coded))
         else:
             workers.append(tuple(coded + uncoded))
@@ -147,7 +120,7 @@ def mds_plan(n: int, ell: int, delta: int) -> AssignmentPlan:
     )
     mat = cauchy(n * ell, delta, 0)
     workers = tuple(
-        tuple(_coded_task(mat.row(i * ell + j), frozenset()) for j in range(ell))
+        tuple(_coded_task(mat[i * ell + j], frozenset()) for j in range(ell))
         for i in range(n)
     )
     return AssignmentPlan(params=params, workers=workers)

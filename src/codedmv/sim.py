@@ -9,8 +9,13 @@ The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
 coefficients produced by the Cauchy construction d is exactly x_i - y_j,
 so the real and field matrices share the same parameters and the same
-generic rank profile; any disagreement between the two surfaces as a hard
-decode failure rather than a silent wrong answer.
+generic rank profile. Decode chooses its rows exactly: one GF(P)
+elimination over the received coded rows both decides decodability and
+picks the first independent rows in arrival order. The real square system
+on those rows is solved only when its condition number is at most 1e12;
+above that the decode is refused as numerically unsafe (DecodeFailure).
+Below that bound no residual is checked, so the error of a returned vector
+grows with the condition number.
 """
 
 from __future__ import annotations
@@ -20,16 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
-from .core import (
-    AssignmentPlan,
-    Coded,
-    Uncoded,
-    decodability_checker,
-    equations_decodable,
-)
-from .field import P
+from .core import AssignmentPlan, Uncoded, decodability_checker
+from .field import P, pivots
 
 
 class NotDecodableError(ValueError):
@@ -37,12 +35,13 @@ class NotDecodableError(ValueError):
 
 
 class DecodeFailure(RuntimeError):
-    """Every attempted row selection was numerically singular."""
+    """The exactly independent rows form a real system too ill-conditioned
+    to solve safely: its condition number exceeds 1e12 or is not finite."""
 
     def __init__(self, cond: float):
         self.cond = cond
         super().__init__(
-            f"selected systems are numerically singular (condition estimate {cond:.3e})"
+            f"selected system is numerically unsafe (condition estimate {cond:.3e})"
         )
 
 
@@ -395,25 +394,6 @@ def _block_products(plan, A, x, pairs):
     return out
 
 
-def task_products(plan: AssignmentPlan, A, x) -> list:
-    """Every task's transmitted product, as nested per-worker lists."""
-    pairs = [(i, k) for i in range(plan.n) for k in range(plan.ell)]
-    prods = _block_products(plan, A, x, pairs)
-    return [[prods[(i, k)] for k in range(plan.ell)] for i in range(plan.n)]
-
-
-def _select_rows(mat: np.ndarray, need: int):
-    """First `need` rows that are numerically independent, in given order."""
-    sel = []
-    for ridx in range(mat.shape[0]):
-        trial = sel + [ridx]
-        if np.linalg.matrix_rank(mat[trial]) == len(trial):
-            sel.append(ridx)
-            if len(sel) == need:
-                return sel
-    return None
-
-
 def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarray:
     """Master-side reconstruction of the full product vector.
 
@@ -422,13 +402,14 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
     matrix itself is never touched here.
 
     Known uncoded products are copied verbatim (duplicates must agree
-    bitwise); the unknown blocks are solved from a square system of
-    independent coded equations, chosen greedily in arrival order with a
-    pivoted-QR retry if the greedy choice is ill-conditioned.
+    bitwise). The unknown blocks are solved from a square system: its rows
+    are the first received coded rows that are independent over GF(P) when
+    restricted to the unknown blocks, in arrival order.
 
     Raises:
         NotDecodableError: the equation set has rank below delta.
-        DecodeFailure: every usable row selection is numerically singular.
+        DecodeFailure: the chosen real system has condition number above
+            1e12 (or not finite).
         ValueError: duplicated uncoded products disagree.
     """
     delta = plan.params.delta
@@ -447,43 +428,37 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
                 )
             known[t.block] = vec
         else:
-            coded.append((t, vec))
-    if not equations_decodable(delta, frozenset(known), [t for t, _ in coded]):
-        raise NotDecodableError(
-            "received equations do not determine every block product"
-        )
+            coded.append((t.coeff_map(), vec))
     unknown = [b for b in range(delta) if b not in known]
     solved = {}
     if unknown:
-        m = len(coded)
         u = len(unknown)
-        mat = np.zeros((m, u))
-        rhs = np.zeros((m, hmax))
-        for r, (t, vec) in enumerate(coded):
-            cm = t.coeff_map()
-            row_rhs = vec.astype(float).copy()
+        # coded rows restricted to the unknown blocks, as the checker ranks them
+        field_rows = np.array(
+            [[cm.get(b, 0) for b in unknown] for cm, _ in coded], dtype=np.int64
+        ).reshape(len(coded), u)
+        sel = pivots(field_rows.T)
+        if len(sel) < u:
+            raise NotDecodableError(
+                "received equations do not determine every block product"
+            )
+        square = np.zeros((u, u))
+        rhs = np.zeros((u, hmax))
+        for r, ridx in enumerate(sel):
+            cm, vec = coded[ridx]
+            row_rhs = vec.copy()
             for b, c in cm.items():
                 if b in known:
                     p = known[b]
                     row_rhs[: len(p)] -= real_coefficient(c) * p
             for j, b in enumerate(unknown):
                 if b in cm:
-                    mat[r, j] = real_coefficient(cm[b])
+                    square[r, j] = real_coefficient(cm[b])
             rhs[r] = row_rhs
-        sel = _select_rows(mat, u)
-        if sel is None:
-            raise DecodeFailure(cond=math.inf)
-        square = mat[sel]
-        cond = np.linalg.cond(square)
-        if cond > 1e12:
-            # greedy pick is ill-conditioned; re-select rows by pivoted QR
-            _, _, piv = scipy.linalg.qr(mat.T, pivoting=True)
-            sel = list(piv[:u])
-            square = mat[sel]
-            cond = np.linalg.cond(square)
-            if cond > 1e14 or not np.isfinite(cond):
-                raise DecodeFailure(cond=float(cond))
-        z = np.linalg.solve(square, rhs[sel])
+        cond = float(np.linalg.cond(square))
+        if not cond <= 1e12:
+            raise DecodeFailure(cond)
+        z = np.linalg.solve(square, rhs)
         for j, b in enumerate(unknown):
             solved[b] = z[j]
     parts = []

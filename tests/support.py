@@ -1,8 +1,16 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and independent reference implementations
+for the test suite."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import codedmv
 from codedmv import core, schemes
+from codedmv.field import P
 
 
 def random_uncoded_plan(n, ell, rng):
@@ -63,3 +71,64 @@ def random_state(plan, rng):
 def dominated_state(state, rng):
     """A state <= the given one, componentwise."""
     return tuple(int(rng.integers(0, v + 1)) for v in state)
+
+
+def run_python(args, env=None, timeout=120):
+    """Run a fresh interpreter that imports the codedmv under test."""
+    src = str(Path(codedmv.__file__).resolve().parents[1])
+    full_env = dict(os.environ, PYTHONPATH=src, **(env or {}))
+    return subprocess.run(
+        [sys.executable, *args], env=full_env, capture_output=True, text=True,
+        timeout=timeout,
+    )
+
+
+# ---------------------------------------------------------------------------
+# references, independent of codedmv.field's elimination
+
+
+def reference_rank(rows):
+    """Rank over GF(P) by plain Python-int elimination."""
+    m = [[int(v) % P for v in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        scale = pow(m[r][c], P - 2, P)
+        m[r] = [v * scale % P for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % P for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def prefix_equations(plan, state):
+    """What the master holds at a prefix state: the set of known uncoded
+    blocks and the received coded tasks, verbatim and in worker order.
+
+    Raises:
+        ValueError: the state does not fit the plan.
+    """
+    w = core.check_state(plan, state)
+    known = set()
+    coded = []
+    for i, count in enumerate(w):
+        for t in plan.workers[i][:count]:
+            if isinstance(t, core.Uncoded):
+                known.add(t.block)
+            else:
+                coded.append(t)
+    return frozenset(known), tuple(coded)
+
+
+def reference_decodable(delta, known, coded):
+    """The coded rows restricted to the unknown blocks have full column rank."""
+    unknown = [b for b in range(delta) if b not in known]
+    if not unknown:
+        return True
+    rows = [[t.coeff_map().get(b, 0) for b in unknown] for t in coded]
+    return reference_rank(rows) == len(unknown)

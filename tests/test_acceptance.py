@@ -115,7 +115,7 @@ def test_c06_uncoded_threshold_soundness_property():
 def test_c07_cauchy_submatrices_invertible():
     with timer() as t:
         mat = cauchy(20, 20, 0)
-        entries = np.array(mat.entries, dtype=np.int64)
+        entries = np.array(mat, dtype=np.int64)
         rng = np.random.default_rng(0)
         for _ in range(1000):
             k = int(rng.integers(1, 21))

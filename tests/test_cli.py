@@ -5,7 +5,9 @@ import pytest
 
 from codedmv import cli, core, oracle
 from codedmv.core import Placement, plan_from_json
-from codedmv.schemes import cyclic_coded, cyclic_uncoded
+from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
+
+from support import run_python
 
 
 def run(capsys, *argv):
@@ -265,6 +267,62 @@ def test_decode_matrix_market_input(tmp_path, capsys):
     assert code == 0
     x = np.loadtxt(tmp_path / "x.csv", delimiter=",")
     assert np.allclose(np.loadtxt(out), a.toarray() @ x, rtol=1e-9, atol=1e-12)
+
+
+def test_decode_numerically_unsafe_exit_code(tmp_path, capsys):
+    # exactly decodable, but the real Cauchy system is far too ill-conditioned
+    (tmp_path / "plan.json").write_text(core.plan_to_json(mds_plan(12, 2, 12)))
+    np.savetxt(tmp_path / "a.csv", np.eye(24)[:, :4], delimiter=",")
+    np.savetxt(tmp_path / "x.csv", np.ones(4), delimiter=",")
+    code, stdout, err = run(capsys, "decode", "--plan", str(tmp_path / "plan.json"),
+                            "--matrix", str(tmp_path / "a.csv"),
+                            "--vector", str(tmp_path / "x.csv"), "--state", ",".join(["1"] * 12))
+    assert code == 2
+    assert err.startswith("error: ") and "numerically unsafe" in err
+    assert stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# failures are error lines, never tracebacks
+
+
+def _undecodable_plan(tmp_path):
+    # valid structure, but worker 2 repeats worker 1's row: never decodes
+    doc = core.plan_to_dict(mds_plan(2, 1, 2))
+    doc["workers"][1] = doc["workers"][0]
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    return ["verify", "--plan", str(tmp_path / "plan.json")], {}
+
+
+def _budget_not_an_integer(tmp_path):
+    (tmp_path / "plan.json").write_text(core.plan_to_json(cyclic_uncoded(3, 2)))
+    return ["verify", "--plan", str(tmp_path / "plan.json")], {"CODEDMV_BUDGET": "lots"}
+
+
+def _config_not_an_object(tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps(["plan.json"]))
+    return ["simulate", "--config", str(tmp_path / "config.json")], {}
+
+
+def _config_entry_malformed(tmp_path):
+    config = {"plans": [{"plan": {"params": {}}}], "trials": 2}  # no plan fields
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return ["simulate", "--config", str(tmp_path / "config.json")], {}
+
+
+@pytest.mark.parametrize("setup", [_undecodable_plan, _budget_not_an_integer,
+                                   _config_not_an_object, _config_entry_malformed])
+def test_bad_input_is_usage_error_without_traceback(tmp_path, setup):
+    argv, env = setup(tmp_path)
+    proc = run_python(["-m", "codedmv.cli", *argv], env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    proc = run_python(["-c", "import sys, codedmv.cli; sys.exit('scipy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,20 @@ from codedmv.core import (
     Placement,
     SystemParams,
     Uncoded,
-    equations_decodable,
     is_decodable,
     plan_from_json,
     plan_to_dict,
     plan_to_json,
-    processed_equations,
     validate_plan,
 )
 
-from support import random_scheme_plan, random_state, dominated_state
+from support import (
+    dominated_state,
+    prefix_equations,
+    random_scheme_plan,
+    random_state,
+    reference_decodable,
+)
 
 FIG3 = schemes.cyclic_uncoded(5, 3)  # the <5,3,5,3> cyclic layout
 FIG1 = schemes.cyclic_uncoded(3, 2)
@@ -122,34 +126,34 @@ def test_validate_flags_out_of_range_block():
 
 
 # ---------------------------------------------------------------------------
-# processed_equations
+# prefix equations (the reference in tests/support.py)
 
 
 def test_prefix_single_block():
-    eqs = processed_equations(FIG3, (1, 0, 0, 0, 0))
-    assert eqs.known == frozenset({0})
-    assert eqs.coded == ()
+    known, coded = prefix_equations(FIG3, (1, 0, 0, 0, 0))
+    assert known == frozenset({0})
+    assert coded == ()
 
 
 def test_prefix_dedupes_known_blocks():
-    eqs = processed_equations(FIG1, (2, 2, 0))
-    assert eqs.known == frozenset({0, 1, 2})
-    assert eqs.coded == ()
+    known, coded = prefix_equations(FIG1, (2, 2, 0))
+    assert known == frozenset({0, 1, 2})
+    assert coded == ()
 
 
 def test_prefix_empty_state():
-    eqs = processed_equations(FIG3, (0, 0, 0, 0, 0))
-    assert eqs.known == frozenset()
-    assert eqs.coded == ()
+    known, coded = prefix_equations(FIG3, (0, 0, 0, 0, 0))
+    assert known == frozenset()
+    assert coded == ()
 
 
 def test_prefix_rejects_invalid_states():
     with pytest.raises(ValueError):
-        processed_equations(FIG3, (1, 0, 0))
+        prefix_equations(FIG3, (1, 0, 0))
     with pytest.raises(ValueError):
-        processed_equations(FIG3, (4, 0, 0, 0, 0))
+        prefix_equations(FIG3, (4, 0, 0, 0, 0))
     with pytest.raises(ValueError):
-        processed_equations(FIG3, (-1, 0, 0, 0, 0))
+        prefix_equations(FIG3, (-1, 0, 0, 0, 0))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -163,18 +167,18 @@ def test_prefix_consistency_one_step(seed):
     if not candidates:
         return
     i = candidates[int(rng.integers(0, len(candidates)))]
-    before = processed_equations(plan, tuple(w))
+    known_before, coded_before = prefix_equations(plan, tuple(w))
     w[i] += 1
-    after = processed_equations(plan, tuple(w))
+    known_after, coded_after = prefix_equations(plan, tuple(w))
     task = plan.workers[i][w[i] - 1]
     if isinstance(task, Uncoded):
-        assert after.coded == before.coded
-        assert after.known - before.known in (frozenset(), frozenset({task.block}))
-        assert task.block in after.known
+        assert coded_after == coded_before
+        assert known_after - known_before in (frozenset(), frozenset({task.block}))
+        assert task.block in known_after
     else:
-        assert after.known == before.known
-        assert sorted(after.coded, key=id) != sorted(before.coded, key=id)
-        assert len(after.coded) == len(before.coded) + 1
+        assert known_after == known_before
+        assert sorted(coded_after, key=id) != sorted(coded_before, key=id)
+        assert len(coded_after) == len(coded_before) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +251,14 @@ def test_decodability_ignores_worker_identity(seed):
 
 
 def test_equations_decodable_matches_predicate():
+    # the prefix-equations reference, ranked by an eliminator independent of
+    # codedmv.field, agrees with the checker
     rng = np.random.default_rng(7)
     for _ in range(50):
         plan = random_scheme_plan(rng)
         state = random_state(plan, rng)
-        eqs = processed_equations(plan, state)
-        assert equations_decodable(plan.params.delta, eqs.known, eqs.coded) == is_decodable(
+        known, coded = prefix_equations(plan, state)
+        assert reference_decodable(plan.params.delta, known, coded) == is_decodable(
             plan, state
         )
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedmv.field import P, inv, rank
+from codedmv.field import P, inv, pivots, rank
+
+from support import reference_rank
 
 
 def det3(m):
@@ -80,3 +82,27 @@ def test_rank_does_not_mutate():
     before = m.copy()
     rank(m)
     assert np.array_equal(m, before)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_pivots_are_the_first_independent_columns(seed, n_rows, n_cols):
+    # plant dependent columns: each column is, with probability 1/2, a
+    # random GF(P) combination of the columns before it
+    rng = np.random.default_rng(seed)
+    cols = []
+    planted = set()
+    for j in range(n_cols):
+        if cols and rng.random() < 0.5:
+            coeffs = [int(c) for c in rng.integers(0, P, size=len(cols))]
+            cols.append([sum(c * col[r] for c, col in zip(coeffs, cols)) % P
+                         for r in range(n_rows)])
+            planted.add(j)
+        else:
+            cols.append([int(v) for v in rng.integers(0, P, size=n_rows)])
+    expect = [j for j in range(n_cols)
+              if reference_rank(cols[: j + 1]) > reference_rank(cols[:j])]
+    got = pivots(np.array(cols, dtype=np.int64).T)
+    assert got == expect
+    assert planted.isdisjoint(got)
+    assert rank(np.array(cols, dtype=np.int64).T) == len(got)

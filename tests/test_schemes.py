@@ -31,22 +31,25 @@ def det3(m):
 
 
 def test_cauchy_smallest_case():
-    m = cauchy(1, 1, 0)
-    assert m.x_params == (1,)
-    assert m.y_params == (0,)
-    assert m.entry(0, 0) == 1
+    # x_0 = 1, y_0 = 0: the single entry is 1 / (1 - 0)
+    assert cauchy(1, 1, 0) == ((1,),)
 
 
 def test_cauchy_2x2_invertible_by_determinant():
     m = cauchy(2, 2, 0)
-    assert all(m.entry(i, j) != 0 for i in range(2) for j in range(2))
-    assert det2(m.entries) != 0
+    assert all(m[i][j] != 0 for i in range(2) for j in range(2))
+    assert det2(m) != 0
 
 
 def test_cauchy_parameters_distinct_and_disjoint():
+    # entry (i, j) is the inverse of (seed + k + i) - (seed + j) = k + i - j
     m = cauchy(6, 4, 123)
-    params = set(m.x_params) | set(m.y_params)
-    assert len(params) == 10
+    assert len(m) == 6 and all(len(row) == 4 for row in m)
+    for i in range(6):
+        for j in range(4):
+            assert m[i][j] * (4 + i - j) % P == 1
+    # distinct x give distinct rows, distinct y distinct columns
+    assert len(set(m)) == 6 and len(set(zip(*m))) == 4
 
 
 def test_cauchy_random_3x3_submatrices_invertible():
@@ -55,7 +58,7 @@ def test_cauchy_random_3x3_submatrices_invertible():
     for _ in range(200):
         rows = sorted(rng.choice(5, size=3, replace=False))
         cols = sorted(rng.choice(5, size=3, replace=False))
-        sub = [[m.entry(r, c) for c in cols] for r in rows]
+        sub = [[m[r][c] for c in cols] for r in rows]
         assert det3(sub) != 0
 
 
@@ -114,7 +117,7 @@ def test_cyclic_coded_bottom_structure():
         own = {i % 5, (i + 1) % 5}
         assert set(coded.support) == set(range(5)) - own
         for b, c in coded.coeffs:
-            assert c == mat.entry(i, b)  # rows consumed worker-major
+            assert c == mat[i][b]  # rows consumed worker-major
     assert validate_plan(plan) == []
 
 
@@ -125,14 +128,6 @@ def test_cyclic_coded_top_structure_full_support():
         assert isinstance(coded, Coded)
         assert coded.support == tuple(range(5))
         assert [t.block for t in tasks[1:]] == [i % 5, (i + 1) % 5]
-    assert validate_plan(plan) == []
-
-
-def test_cyclic_coded_top_masked_variant():
-    plan = cyclic_coded(5, 2, 1, Placement.CODED_TOP, masked_top=True)
-    for i, tasks in enumerate(plan.workers):
-        own = {i % 5, (i + 1) % 5}
-        assert set(tasks[0].support) == set(range(5)) - own
     assert validate_plan(plan) == []
 
 
@@ -149,7 +144,7 @@ def test_cyclic_coded_multi_row_consumption_order():
     for i, tasks in enumerate(plan.workers):
         for j, coded in enumerate(tasks[1:]):
             for b, c in coded.coeffs:
-                assert c == mat.entry(i * 2 + j, b)
+                assert c == mat[i * 2 + j][b]
 
 
 def test_cyclic_coded_rejects_bad_params():

@@ -10,6 +10,7 @@ from codedmv import core, oracle
 from codedmv.core import Placement, is_decodable
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 from codedmv.sim import (
+    DecodeFailure,
     Deterministic,
     HaltAfter,
     NotDecodableError,
@@ -25,9 +26,9 @@ from codedmv.sim import (
     rows_to_csv,
     split_matrix,
     state_received,
-    task_products,
     task_weight,
     trial_seed,
+    _block_products,
 )
 
 from support import random_scheme_plan, random_state
@@ -352,16 +353,64 @@ def test_decode_agrees_with_field_predicate():
     assert agree_true >= 10 and agree_false >= 10
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_decode_refuses_exactly_the_undecodable_subsets(seed):
+    # any set of (worker, position) pairs, not only prefixes, in any order;
+    # moving each worker's received tasks to the top of its list turns the
+    # set into a prefix state of an equally valid checker input
+    rng = np.random.default_rng(seed)
+    plan = random_scheme_plan(rng)
+    pairs = [(i, k) for i in range(plan.n) for k in range(plan.ell)]
+    keep = rng.random(len(pairs)) < rng.random()
+    received = [pairs[j] for j in rng.permutation(len(pairs)) if keep[j]]
+    got = {(i, k) for i, k in received}
+    workers = tuple(
+        tuple(t for k, t in enumerate(tasks) if (i, k) in got)
+        + tuple(t for k, t in enumerate(tasks) if (i, k) not in got)
+        for i, tasks in enumerate(plan.workers)
+    )
+    moved = core.AssignmentPlan(params=plan.params, workers=workers)
+    state = tuple(sum((i, k) in got for k in range(plan.ell)) for i in range(plan.n))
+    rows = int(rng.integers(plan.params.delta, 3 * plan.params.delta + 1))
+    a = rng.standard_normal((rows, 3))
+    x = rng.standard_normal(3)
+    if is_decodable(moved, state):
+        # accuracy is checked on prefix states above; dense MDS systems at
+        # delta 7-8 already miss 1e-9 on some of these sets
+        y = numeric_decode(plan, a, x, received)
+        assert y.shape == (rows,) and np.all(np.isfinite(y))
+    else:
+        with pytest.raises(NotDecodableError):
+            numeric_decode(plan, a, x, received)
+
+
+def test_decode_refuses_ill_conditioned_system():
+    # MDS (12, 2, 12) at one task per worker: twelve Cauchy rows on
+    # consecutive integer nodes, exactly invertible but numerically unsafe
+    plan = mds_plan(12, 2, 12)
+    state = (1,) * 12
+    assert is_decodable(plan, state)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((24, 4))
+    x = rng.standard_normal(4)
+    with pytest.raises(DecodeFailure) as info:
+        numeric_decode(plan, a, x, state_received(plan, state))
+    assert info.value.cond > 1e12
+    assert "numerically unsafe" in str(info.value)
+
+
 def test_task_products_shapes():
     plan = BOTTOM
     a = np.arange(22.0).reshape(11, 2)
     x = np.array([1.0, -1.0])
-    prods = task_products(plan, a, x)
+    pairs = [(i, k) for i in range(plan.n) for k in range(plan.ell)]
+    prods = _block_products(plan, a, x, pairs)
     ranges = split_matrix(11, 5)
     hmax = max(len(r) for r in ranges)
     for i, tasks in enumerate(plan.workers):
         for k, t in enumerate(tasks):
             if isinstance(t, core.Uncoded):
-                assert prods[i][k].shape == (len(ranges[t.block]),)
+                assert prods[(i, k)].shape == (len(ranges[t.block]),)
             else:
-                assert prods[i][k].shape == (hmax,)
+                assert prods[(i, k)].shape == (hmax,)
