@@ -28,7 +28,6 @@ from .oracle import (
     BudgetExceededError,
     OracleReport,
     brute_force_q,
-    min_uncoded_coverage,
     straggler_resilience,
     uncoded_q_fast,
 )

@@ -346,23 +346,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError(str(e))
     print(sim.summaries_to_csv(summaries), end="")
     if args.out:
-        if args.format == "json":
-            doc = {
-                "rows": [
-                    {
-                        "plan_id": r.plan_id,
-                        "trial": r.trial,
-                        "finish_time": r.finish_time,
-                        "blocks_total": r.blocks_total,
-                        "decode_ok": r.decode_ok,
-                    }
-                    for r in rows
-                ],
-                "summaries": [s.__dict__ for s in summaries],
-            }
-            _write(args.out, _dump_json(doc))
-        else:
-            _write(args.out, sim.rows_to_csv(rows))
+        _write(args.out, sim.rows_to_csv(rows))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -471,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out", help="write per-trial rows here")
     s.add_argument("--seed", type=int, default=None, help="override the config seed")
-    s.add_argument("--format", choices=["json", "csv"], default="csv")
     s.set_defaults(func=_cmd_simulate)
 
     dec = sub.add_parser("decode", help="numeric decode of a computation state")

@@ -11,7 +11,8 @@ Conventions:
     A_1 .. A_Delta;
   * coded coefficients are canonical residues in [1, P);
   * all types are immutable values after construction and safe to share
-    across threads; ``is_decodable`` is a pure function, so callers may
+    across threads; ``is_decodable`` and ``DecodabilityChecker.decodable``
+    are pure functions of (plan, state) and keep no memo, so callers may
     parallelize over states freely.
 """
 
@@ -21,7 +22,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -261,7 +261,8 @@ class DecodabilityChecker:
 
     Builds per-worker prefix coverage bitmasks and a dense GF(P) matrix of
     all coded rows so a query costs one mask OR plus (only when coded rows
-    are involved) one small rank computation.
+    are involved) one small rank computation. The checker remembers no
+    answers: every query is decided afresh.
     """
 
     def __init__(self, plan: AssignmentPlan):
@@ -289,12 +290,8 @@ class DecodabilityChecker:
             self._umask.append(masks)
             self._crows.append(row_ids)
         self._rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, p.delta), dtype=np.int64)
-        self._memo = {}
 
     def decodable(self, state: StateVector) -> bool:
-        hit = self._memo.get(state)
-        if hit is not None:
-            return hit
         mask = 0
         row_ids = []
         for i, w in enumerate(state):
@@ -302,22 +299,11 @@ class DecodabilityChecker:
             row_ids.extend(self._crows[i][w])
         missing = self.delta - mask.bit_count()
         if missing == 0:
-            result = True
-        elif len(row_ids) < missing:
-            result = False
-        else:
-            cols = [j for j in range(self.delta) if not mask >> j & 1]
-            sub = self._rows[np.ix_(row_ids, cols)]
-            result = rank(sub) == missing
-        if len(self._memo) < 1 << 20:  # keep huge oracle sweeps bounded
-            self._memo[state] = result
-        return result
-
-
-@lru_cache(maxsize=64)
-def decodability_checker(plan: AssignmentPlan) -> DecodabilityChecker:
-    """Cached checker per plan (plans are immutable, so sharing is safe)."""
-    return DecodabilityChecker(plan)
+            return True
+        if len(row_ids) < missing:
+            return False
+        cols = [j for j in range(self.delta) if not mask >> j & 1]
+        return rank(self._rows[np.ix_(row_ids, cols)]) == missing
 
 
 def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
@@ -326,9 +312,12 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     The unit rows of the known uncoded blocks together with the received
     coded rows must have rank delta over GF(P); equivalently, the coded
     rows restricted to the unknown columns must cover all the unknowns.
+
+    Each call builds a fresh :class:`DecodabilityChecker`; for many queries
+    on one plan, build one checker and call its ``decodable`` instead.
     """
     w = check_state(plan, state)
-    return decodability_checker(plan).decodable(w)
+    return DecodabilityChecker(plan).decodable(w)
 
 
 def plan_to_dict(plan: AssignmentPlan) -> dict:

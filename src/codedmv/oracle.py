@@ -7,8 +7,10 @@ scale. Budgets are accounted in decodability evaluations; a search whose
 state space exceeds the budget refuses up front and reports the size it
 would have needed.
 
-The plan is shared read-only; every search is a pure function of it, so
-callers may parallelize over disjoint parameter ranges freely.
+The plan is shared read-only; every search is a pure function of it and
+builds its own checker, which is dropped when the search returns, so no
+state outlives a call and callers may parallelize over disjoint parameter
+ranges freely.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .core import (
     AssignmentPlan,
+    DecodabilityChecker,
     Placement,
     Uncoded,
-    decodability_checker,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -113,7 +114,7 @@ def brute_force_q(plan: AssignmentPlan, budget: int | None = None) -> OracleRepo
     space = (ell + 1) ** n
     if space > budget:
         raise BudgetExceededError(space, budget, "threshold search")
-    checker = decodability_checker(plan)
+    checker = DecodabilityChecker(plan)
     if not checker.decodable(tuple([ell] * n)):
         raise ValueError("plan cannot decode even with every task processed")
     for total in range(n * ell - 1, -1, -1):
@@ -163,7 +164,7 @@ def straggler_resilience(plan: AssignmentPlan, budget: int | None = None) -> Ora
     n, ell = plan.n, plan.ell
     if 2**n > budget:
         raise BudgetExceededError(2**n, budget, "resilience search")
-    checker = decodability_checker(plan)
+    checker = DecodabilityChecker(plan)
     for s in range(1, n + 1):
         for subset in combinations(range(n), s):
             state = [ell] * n
@@ -173,38 +174,6 @@ def straggler_resilience(plan: AssignmentPlan, budget: int | None = None) -> Ora
                 return OracleReport(resilience_true=s - 1, worst_straggler_set=subset)
     # removing all n workers leaves nothing, so the loop always returns
     raise AssertionError("unreachable: s = n never decodes")
-
-
-def min_uncoded_coverage(plan: AssignmentPlan, k: int, budget: int | None = None) -> int:
-    """Minimum, over all k-subsets of workers, of the number of distinct
-    uncoded blocks they jointly hold.
-
-    Raises:
-        ValueError: k outside [1, n].
-        BudgetExceededError: C(n, k) subsets above the evaluation budget.
-    """
-    n = plan.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k = {k}")
-    budget = default_budget() if budget is None else budget
-    if comb(n, k) > budget:
-        raise BudgetExceededError(comb(n, k), budget, "coverage search")
-    masks = []
-    for tasks in plan.workers:
-        m = 0
-        for t in tasks:
-            if isinstance(t, Uncoded):
-                m |= 1 << t.block
-        masks.append(m)
-    best = None
-    for subset in combinations(range(n), k):
-        u = 0
-        for i in subset:
-            u |= masks[i]
-        c = u.bit_count()
-        if best is None or c < best:
-            best = c
-    return best
 
 
 def analyze(plan: AssignmentPlan, budget: int | None = None) -> OracleReport:

@@ -4,6 +4,9 @@ Trials advance event by event: worker i's k-th task completes at the
 cumulative sum of its per-task durations, each duration being a raw speed
 draw scaled by the cost weight of that task. After every completion the
 master re-evaluates decodability and stops at the first decodable instant.
+Paired trials revisit the same states again and again, so ``run_experiment``
+memoises each plan's decodability answers for the length of the experiment;
+the checker itself remembers nothing.
 
 The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
@@ -20,13 +23,14 @@ grows with the condition number.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import AssignmentPlan, Uncoded, decodability_checker
+from .core import AssignmentPlan, DecodabilityChecker, Uncoded
 from .field import P, pivots
 
 
@@ -178,18 +182,36 @@ class TrialResult:
     decode_ok: bool
 
 
-def run_trial(plan: AssignmentPlan, speed: SpeedModel, cost: CostModel, seed: int) -> TrialResult:
+def task_weights(plan: AssignmentPlan, cost: CostModel) -> np.ndarray:
+    """(n, ell) cost weights of the plan's tasks, worker-major.
+
+    Raises:
+        ValueError: a sparsity-aware cost that does not list one nonzero
+            count per block of the plan.
+    """
+    if isinstance(cost, SparsityAware) and len(cost.nnz) != plan.params.delta:
+        raise ValueError(
+            f"sparsity-aware cost lists {len(cost.nnz)} nonzero counts, "
+            f"plan has delta = {plan.params.delta} blocks"
+        )
+    return np.array(
+        [[task_weight(cost, t) for t in tasks] for tasks in plan.workers], dtype=float
+    )
+
+
+def run_trial(decodable, weights: np.ndarray, speed: SpeedModel, seed: int) -> TrialResult:
     """One simulated job; deterministic given the seed.
+
+    ``decodable`` decides a state tuple of one plan (a checker's
+    ``decodable``, memoised or not) and ``weights`` is that plan's
+    :func:`task_weights`; n and ell are read from its shape.
 
     The master decodes at the first completion event whose state is
     decodable. If even the final reachable state cannot decode, the result
     reports decode_ok = False with finish_time = inf.
     """
-    n, ell = plan.n, plan.ell
+    n, ell = weights.shape
     dur = raw_durations(speed, n, ell, seed)
-    weights = np.array(
-        [[task_weight(cost, t) for t in tasks] for tasks in plan.workers], dtype=float
-    )
     weighted = np.where(np.isinf(dur), np.inf, dur * weights)
     times = np.cumsum(weighted, axis=1)
     events = sorted(
@@ -198,11 +220,10 @@ def run_trial(plan: AssignmentPlan, speed: SpeedModel, cost: CostModel, seed: in
         for k in range(ell)
         if math.isfinite(times[i, k])
     )
-    checker = decodability_checker(plan)
     state = [0] * n
     for t_ev, i, k in events:
         state[i] = k + 1
-        if checker.decodable(tuple(state)):
+        if decodable(tuple(state)):
             return TrialResult(
                 finish_time=float(t_ev),
                 final_state=tuple(state),
@@ -256,9 +277,12 @@ def run_experiment(
 
     Returns (rows, summaries); row order is plan-major, trial-minor.
     Summary statistics are over successful trials (inf when none succeed).
+    Each plan gets one checker, memoised for its trials only: nothing is
+    kept once the experiment returns.
 
     Raises:
-        ValueError: trials < 1, or mismatched plan_ids.
+        ValueError: trials < 1, mismatched plan_ids, or a cost model that
+            does not fit a plan (see :func:`task_weights`).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -270,10 +294,12 @@ def run_experiment(
     rows = []
     summaries = []
     for pid, plan in zip(plan_ids, plans):
+        decodable = functools.cache(DecodabilityChecker(plan).decodable)
+        weights = task_weights(plan, cost)
         finishes = []
         failures = 0
         for t in range(trials):
-            res = run_trial(plan, speed, cost, seeds[t])
+            res = run_trial(decodable, weights, speed, seeds[t])
             rows.append(
                 TrialRow(
                     plan_id=pid,

@@ -4,12 +4,14 @@ for the test suite."""
 import os
 import subprocess
 import sys
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
 
 import codedmv
-from codedmv import core, schemes
+from codedmv import core, oracle, schemes, sim
 from codedmv.field import P
 
 
@@ -71,6 +73,45 @@ def random_state(plan, rng):
 def dominated_state(state, rng):
     """A state <= the given one, componentwise."""
     return tuple(int(rng.integers(0, v + 1)) for v in state)
+
+
+def trial(plan, speed, cost, seed):
+    """One ``sim.run_trial`` of a plan with an unmemoised checker."""
+    return sim.run_trial(
+        core.DecodabilityChecker(plan).decodable, sim.task_weights(plan, cost), speed, seed
+    )
+
+
+def min_uncoded_coverage(plan, k, budget=None):
+    """Minimum, over all k-subsets of workers, of the number of distinct
+    uncoded blocks they jointly hold.
+
+    Raises:
+        ValueError: k outside [1, n].
+        BudgetExceededError: C(n, k) subsets above the evaluation budget.
+    """
+    n = plan.n
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k = {k}")
+    budget = oracle.default_budget() if budget is None else budget
+    if comb(n, k) > budget:
+        raise oracle.BudgetExceededError(comb(n, k), budget, "coverage search")
+    masks = []
+    for tasks in plan.workers:
+        m = 0
+        for t in tasks:
+            if isinstance(t, core.Uncoded):
+                m |= 1 << t.block
+        masks.append(m)
+    best = None
+    for subset in combinations(range(n), k):
+        u = 0
+        for i in subset:
+            u |= masks[i]
+        c = u.bit_count()
+        if best is None or c < best:
+            best = c
+    return best
 
 
 def run_python(args, env=None, timeout=120):

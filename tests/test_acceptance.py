@@ -19,6 +19,7 @@ from codedmv.field import rank
 
 from support import (
     dominated_state,
+    min_uncoded_coverage,
     random_scheme_plan,
     random_state,
     random_uncoded_plan,
@@ -134,7 +135,7 @@ def test_c08_coverage_claim_sweep():
                 for placement in (Placement.CODED_BOTTOM, Placement.CODED_TOP):
                     plan = cyclic_coded(n, r_u, 1, placement)
                     for k in range(1, n + 1):
-                        cov = oracle.min_uncoded_coverage(plan, k)
+                        cov = min_uncoded_coverage(plan, k)
                         assert cov == min(r_u + k - 1, n), (n, r_u, k, placement)
     assert t.elapsed < 60.0
     report(8, t.elapsed, "k-subset uncoded coverage = min(ell_u+k-1, delta) for n <= 8")

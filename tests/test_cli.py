@@ -310,8 +310,17 @@ def _config_entry_malformed(tmp_path):
     return ["simulate", "--config", str(tmp_path / "config.json")], {}
 
 
+def _nnz_shorter_than_delta(tmp_path):
+    cfg = write_sim_setup(tmp_path, trials=2)
+    config = json.loads(cfg.read_text())
+    config["cost"] = {"kind": "sparsity-aware", "nnz": [1, 2, 3]}  # plans have delta = 5
+    cfg.write_text(json.dumps(config))
+    return ["simulate", "--config", str(cfg)], {}
+
+
 @pytest.mark.parametrize("setup", [_undecodable_plan, _budget_not_an_integer,
-                                   _config_not_an_object, _config_entry_malformed])
+                                   _config_not_an_object, _config_entry_malformed,
+                                   _nnz_shorter_than_delta])
 def test_bad_input_is_usage_error_without_traceback(tmp_path, setup):
     argv, env = setup(tmp_path)
     proc = run_python(["-m", "codedmv.cli", *argv], env=env)

@@ -6,14 +6,13 @@ from codedmv.core import AssignmentPlan, Placement, Uncoded, is_decodable
 from codedmv.oracle import (
     BudgetExceededError,
     brute_force_q,
-    min_uncoded_coverage,
     straggler_resilience,
     uncoded_q_fast,
     analyze,
 )
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 
-from support import random_uncoded_plan
+from support import min_uncoded_coverage, random_uncoded_plan
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from codedmv.core import Coded, Placement, Uncoded, validate_plan
 from codedmv.field import P, rank
 from codedmv.schemes import cauchy, cyclic_coded, cyclic_uncoded, mds_plan
 
+from support import min_uncoded_coverage
+
 
 def det2(m):
     return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % P
@@ -229,7 +231,7 @@ def test_cyclic_coverage_claim_small():
             if plan.params.ell_c == 0:
                 continue
             for k in range(1, n + 1):
-                cov = oracle.min_uncoded_coverage(plan, k)
+                cov = min_uncoded_coverage(plan, k)
                 assert cov == min(r_u + k - 1, n)
 
 

@@ -22,7 +22,6 @@ from codedmv.sim import (
     raw_durations,
     real_coefficient,
     run_experiment,
-    run_trial,
     rows_to_csv,
     split_matrix,
     state_received,
@@ -31,7 +30,7 @@ from codedmv.sim import (
     _block_products,
 )
 
-from support import random_scheme_plan, random_state
+from support import random_scheme_plan, random_state, trial
 
 UNCODED = cyclic_uncoded(5, 3)
 BOTTOM = cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM)
@@ -126,7 +125,7 @@ def test_task_weights():
 def test_trial_equal_speeds_decode_after_one_round():
     # every worker's first block is distinct, so one round already covers
     # the whole matrix; the master never waits for the worst-case threshold
-    res = run_trial(UNCODED, Deterministic(1.0), Uniform(), seed=0)
+    res = trial(UNCODED, Deterministic(1.0), Uniform(), seed=0)
     assert res.decode_ok
     assert res.finish_time == 1.0
     assert res.final_state == (1, 1, 1, 1, 1)
@@ -134,7 +133,7 @@ def test_trial_equal_speeds_decode_after_one_round():
 
 
 def test_trial_halted_consecutive_workers_break_uncoded():
-    res = run_trial(UNCODED, HaltAfter(stragglers=(2, 3, 4), blocks=0), Uniform(), seed=0)
+    res = trial(UNCODED, HaltAfter(stragglers=(2, 3, 4), blocks=0), Uniform(), seed=0)
     assert not res.decode_ok
     assert res.finish_time == math.inf
     assert res.final_state == (3, 3, 0, 0, 0)
@@ -142,13 +141,13 @@ def test_trial_halted_consecutive_workers_break_uncoded():
 
 def test_trial_coded_top_survives_any_three_stragglers():
     for subset in combinations(range(5), 3):
-        res = run_trial(TOP, HaltAfter(stragglers=subset, blocks=0), Uniform(), seed=0)
+        res = trial(TOP, HaltAfter(stragglers=subset, blocks=0), Uniform(), seed=0)
         assert res.decode_ok, subset
 
 
 def test_trial_uncoded_survives_some_but_not_all_triples():
     outcomes = {
-        run_trial(UNCODED, HaltAfter(stragglers=s, blocks=0), Uniform(), seed=0).decode_ok
+        trial(UNCODED, HaltAfter(stragglers=s, blocks=0), Uniform(), seed=0).decode_ok
         for s in combinations(range(5), 3)
     }
     assert outcomes == {True, False}  # resilience is exactly 2
@@ -156,15 +155,15 @@ def test_trial_uncoded_survives_some_but_not_all_triples():
 
 def test_trial_partial_progress_counts():
     # stragglers halted after one block still contribute that block
-    res = run_trial(UNCODED, HaltAfter(stragglers=(2, 3, 4), blocks=1), Uniform(), seed=0)
+    res = trial(UNCODED, HaltAfter(stragglers=(2, 3, 4), blocks=1), Uniform(), seed=0)
     assert res.decode_ok
     assert res.final_state[2:] == (1, 1, 1)
 
 
 def test_trial_is_deterministic_given_seed():
     speed = ShiftedExponential()
-    a = run_trial(BOTTOM, speed, Uniform(), seed=42)
-    b = run_trial(BOTTOM, speed, Uniform(), seed=42)
+    a = trial(BOTTOM, speed, Uniform(), seed=42)
+    b = trial(BOTTOM, speed, Uniform(), seed=42)
     assert a == b
 
 
@@ -173,7 +172,7 @@ def test_trial_totals_bracketed_by_delta_and_q():
         q = oracle.brute_force_q(plan).q_true
         delta = plan.params.delta
         for seed in range(30):
-            res = run_trial(plan, ShiftedExponential(), Uniform(), seed=seed)
+            res = trial(plan, ShiftedExponential(), Uniform(), seed=seed)
             assert res.decode_ok
             assert delta <= res.blocks_processed_total <= q
             assert is_decodable(plan, res.final_state)
@@ -184,7 +183,7 @@ def test_trial_sparsity_weights_change_times():
     # their tasks early but the master still waits for the earliest copy of
     # A_1, which is worker 1's first task at t = 100
     cost = SparsityAware(nnz=(100, 1, 1, 1, 1))
-    res = run_trial(UNCODED, Deterministic(1.0), cost, seed=0)
+    res = trial(UNCODED, Deterministic(1.0), cost, seed=0)
     assert res.decode_ok
     assert res.finish_time == 100.0
     assert res.final_state == (1, 3, 3, 2, 1)
@@ -196,7 +195,7 @@ def test_trial_sparsity_weights_change_times():
 
 def test_experiment_single_trial_matches_run_trial():
     rows, summaries = run_experiment([BOTTOM], ShiftedExponential(), Uniform(), 1, seed=5)
-    direct = run_trial(BOTTOM, ShiftedExponential(), Uniform(), trial_seed(5, 0))
+    direct = trial(BOTTOM, ShiftedExponential(), Uniform(), trial_seed(5, 0))
     assert rows[0].finish_time == direct.finish_time
     assert rows[0].blocks_total == direct.blocks_processed_total
     s = summaries[0]
@@ -212,6 +211,21 @@ def test_experiment_pairs_draws_across_plans():
     second = [r for r in rows if r.plan_id == "plan_1"]
     for a, b in zip(first, second):
         assert a.finish_time == b.finish_time
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_experiment_memo_is_transparent(plan_seed, seed):
+    # run_experiment memoises each plan's answers; a fresh, unmemoised
+    # checker per plan must give the same rows
+    plan = random_scheme_plan(np.random.default_rng(plan_seed))
+    speed = ShiftedExponential(multipliers=tuple([1.0] * (plan.n - 1) + [0.2]))
+    rows, _ = run_experiment([plan], speed, Uniform(), 30, seed=seed)
+    for row in rows:
+        direct = trial(plan, speed, Uniform(), trial_seed(seed, row.trial))
+        assert row.finish_time == direct.finish_time
+        assert row.blocks_total == direct.blocks_processed_total
+        assert row.decode_ok == direct.decode_ok
 
 
 def test_experiment_ordering_smoke():
