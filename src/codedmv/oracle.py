@@ -3,9 +3,14 @@
 The searches here are independent of the closed-form module: they
 enumerate computation states directly and decide each one with the exact
 rank predicate, so they can certify (or refute) every formula at desk
-scale. Budgets are accounted in decodability evaluations; a search whose
-state space exceeds the budget refuses up front and reports the size it
-would have needed.
+scale. The threshold search walks only the non-decodable down-set, upward
+from the zero state, and prunes branches that cannot beat the best total
+found; see :func:`brute_force_q`.
+
+Budgets are accounted in decodability evaluations. The threshold search
+counts the evaluations it makes and stops once the next would exceed the
+budget, reporting how far it got; the resilience search knows its size
+(2**n subsets) and refuses up front.
 
 The plan is shared read-only; every search is a pure function of it and
 builds its own checker, which is dropped when the search returns, so no
@@ -31,15 +36,16 @@ _BUDGET_ENV = "CODEDMV_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
-    """Search would exceed the configured evaluation budget."""
+    """A search needs more decodability evaluations than its budget.
 
-    def __init__(self, required: int, budget: int, what: str):
-        self.required = required
+    ``evaluations`` counts the evaluations made before the search stopped:
+    0 for a search that refused up front.
+    """
+
+    def __init__(self, message: str, budget: int, evaluations: int = 0):
         self.budget = budget
-        super().__init__(
-            f"{what} needs about {required} decodability evaluations, "
-            f"budget is {budget}; raise the budget to at least {required}"
-        )
+        self.evaluations = evaluations
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -78,50 +84,89 @@ def default_budget() -> int:
         raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
-def _states_with_total(total: int, n: int, ell: int):
-    # compositions of `total` into n parts, each within [0, ell]
-    state = [0] * n
-
-    def rec(i: int, remaining: int):
-        if i == n - 1:
-            if remaining <= ell:
-                state[i] = remaining
-                yield tuple(state)
-            return
-        lo = max(0, remaining - ell * (n - 1 - i))
-        for v in range(min(ell, remaining), lo - 1, -1):
-            state[i] = v
-            yield from rec(i + 1, remaining - v)
-
-    yield from rec(0, total)
-
-
 def brute_force_q(plan: AssignmentPlan, budget: int | None = None) -> OracleReport:
     """True recovery threshold: 1 + max total over non-decodable states.
 
-    Scans totals downward from n*ell - 1; every state at a higher total has
-    already been certified decodable when the first non-decodable state is
-    found, which makes the returned worst state a two-sided certificate.
-    Monotonicity keeps the scan short: worst cases sit near the top of the
-    lattice, so high-threshold plans stop after a thin slice of it.
+    The non-decodable states form a down-set (decodability is monotone),
+    so a depth-first search from the zero state that extends only
+    non-decodable states can reach all of it. Each state is generated once,
+    from the parent that undoes one step of its last nonzero worker (the
+    parent rule of reverse search): a child of a state whose last nonzero
+    worker is k increments some worker i >= k.
+
+    Children are visited in increasing i, so states of equal total are
+    reached in lexicographically descending order: at the first worker
+    where two states differ, the larger one's path increments that worker
+    while the other's moves on to a later one. The first non-decodable
+    state found at the largest total is therefore the largest by total and
+    then lexicographically, the same worst state a downward scan of the
+    lattice meets first.
+
+    Pruning: a child that increments worker i at total t + 1 can only
+    raise workers i..n-1 below it, so no state under it exceeds
+    t + 1 + sum_{j>=i} (ell - c_j). A child whose bound does not beat the
+    best total found so far is skipped unevaluated; what it could reach is
+    at most a tie, which by the order above is never the worst state.
+
+    The worst state is a two-sided certificate: it is non-decodable, and
+    every state of a larger total is decodable, because the search skips
+    only states that are decodable (above a decodable state) or that
+    cannot exceed the best total.
 
     Raises:
-        BudgetExceededError: state space above the evaluation budget.
+        BudgetExceededError: the search needs more decodability
+            evaluations than the budget; raised mid-search with the
+            evaluations made and the best total certified so far.
         ValueError: the fully-processed state itself cannot decode.
     """
     budget = default_budget() if budget is None else budget
     n, ell = plan.n, plan.ell
-    space = (ell + 1) ** n
-    if space > budget:
-        raise BudgetExceededError(space, budget, "threshold search")
-    checker = DecodabilityChecker(plan)
-    if not checker.decodable(tuple([ell] * n)):
+    decodable = DecodabilityChecker(plan).decodable
+    evaluations = 0
+
+    def decide(state: tuple) -> bool:
+        nonlocal evaluations
+        if evaluations >= budget:
+            raise BudgetExceededError(
+                f"threshold search stopped at its budget of {budget} decodability "
+                f"evaluations; the largest non-decodable total found so far is "
+                f"{best_total}, so Q >= {best_total + 1}; raise the budget to finish",
+                budget, evaluations,
+            )
+        evaluations += 1
+        return decodable(state)
+
+    # the zero state holds no rows and delta >= 1, so it never decodes
+    state = [0] * n
+    best_total, best = 0, tuple(state)
+    if not decide(tuple([ell] * n)):
         raise ValueError("plan cannot decode even with every task processed")
-    for total in range(n * ell - 1, -1, -1):
-        for state in _states_with_total(total, n, ell):
-            if not checker.decodable(state):
-                return OracleReport(q_true=total + 1, worst_state=state)
-    raise AssertionError("unreachable: the empty state never decodes")
+
+    # one frame per state on the path from the zero state: [next worker
+    # to increment, total, room], room = sum over j >= that worker of
+    # ell - state[j], so the child that increments it is bounded by
+    # total + room; a loop, as paths of n*ell steps outgrow recursion
+    frames = [[0, 0, n * ell]]
+    while frames:
+        frame = frames[-1]
+        i, total, room = frame
+        if i == n or total + room <= best_total:
+            frames.pop()  # the bound only shrinks as i grows
+            if frames:
+                state[frames[-1][0] - 1] -= 1
+            continue
+        frame[0], frame[2] = i + 1, room - (ell - state[i])
+        if state[i] == ell:
+            continue
+        state[i] += 1
+        child = tuple(state)
+        if decide(child):
+            state[i] -= 1
+            continue
+        if total + 1 > best_total:
+            best_total, best = total + 1, child
+        frames.append([i, total + 1, room - 1])
+    return OracleReport(q_true=best_total + 1, worst_state=best)
 
 
 def uncoded_q_fast(plan: AssignmentPlan) -> int:
@@ -163,7 +208,10 @@ def straggler_resilience(plan: AssignmentPlan, budget: int | None = None) -> Ora
     budget = default_budget() if budget is None else budget
     n, ell = plan.n, plan.ell
     if 2**n > budget:
-        raise BudgetExceededError(2**n, budget, "resilience search")
+        raise BudgetExceededError(
+            f"resilience search needs {2**n} decodability evaluations, budget "
+            f"is {budget}; raise the budget to at least {2**n}", budget,
+        )
     checker = DecodabilityChecker(plan)
     for s in range(1, n + 1):
         for subset in combinations(range(n), s):
@@ -177,9 +225,14 @@ def straggler_resilience(plan: AssignmentPlan, budget: int | None = None) -> Ora
 
 
 def analyze(plan: AssignmentPlan, budget: int | None = None) -> OracleReport:
-    """Threshold and resilience in one report."""
-    q = brute_force_q(plan, budget)
+    """Threshold and resilience in one report.
+
+    The resilience search runs first because it refuses up front: a budget
+    below its 2**n evaluations then stops before the threshold search has
+    spent any of it.
+    """
     res = straggler_resilience(plan, budget)
+    q = brute_force_q(plan, budget)
     return OracleReport(
         q_true=q.q_true,
         worst_state=q.worst_state,

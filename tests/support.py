@@ -95,7 +95,9 @@ def min_uncoded_coverage(plan, k, budget=None):
         raise ValueError(f"need 1 <= k <= n, got k = {k}")
     budget = oracle.default_budget() if budget is None else budget
     if comb(n, k) > budget:
-        raise oracle.BudgetExceededError(comb(n, k), budget, "coverage search")
+        raise oracle.BudgetExceededError(
+            f"coverage search needs {comb(n, k)} evaluations, budget is {budget}", budget
+        )
     masks = []
     for tasks in plan.workers:
         m = 0
@@ -112,6 +114,41 @@ def min_uncoded_coverage(plan, k, budget=None):
         if best is None or c < best:
             best = c
     return best
+
+
+def _states_with_total(total, n, ell):
+    """Compositions of ``total`` into n parts within [0, ell], in
+    lexicographically descending order."""
+    state = [0] * n
+
+    def rec(i, remaining):
+        if i == n - 1:
+            if remaining <= ell:
+                state[i] = remaining
+                yield tuple(state)
+            return
+        lo = max(0, remaining - ell * (n - 1 - i))
+        for v in range(min(ell, remaining), lo - 1, -1):
+            state[i] = v
+            yield from rec(i + 1, remaining - v)
+
+    yield from rec(0, total)
+
+
+def reference_q(plan):
+    """``oracle.brute_force_q`` by exhaustive downward scan (for n <= 6).
+
+    Scans totals from n*ell - 1 down, each in lexicographically descending
+    order; the first non-decodable state is the worst state, so every
+    state of a larger total has been checked decodable.
+    """
+    n, ell = plan.n, plan.ell
+    decodable = core.DecodabilityChecker(plan).decodable
+    for total in range(n * ell - 1, -1, -1):
+        for state in _states_with_total(total, n, ell):
+            if not decodable(state):
+                return oracle.OracleReport(q_true=total + 1, worst_state=state)
+    raise AssertionError("unreachable: the empty state never decodes")
 
 
 def run_python(args, env=None, timeout=120):

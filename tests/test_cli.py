@@ -130,6 +130,16 @@ def test_verify_budget_exceeded_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_verify_budget_stops_threshold_search_midway(tmp_path, capsys):
+    # 2**5 = 32 fits the resilience search; the threshold search needs 159
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(core.plan_to_json(cyclic_uncoded(5, 3)))
+    code, _, err = run(capsys, "verify", "--plan", str(plan_file), "--budget", "40")
+    assert code == 3
+    assert "budget of 40" in err
+    assert "Q >= " in err
+
+
 def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     # regression tripwire: a wrong oracle answer must surface as exit 2
     plan_file = tmp_path / "plan.json"

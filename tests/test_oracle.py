@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,25 @@ from codedmv.oracle import (
 )
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 
-from support import min_uncoded_coverage, random_uncoded_plan
+from support import (
+    min_uncoded_coverage,
+    random_scheme_plan,
+    random_uncoded_plan,
+    reference_q,
+)
+
+
+def count_evaluations(monkeypatch):
+    """Count ``DecodabilityChecker.decodable`` calls from now on."""
+    calls = [0]
+    decodable = core.DecodabilityChecker.decodable
+
+    def counted(self, state):
+        calls[0] += 1
+        return decodable(self, state)
+
+    monkeypatch.setattr(core.DecodabilityChecker, "decodable", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +70,69 @@ def test_threshold_certificate_spot_check():
 
 
 def test_threshold_budget_refusal():
+    # the budget counts evaluations made; the search stops mid-way and
+    # reports how far it got, with a lower bound on Q that still holds
     plan = cyclic_uncoded(5, 3)
     with pytest.raises(BudgetExceededError) as err:
         brute_force_q(plan, budget=100)
-    assert err.value.required == 4**5
-    assert "100" in str(err.value)
+    assert err.value.budget == 100
+    assert err.value.evaluations == 100
+    assert "budget of 100" in str(err.value)
+    q_lower = int(re.search(r"Q >= (\d+)", str(err.value)).group(1))
+    assert 1 <= q_lower <= 10
+
+
+def test_threshold_budget_counts_exact_work(monkeypatch):
+    plan = cyclic_coded(5, 2, 1, Placement.CODED_TOP)
+    calls = count_evaluations(monkeypatch)
+    rep = brute_force_q(plan)
+    used = calls[0]
+    assert brute_force_q(plan, budget=used) == rep
+    with pytest.raises(BudgetExceededError) as err:
+        brute_force_q(plan, budget=used - 1)
+    assert err.value.evaluations == used - 1
+
+
+def test_threshold_certifies_beyond_lattice_budget():
+    # the lattice has 5**7 = 78,125 states; the search makes 2,865 evaluations
+    plan = cyclic_coded(7, 2, 2, Placement.CODED_TOP)
+    rep = brute_force_q(plan, budget=10_000)
+    assert rep.q_true == 8
+    assert rep.worst_state == (4, 3, 0, 0, 0, 0, 0)
+
+
+def test_threshold_pruning_bound_keeps_high_q_search_small(monkeypatch):
+    # 9,892 evaluations with the bound, 2,852,580 without it
+    calls = count_evaluations(monkeypatch)
+    assert brute_force_q(cyclic_uncoded(11, 3)).q_true == 28
+    assert calls[0] < 100_000
+
+
+def test_threshold_search_follows_paths_past_the_recursion_limit():
+    # the first dive of the search reaches total 1194 of n*ell = 1200
+    with pytest.raises(BudgetExceededError) as err:
+        brute_force_q(cyclic_uncoded(400, 3), budget=1500)
+    assert "Q >= 1195" in str(err.value)
+
+
+def test_threshold_coded_top_8_3_1():
+    plan = cyclic_coded(8, 3, 1, Placement.CODED_TOP)
+    rep = analyze(plan)
+    assert rep.q_true == 12
+    assert rep.worst_state == (4, 4, 3, 0, 0, 0, 0, 0)
+    assert rep.resilience_true == 5
+
+
+def test_threshold_matches_reference_scan_random():
+    # same Q and the same worst state, lexicographic tie-break included
+    rng = np.random.default_rng(7)
+    plans = [random_scheme_plan(rng) for _ in range(40)]
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        ell = int(rng.integers(1, min(n, 3) + 1))
+        plans.append(random_uncoded_plan(n, ell, rng))
+    for plan in plans:
+        assert brute_force_q(plan) == reference_q(plan), plan.params
 
 
 def test_threshold_rejects_hopeless_plan():
@@ -90,14 +168,14 @@ def test_fast_threshold_rejects_coded_plans():
 def test_fast_threshold_agrees_with_search_random():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        n = int(rng.integers(2, 7))
+        n = int(rng.integers(2, 9))
         ell = int(rng.integers(1, min(n, 3) + 1))
         plan = random_uncoded_plan(n, ell, rng)
         assert uncoded_q_fast(plan) == brute_force_q(plan).q_true
 
 
 def test_fast_threshold_agrees_with_search_cyclic_family():
-    for n in range(2, 7):
+    for n in range(2, 9):
         for r in range(1, min(n, 3) + 1):
             plan = cyclic_uncoded(n, r)
             assert uncoded_q_fast(plan) == brute_force_q(plan).q_true
@@ -181,6 +259,13 @@ def test_coverage_input_validation():
 
 # ---------------------------------------------------------------------------
 # reports
+
+
+def test_analyze_refuses_before_threshold_work():
+    # 2**12 > 4,000, so the resilience search refuses before any evaluation
+    with pytest.raises(BudgetExceededError) as err:
+        analyze(cyclic_uncoded(12, 3), budget=4_000)
+    assert err.value.evaluations == 0
 
 
 def test_analyze_merges_reports():
