@@ -296,6 +296,14 @@ def _cost_from_config(doc) -> sim.CostModel:
     raise UsageError(f"unknown cost model kind {kind!r}")
 
 
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    """A config value that must be a JSON integer (true and false are not)."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _experiment_from_config(cfg, base: Path, seed_override):
     """run_experiment's (plans, speed, cost, trials, seed, plan_ids)."""
     if not isinstance(cfg, dict):
@@ -322,10 +330,10 @@ def _experiment_from_config(cfg, base: Path, seed_override):
             raise UsageError(f"plan entry {entry!r} needs a path or an inline plan")
     if not plans:
         raise UsageError("config lists no plans")
-    trials = int(cfg.get("trials", 0))
+    trials = _config_int(cfg, "trials", 0)
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
+    seed = seed_override if seed_override is not None else _config_int(cfg, "seed", 0)
     speed = _speed_from_config(cfg.get("speed", {"kind": "shifted-exponential"}))
     cost = _cost_from_config(cfg.get("cost", {"kind": "uniform"}))
     return plans, speed, cost, trials, seed, ids

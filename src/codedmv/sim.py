@@ -1,12 +1,19 @@
 """Worker simulation and the end-to-end numeric decode path.
 
-Trials advance event by event: worker i's k-th task completes at the
-cumulative sum of its per-task durations, each duration being a raw speed
-draw scaled by the cost weight of that task. After every completion the
-master re-evaluates decodability and stops at the first decodable instant.
-Paired trials revisit the same states again and again, so ``run_experiment``
-memoises each plan's decodability answers for the length of the experiment;
-the checker itself remembers nothing.
+Worker i's k-th task completes at the cumulative sum of its per-task
+durations, each duration being a raw speed draw scaled by the cost weight
+of that task; the master stops at the first completion after which the
+plan can decode. Trials run in batches of ``_BATCH``: per batch, one
+masked multiply weights the raw durations (a task a halted worker never
+reaches stays at inf), one cumulative sum gives the completion times and
+one stable argsort over the worker-major flat task index orders the
+events. Ties in time therefore fall in (worker, position) order. Each
+trial then walks its own finite events in plain Python, asking a
+decodability callable after every completion. Memory per batch is
+O(batch * n * ell), whatever the trial count. Paired trials revisit the
+same states again and again, so ``run_experiment`` memoises each plan's
+decodability answers for the length of the experiment; the checker itself
+remembers nothing.
 
 The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
@@ -103,18 +110,27 @@ class HaltAfter:
 
 SpeedModel = Union[ShiftedExponential, Deterministic, HaltAfter]
 
+# trials simulated per batch of durations and completion times
+_BATCH = 64
 
-def raw_durations(speed: SpeedModel, n: int, ell: int, seed: int) -> np.ndarray:
-    """(n, ell) per-task durations before cost weighting; inf marks tasks a
-    halted worker never completes. Deterministic given (n, ell, seed) and
-    independent of any plan, which is what makes paired trials comparable."""
+
+def raw_durations(speed: SpeedModel, n: int, ell: int, seeds: Sequence[int]) -> np.ndarray:
+    """(len(seeds), n, ell) per-task durations before cost weighting, one
+    (n, ell) slice per trial seed; inf marks tasks a halted worker never
+    completes. Slice j depends only on (n, ell, seeds[j]) and on no plan,
+    which is what makes paired trials comparable. Deterministic and
+    halt-after models return one read-only (n, ell) array broadcast over
+    the seeds."""
     if isinstance(speed, ShiftedExponential):
         mult = np.ones(n) if speed.multipliers is None else np.asarray(speed.multipliers, dtype=float)
         if mult.shape != (n,):
             raise ValueError(f"need {n} multipliers, got {mult.shape}")
-        rng = np.random.default_rng(seed)
-        base = rng.exponential(scale=1.0, size=(n, ell))
-        return speed.shift + base / (speed.rate * mult[:, None])
+        dur = np.empty((len(seeds), n, ell))
+        for j, s in enumerate(seeds):
+            dur[j] = np.random.default_rng(s).exponential(size=(n, ell))
+        dur /= (speed.rate * mult)[:, None]
+        dur += speed.shift
+        return dur
     if isinstance(speed, Deterministic):
         if isinstance(speed.per_block, (int, float)):
             per = np.full(n, float(speed.per_block))
@@ -122,16 +138,17 @@ def raw_durations(speed: SpeedModel, n: int, ell: int, seed: int) -> np.ndarray:
             per = np.asarray(speed.per_block, dtype=float)
             if per.shape != (n,):
                 raise ValueError(f"need {n} per-block times, got {per.shape}")
-        return np.repeat(per[:, None], ell, axis=1)
-    if isinstance(speed, HaltAfter):
+        one = np.repeat(per[:, None], ell, axis=1)
+    elif isinstance(speed, HaltAfter):
         bad = [i for i in speed.stragglers if not 0 <= i < n]
         if bad:
             raise ValueError(f"straggler index {bad[0]} outside [0, {n})")
-        dur = np.full((n, ell), speed.per_block)
+        one = np.full((n, ell), speed.per_block)
         for i in speed.stragglers:
-            dur[i, min(speed.blocks, ell) :] = np.inf
-        return dur
-    raise TypeError(f"unknown speed model {speed!r}")
+            one[i, min(speed.blocks, ell) :] = np.inf
+    else:
+        raise TypeError(f"unknown speed model {speed!r}")
+    return np.broadcast_to(one, (len(seeds), n, ell))
 
 
 # ---------------------------------------------------------------------------
@@ -199,34 +216,28 @@ def task_weights(plan: AssignmentPlan, cost: CostModel) -> np.ndarray:
     )
 
 
-def run_trial(decodable, weights: np.ndarray, speed: SpeedModel, seed: int) -> TrialResult:
-    """One simulated job; deterministic given the seed.
+def run_trial(decodable, times: np.ndarray, events: Sequence[int]) -> TrialResult:
+    """Walk one simulated job's completion events.
 
-    ``decodable`` decides a state tuple of one plan (a checker's
-    ``decodable``, memoised or not) and ``weights`` is that plan's
-    :func:`task_weights`; n and ell are read from its shape.
+    ``times`` is the trial's (n, ell) array of completion times and
+    ``events`` lists the flat worker-major indices i * ell + k of its
+    finite completions in the order they happen. ``decodable`` decides a
+    state tuple of the plan (a checker's ``decodable``, memoised or not).
 
-    The master decodes at the first completion event whose state is
-    decodable. If even the final reachable state cannot decode, the result
-    reports decode_ok = False with finish_time = inf.
+    The master decodes at the first event whose state is decodable. If even
+    the final reachable state cannot decode, the result reports
+    decode_ok = False with finish_time = inf.
     """
-    n, ell = weights.shape
-    dur = raw_durations(speed, n, ell, seed)
-    weighted = np.where(np.isinf(dur), np.inf, dur * weights)
-    times = np.cumsum(weighted, axis=1)
-    events = sorted(
-        (times[i, k], i, k)
-        for i in range(n)
-        for k in range(ell)
-        if math.isfinite(times[i, k])
-    )
+    n, ell = times.shape
     state = [0] * n
-    for t_ev, i, k in events:
+    for e in events:
+        i, k = divmod(e, ell)
         state[i] = k + 1
-        if decodable(tuple(state)):
+        reached = tuple(state)
+        if decodable(reached):
             return TrialResult(
-                finish_time=float(t_ev),
-                final_state=tuple(state),
+                finish_time=float(times[i, k]),
+                final_state=reached,
                 blocks_processed_total=sum(state),
                 decode_ok=True,
             )
@@ -236,6 +247,26 @@ def run_trial(decodable, weights: np.ndarray, speed: SpeedModel, seed: int) -> T
         blocks_processed_total=sum(state),
         decode_ok=False,
     )
+
+
+def _trials(decodable, weights: np.ndarray, speed: SpeedModel, seeds: Sequence[int]):
+    """Yield one :func:`run_trial` result per seed, in seed order, for the
+    plan whose :func:`task_weights` are ``weights``; ``_BATCH`` seeds share
+    one pass of array operations (see the module docstring)."""
+    n, ell = weights.shape
+    for lo in range(0, len(seeds), _BATCH):
+        dur = raw_durations(speed, n, ell, seeds[lo : lo + _BATCH])
+        # a task never completed stays at inf; masking never forms inf * 0
+        times = np.full(dur.shape, np.inf)
+        np.multiply(dur, weights, out=times, where=~np.isinf(dur))
+        np.cumsum(times, axis=2, out=times)
+        # stable: equal times keep the worker-major (worker, position) order,
+        # and the infinite times of unreachable tasks sort last
+        flat = times.reshape(len(dur), n * ell)
+        order = np.argsort(flat, axis=1, kind="stable")
+        counts = np.isfinite(flat).sum(axis=1).tolist()
+        for j, count in enumerate(counts):
+            yield run_trial(decodable, times[j], order[j, :count].tolist())
 
 
 @dataclass(frozen=True)
@@ -277,8 +308,11 @@ def run_experiment(
 
     Returns (rows, summaries); row order is plan-major, trial-minor.
     Summary statistics are over successful trials (inf when none succeed).
-    Each plan gets one checker, memoised for its trials only: nothing is
-    kept once the experiment returns.
+    Plans run one after another, each over every trial seed in batches of
+    ``_BATCH`` (see :func:`_trials`); a trial's row is built as soon as it
+    is walked, so only one batch of durations and completion times is
+    alive at a time. Each plan gets one checker, memoised for its trials
+    only: nothing is kept once the experiment returns.
 
     Raises:
         ValueError: trials < 1, mismatched plan_ids, or a cost model that
@@ -298,8 +332,7 @@ def run_experiment(
         weights = task_weights(plan, cost)
         finishes = []
         failures = 0
-        for t in range(trials):
-            res = run_trial(decodable, weights, speed, seeds[t])
+        for t, res in enumerate(_trials(decodable, weights, speed, seeds)):
             rows.append(
                 TrialRow(
                     plan_id=pid,

@@ -1,6 +1,7 @@
 """Shared random generators and independent reference implementations
 for the test suite."""
 
+import math
 import os
 import subprocess
 import sys
@@ -76,10 +77,37 @@ def dominated_state(state, rng):
 
 
 def trial(plan, speed, cost, seed):
-    """One ``sim.run_trial`` of a plan with an unmemoised checker."""
-    return sim.run_trial(
-        core.DecodabilityChecker(plan).decodable, sim.task_weights(plan, cost), speed, seed
-    )
+    """One trial of a plan through the batched simulator (a batch of one
+    seed), with an unmemoised checker."""
+    decodable = core.DecodabilityChecker(plan).decodable
+    return next(sim._trials(decodable, sim.task_weights(plan, cost), speed, [seed]))
+
+
+def reference_trial(plan, speed, cost, seed):
+    """One trial by the per-trial loop the batched simulator replaced.
+
+    Each worker's weighted durations are summed in Python floats, every
+    finite completion becomes a (time, worker, position) tuple, the tuples
+    are sorted, and the events are walked with a fresh unmemoised checker.
+    Only the raw draws come from ``sim.raw_durations``, as a batch of one.
+    """
+    n, ell = plan.n, plan.ell
+    dur = sim.raw_durations(speed, n, ell, [seed])[0].tolist()
+    weights = sim.task_weights(plan, cost).tolist()
+    events = []
+    for i in range(n):
+        t = 0.0
+        for k in range(ell):
+            t = math.inf if math.isinf(dur[i][k]) else t + dur[i][k] * weights[i][k]
+            if math.isfinite(t):
+                events.append((t, i, k))
+    decodable = core.DecodabilityChecker(plan).decodable
+    state = [0] * n
+    for t, i, k in sorted(events):
+        state[i] = k + 1
+        if decodable(tuple(state)):
+            return sim.TrialResult(t, tuple(state), sum(state), True)
+    return sim.TrialResult(math.inf, tuple(state), sum(state), False)
 
 
 def min_uncoded_coverage(plan, k, budget=None):

@@ -226,6 +226,27 @@ def test_simulate_inline_plan_and_halt_speed(tmp_path, capsys):
     assert "inline" in out.read_text()
 
 
+def test_simulate_halted_zero_cost_block_warns_nothing(tmp_path):
+    # worker 0 halts before its first task, which is the zero-cost block
+    # A_1: its never-completed tasks must not form inf * 0
+    config = {
+        "plans": [{"id": "inline", "plan": core.plan_to_dict(cyclic_uncoded(3, 2))}],
+        "speed": {"kind": "halt-after", "stragglers": [0], "blocks": 0},
+        "cost": {"kind": "sparsity-aware", "nnz": [0, 5, 5]},
+        "trials": 3,
+        "seed": 0,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rows.csv"
+    proc = run_python(["-m", "codedmv.cli", "simulate", "--config", str(cfg),
+                       "--out", str(out)])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    # A_2 and A_3 complete at t = 5, then worker 2's free A_1 at the same time
+    assert out.read_text().splitlines()[1] == "inline,0,5.0,3,true"
+
+
 # ---------------------------------------------------------------------------
 # decode
 
@@ -328,9 +349,24 @@ def _nnz_shorter_than_delta(tmp_path):
     return ["simulate", "--config", str(cfg)], {}
 
 
+def _config_value(key, value):
+    def setup(tmp_path):
+        cfg = write_sim_setup(tmp_path, trials=2)
+        config = json.loads(cfg.read_text())
+        config[key] = value
+        cfg.write_text(json.dumps(config))
+        return ["simulate", "--config", str(cfg)], {}
+
+    setup.__name__ = f"_{key}_is_{type(value).__name__}_{value}"
+    return setup
+
+
 @pytest.mark.parametrize("setup", [_undecodable_plan, _budget_not_an_integer,
                                    _config_not_an_object, _config_entry_malformed,
-                                   _nnz_shorter_than_delta])
+                                   _nnz_shorter_than_delta,
+                                   _config_value("trials", 2.7), _config_value("trials", True),
+                                   _config_value("trials", "3"), _config_value("seed", 1.9),
+                                   _config_value("seed", False)])
 def test_bad_input_is_usage_error_without_traceback(tmp_path, setup):
     argv, env = setup(tmp_path)
     proc = run_python(["-m", "codedmv.cli", *argv], env=env)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedmv import core, oracle
+from codedmv import core, oracle, sim
 from codedmv.core import Placement, is_decodable
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 from codedmv.sim import (
@@ -30,7 +30,7 @@ from codedmv.sim import (
     _block_products,
 )
 
-from support import random_scheme_plan, random_state, trial
+from support import random_scheme_plan, random_state, reference_trial, trial
 
 UNCODED = cyclic_uncoded(5, 3)
 BOTTOM = cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM)
@@ -74,24 +74,39 @@ def test_split_partitions_and_balances(rows, delta):
 
 def test_shifted_exponential_draws():
     speed = ShiftedExponential(shift=1.0, rate=2.0, multipliers=(1.0, 0.5, 1.0))
-    d = raw_durations(speed, 3, 4, seed=7)
+    d = raw_durations(speed, 3, 4, [7])[0]
     assert d.shape == (3, 4)
     assert (d > 1.0).all()
     # same raw exponentials underneath: halving the rate multiplier doubles
     # the stochastic part
-    base = raw_durations(ShiftedExponential(1.0, 2.0, (1.0, 1.0, 1.0)), 3, 4, seed=7)
+    base = raw_durations(ShiftedExponential(1.0, 2.0, (1.0, 1.0, 1.0)), 3, 4, [7])[0]
     assert np.allclose((d[1] - 1.0), (base[1] - 1.0) * 2)
 
 
 def test_deterministic_per_worker():
-    d = raw_durations(Deterministic(per_block=(1.0, 2.0)), 2, 3, seed=0)
-    assert np.array_equal(d, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    d = raw_durations(Deterministic(per_block=(1.0, 2.0)), 2, 3, [0, 1])
+    assert d.shape == (2, 2, 3)
+    assert np.array_equal(d[1], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
 
 
 def test_halt_after_marks_unreachable_tasks():
-    d = raw_durations(HaltAfter(stragglers=(1,), blocks=1), 3, 3, seed=0)
+    d = raw_durations(HaltAfter(stragglers=(1,), blocks=1), 3, 3, [0])[0]
     assert np.isfinite(d[0]).all()
     assert np.isfinite(d[1][0]) and np.isinf(d[1][1:]).all()
+
+
+def test_raw_durations_batch_pins_the_single_seed_stream():
+    # slice j of a batch is exactly the single-seed draw of seeds[j]
+    speed = ShiftedExponential(shift=0.5, rate=3.0, multipliers=(1.0, 0.2, 2.5))
+    mult = np.asarray(speed.multipliers)
+    seeds = [trial_seed(4, t) for t in range(sim._BATCH + 3)]
+    batch = raw_durations(speed, 3, 5, seeds)
+    assert batch.shape == (len(seeds), 3, 5)
+    for j, s in enumerate(seeds):
+        draw = np.random.default_rng(s).exponential(size=(3, 5))
+        assert np.array_equal(batch[j], speed.shift + draw / (speed.rate * mult[:, None]))
+    assert np.array_equal(raw_durations(speed, 3, 5, seeds[7:9]), batch[7:9])
+    assert raw_durations(speed, 3, 5, []).shape == (0, 3, 5)
 
 
 def test_speed_model_validation():
@@ -104,7 +119,7 @@ def test_speed_model_validation():
     with pytest.raises(ValueError):
         HaltAfter(stragglers=(0,), blocks=-1)
     with pytest.raises(ValueError):
-        raw_durations(HaltAfter(stragglers=(9,)), 3, 2, seed=0)
+        raw_durations(HaltAfter(stragglers=(9,)), 3, 2, [0])
 
 
 def test_task_weights():
@@ -193,14 +208,61 @@ def test_trial_sparsity_weights_change_times():
 # run_experiment
 
 
+def assert_rows_match_reference(plan, speed, cost, trials, seed):
+    rows, summaries = run_experiment([plan], speed, cost, trials, seed=seed)
+    assert [r.trial for r in rows] == list(range(trials))
+    for row in rows:
+        ref = reference_trial(plan, speed, cost, trial_seed(seed, row.trial))
+        assert repr(row.finish_time) == repr(ref.finish_time)
+        assert row.blocks_total == ref.blocks_processed_total
+        assert row.decode_ok == ref.decode_ok
+    return rows, summaries
+
+
 def test_experiment_single_trial_matches_run_trial():
-    rows, summaries = run_experiment([BOTTOM], ShiftedExponential(), Uniform(), 1, seed=5)
-    direct = trial(BOTTOM, ShiftedExponential(), Uniform(), trial_seed(5, 0))
-    assert rows[0].finish_time == direct.finish_time
-    assert rows[0].blocks_total == direct.blocks_processed_total
+    rows, summaries = assert_rows_match_reference(
+        BOTTOM, ShiftedExponential(), Uniform(), 1, seed=5
+    )
     s = summaries[0]
-    assert s.mean_finish == s.median_finish == s.p95_finish == direct.finish_time
+    assert s.mean_finish == s.median_finish == s.p95_finish == rows[0].finish_time
     assert s.failure_rate == 0.0
+
+
+@pytest.mark.parametrize("trials", [1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1])
+def test_experiment_rows_match_reference_across_batch_boundaries(trials):
+    # a straggler and zero-cost blocks: every trial differs, and zero
+    # weights make a worker's consecutive tasks complete at the same time
+    speed = ShiftedExponential(multipliers=(1.0, 1.0, 1.0, 1.0, 0.2))
+    cost = SparsityAware(nnz=(0, 4, 0, 2, 7))
+    for plan in (TOP, UNCODED):
+        assert_rows_match_reference(plan, speed, cost, trials, seed=11)
+
+
+def tie_models(plan):
+    """(speed, cost) pairs under which completion times tie across and
+    within workers, or some tasks are never completed."""
+    n, delta = plan.n, plan.params.delta
+    first_free = SparsityAware(nnz=(0,) + (5,) * (delta - 1))
+    return [
+        (Deterministic(1.0), Uniform()),
+        (Deterministic(tuple(1.0 + i % 2 for i in range(n))), Uniform()),
+        (Deterministic(tuple(2.0 - i % 2 for i in range(n))), first_free),
+        (HaltAfter(stragglers=(0,), blocks=0), first_free),
+        (HaltAfter(stragglers=tuple(range(0, n, 2)), blocks=1, per_block=0.5), Uniform()),
+        (ShiftedExponential(shift=0.0), first_free),
+    ]
+
+
+def test_trial_breaks_time_ties_by_worker_then_position():
+    rng = np.random.default_rng(21)
+    plans = [UNCODED, BOTTOM, TOP] + [random_scheme_plan(rng) for _ in range(40)]
+    for plan in plans:
+        for speed, cost in tie_models(plan):
+            for seed in (0, 3):
+                got = trial(plan, speed, cost, seed)
+                ref = reference_trial(plan, speed, cost, seed)
+                assert got == ref, (plan.params, speed, cost)
+                assert repr(got.finish_time) == repr(ref.finish_time)
 
 
 def test_experiment_pairs_draws_across_plans():
@@ -216,16 +278,12 @@ def test_experiment_pairs_draws_across_plans():
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_experiment_memo_is_transparent(plan_seed, seed):
-    # run_experiment memoises each plan's answers; a fresh, unmemoised
-    # checker per plan must give the same rows
+    # run_experiment memoises each plan's answers and batches its trials;
+    # the per-trial reference with a fresh, unmemoised checker must give
+    # the same rows
     plan = random_scheme_plan(np.random.default_rng(plan_seed))
     speed = ShiftedExponential(multipliers=tuple([1.0] * (plan.n - 1) + [0.2]))
-    rows, _ = run_experiment([plan], speed, Uniform(), 30, seed=seed)
-    for row in rows:
-        direct = trial(plan, speed, Uniform(), trial_seed(seed, row.trial))
-        assert row.finish_time == direct.finish_time
-        assert row.blocks_total == direct.blocks_processed_total
-        assert row.decode_ok == direct.decode_ok
+    assert_rows_match_reference(plan, speed, Uniform(), 30, seed)
 
 
 def test_experiment_ordering_smoke():
