@@ -280,8 +280,8 @@ def _speed_from_config(doc) -> sim.SpeedModel:
         return sim.Deterministic(per_block=tuple(float(v) for v in per))
     if kind == "halt-after":
         return sim.HaltAfter(
-            stragglers=tuple(int(v) for v in doc.get("stragglers", ())),
-            blocks=int(doc.get("blocks", 0)),
+            stragglers=tuple(_json_int(v, "every straggler") for v in doc.get("stragglers", ())),
+            blocks=_config_int(doc, "blocks", 0),
             per_block=float(doc.get("per_block", 1.0)),
         )
     raise UsageError(f"unknown speed model kind {kind!r}")
@@ -292,16 +292,19 @@ def _cost_from_config(doc) -> sim.CostModel:
     if kind == "uniform":
         return sim.Uniform()
     if kind == "sparsity-aware":
-        return sim.SparsityAware(nnz=tuple(int(v) for v in doc["nnz"]))
+        return sim.SparsityAware(nnz=tuple(_json_int(v, "every nnz count") for v in doc["nnz"]))
     raise UsageError(f"unknown cost model kind {kind!r}")
 
 
-def _config_int(cfg: dict, key: str, default: int) -> int:
+def _json_int(value, what: str) -> int:
     """A config value that must be a JSON integer (true and false are not)."""
-    value = cfg.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{key} must be an integer, got {json.dumps(value)}")
+        raise UsageError(f"{what} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    return _json_int(cfg.get(key, default), key)
 
 
 def _experiment_from_config(cfg, base: Path, seed_override):

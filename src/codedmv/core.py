@@ -2,8 +2,11 @@
 
 An assignment plan gives every worker an ordered list of block-row tasks,
 processed strictly top to bottom. A computation state is a plain tuple of
-per-worker processed-task counts; decodability of a state is a monotone
-predicate decided by an exact rank computation over GF(P).
+per-worker processed-task counts; decodability of a state is a monotone,
+exact predicate over GF(P). When the plan's coded rows are certified to
+form a Cauchy matrix (every plan :mod:`codedmv.schemes` builds is), and
+every received coded row covers every unknown block, it is a count of rows
+against unknown blocks; otherwise it is a GF(P) rank computation.
 
 Conventions:
   * block indices are 0-based in code and in the JSON interchange format;
@@ -26,7 +29,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .field import P, rank
+from .field import P, inv, rank
 
 StateVector = tuple  # per-worker processed-task counts, length n
 
@@ -259,9 +262,24 @@ def check_state(plan: AssignmentPlan, state: Sequence) -> StateVector:
 class DecodabilityChecker:
     """Precomputed fast path for repeated decodability queries on one plan.
 
-    Builds per-worker prefix coverage bitmasks and a dense GF(P) matrix of
-    all coded rows so a query costs one mask OR plus (only when coded rows
-    are involved) one small rank computation. The checker remembers no
+    ``__init__`` tries once to certify the plan's Cauchy structure (see
+    :func:`_cauchy_certified`): values x_r per coded row r and y_j per
+    block j with inv(c_{r,j}) = x_r - y_j (mod P) on every support entry,
+    pairwise distinct within each connected piece of the row-block support
+    graph. Every square submatrix of such a matrix is nonsingular, so
+    received coded rows whose supports all hold every unknown block decode
+    exactly when there are at least as many of them as unknown blocks.
+    ``certified`` records the outcome; every plan :mod:`codedmv.schemes`
+    builds is certified.
+
+    A query makes one pass over the workers: it ORs per-worker prefix masks
+    of the uncoded blocks, sums per-worker prefix counts of coded rows and
+    ANDs per-worker prefix masks of the received coded supports. Too few
+    coded rows never decode; a certified plan whose received supports hold
+    every unknown block is answered by the count. Only the remaining
+    queries (an uncertified plan, or a received row with a zero in an
+    unknown column) build the received row ids and take the GF(P) rank of
+    those rows restricted to the unknown blocks. The checker remembers no
     answers: every query is decided afresh.
     """
 
@@ -271,39 +289,107 @@ class DecodabilityChecker:
         self.delta = p.delta
         self.full_mask = (1 << p.delta) - 1
         rows = []
-        self._umask = []
+        coded_tasks = []
+        self._prefix = []
         self._crows = []
         for tasks in plan.workers:
-            masks = [0]
+            umask, coded, common = 0, 0, self.full_mask
+            prefix = [(umask, coded, common)]
             row_ids = [()]
             for t in tasks:
                 if isinstance(t, Uncoded):
-                    masks.append(masks[-1] | (1 << t.block))
+                    umask |= 1 << t.block
                     row_ids.append(row_ids[-1])
                 else:
-                    masks.append(masks[-1])
                     vec = [0] * p.delta
+                    support = 0
                     for b, c in t.coeffs:
                         vec[b] = c % P
+                        support |= 1 << b
+                    coded += 1
+                    common &= support
                     row_ids.append(row_ids[-1] + (len(rows),))
                     rows.append(vec)
-            self._umask.append(masks)
+                    coded_tasks.append(t)
+                prefix.append((umask, coded, common))
+            self._prefix.append(prefix)
             self._crows.append(row_ids)
         self._rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, p.delta), dtype=np.int64)
+        self.certified = _cauchy_certified(coded_tasks, p.delta)
 
     def decodable(self, state: StateVector) -> bool:
-        mask = 0
-        row_ids = []
-        for i, w in enumerate(state):
-            mask |= self._umask[i][w]
-            row_ids.extend(self._crows[i][w])
+        mask, coded, common = 0, 0, self.full_mask
+        for prefix, w in zip(self._prefix, state):
+            u, c, s = prefix[w]
+            mask |= u
+            coded += c
+            common &= s
         missing = self.delta - mask.bit_count()
         if missing == 0:
             return True
-        if len(row_ids) < missing:
+        if coded < missing:
             return False
+        unknown = self.full_mask ^ mask
+        if self.certified and unknown & common == unknown:
+            return True
+        row_ids = []
+        for crows, w in zip(self._crows, state):
+            row_ids.extend(crows[w])
         cols = [j for j in range(self.delta) if not mask >> j & 1]
         return rank(self._rows[np.ix_(row_ids, cols)]) == missing
+
+
+def _cauchy_certified(coded: Sequence[Coded], delta: int) -> bool:
+    """True iff every connected piece of the coded rows is a Cauchy matrix
+    over GF(P).
+
+    Walks the bipartite row-block support graph one connected component at
+    a time. Each component fixes one normalisation, x = 0 on its first row,
+    and recovers x_r per row and y_j per block with inv(c_{r,j}) = x_r - y_j
+    on every support entry. The answer is True only if every entry agrees
+    with the recovered values and, within each component, the x values are
+    pairwise distinct and so are the y values.
+
+    Rows whose supports share a block lie in one component, so a set of
+    received rows that all hold every unknown block restricts to a Cauchy
+    submatrix of a single component. Values of different components are
+    never compared: each carries the index of its first row.
+    """
+    by_block = [[] for _ in range(delta)]
+    entries = []
+    for r, t in enumerate(coded):
+        row = [(b, inv(c)) for b, c in t.coeffs]
+        entries.append(row)
+        for b, d in row:
+            by_block[b].append((r, d))
+    x = [None] * len(coded)
+    y = [None] * delta
+    for first in range(len(coded)):
+        if x[first] is not None:
+            continue
+        x[first] = (first, 0)
+        rows, blocks = [first], []
+        while rows or blocks:
+            if rows:
+                r = rows.pop()
+                for b, d in entries[r]:
+                    want = (first, (x[r][1] - d) % P)
+                    if y[b] is None:
+                        y[b] = want
+                        blocks.append(b)
+                    elif y[b] != want:
+                        return False
+            else:
+                b = blocks.pop()
+                for r, d in by_block[b]:
+                    want = (first, (y[b][1] + d) % P)
+                    if x[r] is None:
+                        x[r] = want
+                        rows.append(r)
+                    elif x[r] != want:
+                        return False
+    ys = [v for v in y if v is not None]
+    return len(set(x)) == len(x) and len(set(ys)) == len(ys)
 
 
 def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
@@ -312,9 +398,13 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     The unit rows of the known uncoded blocks together with the received
     coded rows must have rank delta over GF(P); equivalently, the coded
     rows restricted to the unknown columns must cover all the unknowns.
+    On a plan with a Cauchy certificate whose received rows all cover every
+    unknown block, that rank is the smaller of the two counts, so no
+    elimination runs; see :class:`DecodabilityChecker`.
 
-    Each call builds a fresh :class:`DecodabilityChecker`; for many queries
-    on one plan, build one checker and call its ``decodable`` instead.
+    Each call builds a fresh :class:`DecodabilityChecker`, certificate
+    included; for many queries on one plan, build one checker and call its
+    ``decodable`` instead.
     """
     w = check_state(plan, state)
     return DecodabilityChecker(plan).decodable(w)

@@ -2,8 +2,11 @@
 
 The searches here are independent of the closed-form module: they
 enumerate computation states directly and decide each one with the exact
-rank predicate, so they can certify (or refute) every formula at desk
-scale. The threshold search walks only the non-decodable down-set, upward
+decodability predicate, so they can certify (or refute) every formula at
+desk scale. That predicate counts rows only on plans whose Cauchy
+structure the checker has certified from the coefficients themselves, an
+exact property of the plan rather than a formula, and ranks over GF(P)
+otherwise. The threshold search walks only the non-decodable down-set, upward
 from the zero state, and prunes branches that cannot beat the best total
 found; see :func:`brute_force_q`.
 

@@ -20,8 +20,9 @@ The numeric path maps each field coefficient c to the real number
 coefficients produced by the Cauchy construction d is exactly x_i - y_j,
 so the real and field matrices share the same parameters and the same
 generic rank profile. Decode chooses its rows exactly: one GF(P)
-elimination over the received coded rows both decides decodability and
-picks the first independent rows in arrival order. The real square system
+elimination over the received coded rows both decides whether they
+determine every unknown block and picks the first independent rows in
+arrival order. The real square system
 on those rows is solved only when its condition number is at most 1e12;
 above that the decode is refused as numerically unsafe (DecodeFailure).
 Below that bound no residual is checked, so the error of a returned vector
@@ -492,7 +493,8 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
     solved = {}
     if unknown:
         u = len(unknown)
-        # coded rows restricted to the unknown blocks, as the checker ranks them
+        # coded rows restricted to the unknown blocks, as the checker's rank
+        # path sees them
         field_rows = np.array(
             [[cm.get(b, 0) for b in unknown] for cm, _ in coded], dtype=np.int64
         ).reshape(len(coded), u)

@@ -13,7 +13,7 @@ import numpy as np
 
 import codedmv
 from codedmv import core, oracle, schemes, sim
-from codedmv.field import P
+from codedmv.field import P, rank
 
 
 def random_uncoded_plan(n, ell, rng):
@@ -67,6 +67,47 @@ def random_scheme_plan(rng):
     return schemes.mds_plan(n, ell, delta)
 
 
+def scheme_plan_up_to(n_max, rng):
+    """One plan drawn from the four construction families with n <= n_max:
+    cyclic-uncoded, coded-bottom, coded-top or MDS, each equally likely."""
+    kind = int(rng.integers(0, 4))
+    n = int(rng.integers(3, n_max + 1))
+    if kind == 0:
+        return schemes.cyclic_uncoded(n, int(rng.integers(1, min(n, 3) + 1)))
+    if kind in (1, 2):
+        placement = (
+            core.Placement.CODED_BOTTOM if kind == 1 else core.Placement.CODED_TOP
+        )
+        r_u = int(rng.integers(0, min(n - 1, 3) + 1))
+        ell_c = int(rng.integers(1, min(n - r_u, 2) + 1))
+        return schemes.cyclic_coded(n, r_u, ell_c, placement)
+    ell = int(rng.integers(1, 3))
+    return schemes.mds_plan(n, ell, int(rng.integers(ell, n * ell + 1)))
+
+
+def relabel_blocks(plan, perm):
+    """The plan with block b renamed to perm[b], in uncoded tasks and coded
+    coefficient maps alike."""
+    workers = tuple(
+        tuple(core.Uncoded(int(perm[t.block])) if isinstance(t, core.Uncoded) else
+              core.Coded.from_map({int(perm[b]): c for b, c in t.coeffs})
+              for t in tasks)
+        for tasks in plan.workers
+    )
+    return core.AssignmentPlan(params=plan.params, workers=workers)
+
+
+def arrival_states(plan, rng):
+    """Every prefix of one random interleaving of all tasks, from the zero
+    state to the full one: a walk that crosses the decodability threshold."""
+    order = rng.permutation(np.repeat(np.arange(plan.n), plan.ell))
+    state = [0] * plan.n
+    yield tuple(state)
+    for i in order:
+        state[int(i)] += 1
+        yield tuple(state)
+
+
 def random_state(plan, rng):
     return tuple(int(rng.integers(0, plan.ell + 1)) for _ in range(plan.n))
 
@@ -88,7 +129,7 @@ def reference_trial(plan, speed, cost, seed):
 
     Each worker's weighted durations are summed in Python floats, every
     finite completion becomes a (time, worker, position) tuple, the tuples
-    are sorted, and the events are walked with a fresh unmemoised checker.
+    are sorted, and the events are walked with :func:`rank_decodable`.
     Only the raw draws come from ``sim.raw_durations``, as a batch of one.
     """
     n, ell = plan.n, plan.ell
@@ -101,7 +142,7 @@ def reference_trial(plan, speed, cost, seed):
             t = math.inf if math.isinf(dur[i][k]) else t + dur[i][k] * weights[i][k]
             if math.isfinite(t):
                 events.append((t, i, k))
-    decodable = core.DecodabilityChecker(plan).decodable
+    decodable = rank_decodable(plan)
     state = [0] * n
     for t, i, k in sorted(events):
         state[i] = k + 1
@@ -168,10 +209,11 @@ def reference_q(plan):
 
     Scans totals from n*ell - 1 down, each in lexicographically descending
     order; the first non-decodable state is the worst state, so every
-    state of a larger total has been checked decodable.
+    state of a larger total has been checked decodable. States are decided
+    by :func:`rank_decodable`.
     """
     n, ell = plan.n, plan.ell
-    decodable = core.DecodabilityChecker(plan).decodable
+    decodable = rank_decodable(plan)
     for total in range(n * ell - 1, -1, -1):
         for state in _states_with_total(total, n, ell):
             if not decodable(state):
@@ -229,6 +271,36 @@ def prefix_equations(plan, state):
             else:
                 coded.append(t)
     return frozenset(known), tuple(coded)
+
+
+def rank_decodable(plan):
+    """Decodability predicate of one plan that always ranks: the received
+    coded rows, restricted to the unknown blocks, by ``field.rank``.
+
+    It uses neither the checker's Cauchy certificate nor its count, so the
+    references built on it test that path rather than repeat it.
+    """
+    delta = plan.params.delta
+    tasks = [
+        [t.block if isinstance(t, core.Uncoded) else
+         [t.coeff_map().get(b, 0) for b in range(delta)] for t in worker]
+        for worker in plan.workers
+    ]
+
+    def decodable(state):
+        known, rows = set(), []
+        for worker, count in zip(tasks, state):
+            for t in worker[:count]:
+                if isinstance(t, int):
+                    known.add(t)
+                else:
+                    rows.append(t)
+        unknown = [b for b in range(delta) if b not in known]
+        if len(rows) < len(unknown):
+            return False
+        return not unknown or rank(np.array(rows)[:, unknown]) == len(unknown)
+
+    return decodable
 
 
 def reference_decodable(delta, known, coded):

@@ -163,7 +163,7 @@ def test_bounds_never_exceed_oracle_truth():
     from support import random_uncoded_plan
 
     for _ in range(25):
-        n = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 11))
         ell = int(rng.integers(1, min(n, 3) + 1))
         plan = random_uncoded_plan(n, ell, rng)
         q = oracle.brute_force_q(plan).q_true

@@ -349,11 +349,14 @@ def _nnz_shorter_than_delta(tmp_path):
     return ["simulate", "--config", str(cfg)], {}
 
 
-def _config_value(key, value):
+def _config_value(key, value, section=None):
     def setup(tmp_path):
         cfg = write_sim_setup(tmp_path, trials=2)
         config = json.loads(cfg.read_text())
-        config[key] = value
+        if section is None:
+            config[key] = value
+        else:
+            config[section[0]] = {**section[1], key: value}
         cfg.write_text(json.dumps(config))
         return ["simulate", "--config", str(cfg)], {}
 
@@ -361,12 +364,19 @@ def _config_value(key, value):
     return setup
 
 
+HALT_AFTER = ("speed", {"kind": "halt-after", "stragglers": [0], "blocks": 1})
+SPARSITY = ("cost", {"kind": "sparsity-aware"})
+
+
 @pytest.mark.parametrize("setup", [_undecodable_plan, _budget_not_an_integer,
                                    _config_not_an_object, _config_entry_malformed,
                                    _nnz_shorter_than_delta,
                                    _config_value("trials", 2.7), _config_value("trials", True),
                                    _config_value("trials", "3"), _config_value("seed", 1.9),
-                                   _config_value("seed", False)])
+                                   _config_value("seed", False),
+                                   _config_value("stragglers", [0.9, 1.7], HALT_AFTER),
+                                   _config_value("blocks", 1.5, HALT_AFTER),
+                                   _config_value("nnz", [2.9, 5, 5, 5, 5], SPARSITY)])
 def test_bad_input_is_usage_error_without_traceback(tmp_path, setup):
     argv, env = setup(tmp_path)
     proc = run_python(["-m", "codedmv.cli", *argv], env=env)

@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedmv import core, schemes
+from codedmv.field import P
 from codedmv.core import (
     AssignmentPlan,
     Coded,
@@ -22,11 +23,14 @@ from codedmv.core import (
 )
 
 from support import (
+    arrival_states,
     dominated_state,
     prefix_equations,
     random_scheme_plan,
     random_state,
     reference_decodable,
+    relabel_blocks,
+    scheme_plan_up_to,
 )
 
 FIG3 = schemes.cyclic_uncoded(5, 3)  # the <5,3,5,3> cyclic layout
@@ -261,6 +265,152 @@ def test_equations_decodable_matches_predicate():
         assert reference_decodable(plan.params.delta, known, coded) == is_decodable(
             plan, state
         )
+
+
+# ---------------------------------------------------------------------------
+# Cauchy certificate: counted answers, ranked fallback
+
+
+def agrees_with_reference(plan, states):
+    checker = core.DecodabilityChecker(plan)
+    for state in states:
+        known, coded = prefix_equations(plan, state)
+        want = reference_decodable(plan.params.delta, known, coded)
+        assert checker.decodable(state) == want, (plan.params, state)
+
+
+def count_ranks(monkeypatch):
+    """Count the GF(P) ranks the checker takes from now on."""
+    calls = [0]
+    rank = core.rank
+
+    def counted(mat):
+        calls[0] += 1
+        return rank(mat)
+
+    monkeypatch.setattr(core, "rank", counted)
+    return calls
+
+
+def hand_plan(workers, delta, placement=Placement.FULLY_CODED):
+    """A plan from explicit task lists; every worker holds as many tasks."""
+    ell_u = sum(isinstance(t, Uncoded) for t in workers[0])
+    params = SystemParams(n=len(workers), delta=delta, ell_u=ell_u,
+                          ell_c=len(workers[0]) - ell_u,
+                          r_u=len(workers) * ell_u // delta, placement=placement)
+    return AssignmentPlan(params=params, workers=tuple(map(tuple, workers)))
+
+
+def cauchy_task(row, blocks):
+    return Coded(tuple((b, row[b]) for b in blocks))
+
+
+def every_state(plan):
+    return product(range(plan.ell + 1), repeat=plan.n)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_checker_matches_reference_on_scheme_plans(seed, relabel):
+    # the benchmark relabels every plan, so the certificate must not rely on
+    # the designed block order
+    rng = np.random.default_rng(seed)
+    plan = scheme_plan_up_to(12, rng)
+    if relabel:
+        plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    agrees_with_reference(plan, arrival_states(plan, rng))
+
+
+def test_every_scheme_plan_with_coded_rows_is_certified():
+    plans = [schemes.cyclic_coded(40, 2, 1, Placement.CODED_TOP),
+             schemes.cyclic_coded(40, 2, 1, Placement.CODED_BOTTOM),
+             schemes.mds_plan(40, 2, 40)]
+    for n in range(2, 13):
+        for r_u in range(0, n):
+            for ell_c in range(1, min(n - r_u, 2) + 1):
+                for placement in (Placement.CODED_BOTTOM, Placement.CODED_TOP):
+                    plans.append(schemes.cyclic_coded(n, r_u, ell_c, placement))
+        for ell in (1, 2):
+            plans.extend(schemes.mds_plan(n, ell, delta) for delta in range(ell, n * ell + 1))
+    rng = np.random.default_rng(5)
+    for plan in plans:
+        assert core.DecodabilityChecker(plan).certified, plan.params
+        perm = rng.permutation(plan.params.delta)
+        assert core.DecodabilityChecker(relabel_blocks(plan, perm)).certified, plan.params
+
+
+def test_scheme_queries_never_rank(monkeypatch):
+    ranks = count_ranks(monkeypatch)
+    rng = np.random.default_rng(2)
+    for plan in (schemes.cyclic_coded(7, 2, 2, Placement.CODED_TOP),
+                 schemes.cyclic_coded(8, 3, 1, Placement.CODED_BOTTOM),
+                 schemes.mds_plan(6, 2, 9)):
+        for _ in range(20):
+            agrees_with_reference(plan, arrival_states(plan, rng))
+    assert ranks[0] == 0
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_perturbed_coefficient_loses_the_certificate(seed):
+    rng = np.random.default_rng(seed)
+    plan = schemes.cyclic_coded(5, 2, 1, Placement.CODED_TOP)
+    workers = [list(tasks) for tasks in plan.workers]
+    i = int(rng.integers(0, plan.n))
+    coeffs = dict(workers[i][0].coeffs)
+    b = int(rng.integers(0, plan.params.delta))
+    coeffs[b] = (coeffs[b] + int(rng.integers(1, P - 1))) % P
+    workers[i][0] = Coded.from_map(coeffs)
+    bent = AssignmentPlan(params=plan.params, workers=tuple(map(tuple, workers)))
+    assert not core.DecodabilityChecker(bent).certified
+    agrees_with_reference(bent, [random_state(bent, rng) for _ in range(100)])
+
+
+def test_singular_perturbation_is_ranked(monkeypatch):
+    # rows 0 and 1 made proportional: two rows, two unknowns, rank 1
+    row0, row1, row2 = schemes.cauchy(3, 2)
+    bent0 = (row0[0], row0[0] * row1[1] * pow(row1[0], -1, P) % P)
+    plan = hand_plan([[cauchy_task(r, (0, 1))] for r in (bent0, row1, row2)], 2)
+    checker = core.DecodabilityChecker(plan)
+    assert not checker.certified
+    ranks = count_ranks(monkeypatch)
+    assert not checker.decodable((1, 1, 0))
+    assert checker.decodable((1, 0, 1)) and checker.decodable((0, 1, 1))
+    assert ranks[0] == 3
+    agrees_with_reference(plan, every_state(plan))
+
+
+@pytest.mark.parametrize("twin", ["row", "column"])
+def test_repeated_cauchy_values_lose_the_certificate(twin):
+    # consistent with x_r - y_j on every entry, but two rows share an x (the
+    # same row twice) or two blocks share a y (the same column twice)
+    rows = schemes.cauchy(3, 2)
+    if twin == "row":
+        rows = (rows[0], rows[0], rows[1])
+    else:
+        rows = tuple((r[0], r[0]) for r in rows)
+    plan = hand_plan([[cauchy_task(r, (0, 1))] for r in rows], 2)
+    checker = core.DecodabilityChecker(plan)
+    assert not checker.certified
+    assert not checker.decodable((1, 1, 0))  # two rows, two unknowns, rank 1
+    agrees_with_reference(plan, every_state(plan))
+
+
+def test_zero_in_an_unknown_column_is_ranked(monkeypatch):
+    # a certified plan whose received rows all miss the unknown block 1:
+    # three rows, two unknowns, yet block 1 appears in none of them
+    rows = schemes.cauchy(3, 3)
+    supports = ((0,), (0,), (0, 2))
+    plan = hand_plan(
+        [[cauchy_task(r, s), Uncoded(j)] for j, (r, s) in enumerate(zip(rows, supports))],
+        3, Placement.CODED_TOP,
+    )
+    checker = core.DecodabilityChecker(plan)
+    assert checker.certified
+    ranks = count_ranks(monkeypatch)
+    assert not checker.decodable((1, 1, 2))
+    assert ranks[0] == 1
+    agrees_with_reference(plan, every_state(plan))
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,16 @@ def test_threshold_coded_top_8_3_1():
     assert rep.resilience_true == 5
 
 
+def test_threshold_coded_top_9_2_2():
+    # pinned from the checker that ranked every query (4.3 s on this plan);
+    # the count must give the same Q, witness and resilience
+    rep = analyze(cyclic_coded(9, 2, 2, Placement.CODED_TOP))
+    assert rep.q_true == 10
+    assert rep.worst_state == (4, 4, 1, 0, 0, 0, 0, 0, 0)
+    assert rep.resilience_true == 6
+    assert rep.worst_straggler_set == (0, 1, 2, 3, 4, 5, 6)
+
+
 def test_threshold_matches_reference_scan_random():
     # same Q and the same worst state, lexicographic tie-break included
     rng = np.random.default_rng(7)
@@ -168,14 +178,14 @@ def test_fast_threshold_rejects_coded_plans():
 def test_fast_threshold_agrees_with_search_random():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        n = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 11))
         ell = int(rng.integers(1, min(n, 3) + 1))
         plan = random_uncoded_plan(n, ell, rng)
         assert uncoded_q_fast(plan) == brute_force_q(plan).q_true
 
 
 def test_fast_threshold_agrees_with_search_cyclic_family():
-    for n in range(2, 9):
+    for n in range(2, 11):
         for r in range(1, min(n, 3) + 1):
             plan = cyclic_uncoded(n, r)
             assert uncoded_q_fast(plan) == brute_force_q(plan).q_true
