@@ -272,15 +272,19 @@ class DecodabilityChecker:
     ``certified`` records the outcome; every plan :mod:`codedmv.schemes`
     builds is certified.
 
-    A query makes one pass over the workers: it ORs per-worker prefix masks
-    of the uncoded blocks, sums per-worker prefix counts of coded rows and
-    ANDs per-worker prefix masks of the received coded supports. Too few
-    coded rows never decode; a certified plan whose received supports hold
-    every unknown block is answered by the count. Only the remaining
-    queries (an uncertified plan, or a received row with a zero in an
-    unknown column) build the received row ids and take the GF(P) rank of
-    those rows restricted to the unknown blocks. The checker remembers no
-    answers: every query is decided afresh.
+    A state is summarised by its triple: the OR of the uncoded block masks
+    received, the number of coded rows received and the AND of their
+    supports. ``_prefix[i][w]`` is that triple for worker i's first w
+    tasks, so a state's triple combines one prefix triple per worker, and
+    the simulator's walk (:func:`codedmv.sim.run_trial`) updates its own
+    triple from ``_prefix[i][k]`` and ``_prefix[i][k + 1]`` when worker i
+    completes task k. :meth:`by_count` decides a triple when a count
+    settles it: too few coded rows never decode, and a certified plan
+    whose received supports hold every unknown block decodes by the count.
+    Only the remaining queries (an uncertified plan, or a received row with
+    a zero in an unknown column) build the received row ids and take the
+    GF(P) rank of those rows restricted to the unknown blocks. The checker
+    remembers no answers: every query is decided afresh.
     """
 
     def __init__(self, plan: AssignmentPlan):
@@ -317,6 +321,21 @@ class DecodabilityChecker:
         self._rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, p.delta), dtype=np.int64)
         self.certified = _cauchy_certified(coded_tasks, p.delta)
 
+    def by_count(self, mask: int, coded: int, common: int):
+        """Decodability of the state with triple (mask, coded, common) when
+        counting settles it, else None: fewer coded rows than unknown
+        blocks does not decode, no block unknown does, and on a certified
+        plan enough rows whose supports all hold every unknown block do."""
+        missing = self.delta - mask.bit_count()
+        if coded < missing:
+            return False
+        if missing == 0:
+            return True
+        unknown = self.full_mask ^ mask
+        if self.certified and unknown & common == unknown:
+            return True
+        return None
+
     def decodable(self, state: StateVector) -> bool:
         mask, coded, common = 0, 0, self.full_mask
         for prefix, w in zip(self._prefix, state):
@@ -324,19 +343,14 @@ class DecodabilityChecker:
             mask |= u
             coded += c
             common &= s
-        missing = self.delta - mask.bit_count()
-        if missing == 0:
-            return True
-        if coded < missing:
-            return False
-        unknown = self.full_mask ^ mask
-        if self.certified and unknown & common == unknown:
-            return True
+        counted = self.by_count(mask, coded, common)
+        if counted is not None:
+            return counted
         row_ids = []
         for crows, w in zip(self._crows, state):
             row_ids.extend(crows[w])
         cols = [j for j in range(self.delta) if not mask >> j & 1]
-        return rank(self._rows[np.ix_(row_ids, cols)]) == missing
+        return rank(self._rows[np.ix_(row_ids, cols)]) == len(cols)
 
 
 def _cauchy_certified(coded: Sequence[Coded], delta: int) -> bool:

@@ -8,12 +8,13 @@ masked multiply weights the raw durations (a task a halted worker never
 reaches stays at inf), one cumulative sum gives the completion times and
 one stable argsort over the worker-major flat task index orders the
 events. Ties in time therefore fall in (worker, position) order. Each
-trial then walks its own finite events in plain Python, asking a
-decodability callable after every completion. Memory per batch is
-O(batch * n * ell), whatever the trial count. Paired trials revisit the
-same states again and again, so ``run_experiment`` memoises each plan's
-decodability answers for the length of the experiment; the checker itself
-remembers nothing.
+trial then walks its own finite events in plain Python. A completion
+changes the state by one task, so the walk keeps the state's
+decodability triple (see :class:`codedmv.core.DecodabilityChecker`) up
+to date from the checker's per-worker prefix triples, O(1) work per
+event, and asks the checker's rank path only when the count cannot
+decide. Memory per batch is O(batch * n * ell), whatever the trial count;
+nothing is remembered across trials.
 
 The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
@@ -31,7 +32,6 @@ grows with the condition number.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -217,28 +217,46 @@ def task_weights(plan: AssignmentPlan, cost: CostModel) -> np.ndarray:
     )
 
 
-def run_trial(decodable, times: np.ndarray, events: Sequence[int]) -> TrialResult:
+def run_trial(checker: DecodabilityChecker, times: np.ndarray, events: Sequence[int]) -> TrialResult:
     """Walk one simulated job's completion events.
 
     ``times`` is the trial's (n, ell) array of completion times and
     ``events`` lists the flat worker-major indices i * ell + k of its
-    finite completions in the order they happen. ``decodable`` decides a
-    state tuple of the plan (a checker's ``decodable``, memoised or not).
+    finite completions in the order they happen; each worker's tasks
+    complete in position order. ``checker`` is the plan's
+    :class:`~codedmv.core.DecodabilityChecker`.
+
+    Each event (i, k) updates the state's decodability triple from the
+    checker's prefix triples of worker i: it ORs in the uncoded mask, adds
+    the coded rows of task k and ANDs in the support. ``checker.by_count``
+    decides the triple; only when the count cannot decide (an uncertified
+    plan, or a received row with a zero in an unknown column) does the
+    walk call ``checker.decodable`` on the state tuple.
 
     The master decodes at the first event whose state is decodable. If even
     the final reachable state cannot decode, the result reports
     decode_ok = False with finish_time = inf.
     """
     n, ell = times.shape
+    prefix = checker._prefix
+    by_count = checker.by_count
     state = [0] * n
+    mask, coded, common = 0, 0, checker.full_mask
     for e in events:
         i, k = divmod(e, ell)
         state[i] = k + 1
-        reached = tuple(state)
-        if decodable(reached):
+        triples = prefix[i]
+        u, c, s = triples[k + 1]
+        mask |= u
+        coded += c - triples[k][1]
+        common &= s
+        ok = by_count(mask, coded, common)
+        if ok is None:
+            ok = checker.decodable(tuple(state))
+        if ok:
             return TrialResult(
                 finish_time=float(times[i, k]),
-                final_state=reached,
+                final_state=tuple(state),
                 blocks_processed_total=sum(state),
                 decode_ok=True,
             )
@@ -250,7 +268,7 @@ def run_trial(decodable, times: np.ndarray, events: Sequence[int]) -> TrialResul
     )
 
 
-def _trials(decodable, weights: np.ndarray, speed: SpeedModel, seeds: Sequence[int]):
+def _trials(checker: DecodabilityChecker, weights: np.ndarray, speed: SpeedModel, seeds: Sequence[int]):
     """Yield one :func:`run_trial` result per seed, in seed order, for the
     plan whose :func:`task_weights` are ``weights``; ``_BATCH`` seeds share
     one pass of array operations (see the module docstring)."""
@@ -267,7 +285,7 @@ def _trials(decodable, weights: np.ndarray, speed: SpeedModel, seeds: Sequence[i
         order = np.argsort(flat, axis=1, kind="stable")
         counts = np.isfinite(flat).sum(axis=1).tolist()
         for j, count in enumerate(counts):
-            yield run_trial(decodable, times[j], order[j, :count].tolist())
+            yield run_trial(checker, times[j], order[j, :count].tolist())
 
 
 @dataclass(frozen=True)
@@ -312,8 +330,8 @@ def run_experiment(
     Plans run one after another, each over every trial seed in batches of
     ``_BATCH`` (see :func:`_trials`); a trial's row is built as soon as it
     is walked, so only one batch of durations and completion times is
-    alive at a time. Each plan gets one checker, memoised for its trials
-    only: nothing is kept once the experiment returns.
+    alive at a time. Each plan gets one checker, shared by its trials; it
+    remembers no answers.
 
     Raises:
         ValueError: trials < 1, mismatched plan_ids, or a cost model that
@@ -329,11 +347,11 @@ def run_experiment(
     rows = []
     summaries = []
     for pid, plan in zip(plan_ids, plans):
-        decodable = functools.cache(DecodabilityChecker(plan).decodable)
+        checker = DecodabilityChecker(plan)
         weights = task_weights(plan, cost)
         finishes = []
         failures = 0
-        for t, res in enumerate(_trials(decodable, weights, speed, seeds)):
+        for t, res in enumerate(_trials(checker, weights, speed, seeds)):
             rows.append(
                 TrialRow(
                     plan_id=pid,

@@ -97,15 +97,99 @@ def relabel_blocks(plan, perm):
     return core.AssignmentPlan(params=plan.params, workers=workers)
 
 
+def arrival_events(plan, rng):
+    """One random interleaving of all tasks, each worker's in position
+    order, as the flat worker-major indices i * ell + k that
+    ``sim.run_trial`` walks."""
+    order = rng.permutation(np.repeat(np.arange(plan.n), plan.ell))
+    done = [0] * plan.n
+    events = []
+    for i in order.tolist():
+        events.append(i * plan.ell + done[i])
+        done[i] += 1
+    return events
+
+
 def arrival_states(plan, rng):
     """Every prefix of one random interleaving of all tasks, from the zero
     state to the full one: a walk that crosses the decodability threshold."""
-    order = rng.permutation(np.repeat(np.arange(plan.n), plan.ell))
     state = [0] * plan.n
     yield tuple(state)
-    for i in order:
-        state[int(i)] += 1
+    for e in arrival_events(plan, rng):
+        i, k = divmod(e, plan.ell)
+        state[i] = k + 1
         yield tuple(state)
+
+
+def hand_plan(workers, delta, placement=core.Placement.FULLY_CODED):
+    """A plan from explicit task lists; every worker holds as many tasks."""
+    ell_u = sum(isinstance(t, core.Uncoded) for t in workers[0])
+    params = core.SystemParams(n=len(workers), delta=delta, ell_u=ell_u,
+                               ell_c=len(workers[0]) - ell_u,
+                               r_u=len(workers) * ell_u // delta, placement=placement)
+    return core.AssignmentPlan(params=params, workers=tuple(map(tuple, workers)))
+
+
+def cauchy_task(row, blocks):
+    return core.Coded(tuple((b, row[b]) for b in blocks))
+
+
+def singular_plan():
+    """Three one-row workers on two blocks, rows 0 and 1 made proportional:
+    not certified, and those two rows alone have rank 1."""
+    row0, row1, row2 = schemes.cauchy(3, 2)
+    bent0 = (row0[0], row0[0] * row1[1] * pow(row1[0], -1, P) % P)
+    return hand_plan([[cauchy_task(r, (0, 1))] for r in (bent0, row1, row2)], 2)
+
+
+def twin_plan(twin):
+    """Consistent with x_r - y_j on every entry, but two rows share an x
+    (``twin == "row"``: the same row twice) or two blocks share a y
+    (``"column"``: the same column twice); rows 0 and 1 have rank 1."""
+    rows = schemes.cauchy(3, 2)
+    if twin == "row":
+        rows = (rows[0], rows[0], rows[1])
+    else:
+        rows = tuple((r[0], r[0]) for r in rows)
+    return hand_plan([[cauchy_task(r, (0, 1))] for r in rows], 2)
+
+
+def zero_column_plan():
+    """A certified coded-top plan whose received rows can all miss an
+    unknown block: at state (1, 1, 2), three rows and two unknowns, yet
+    block 1 appears in none of the rows."""
+    rows = schemes.cauchy(3, 3)
+    supports = ((0,), (0,), (0, 2))
+    return hand_plan(
+        [[cauchy_task(r, s), core.Uncoded(j)] for j, (r, s) in enumerate(zip(rows, supports))],
+        3, core.Placement.CODED_TOP,
+    )
+
+
+def perturbed(plan, rng):
+    """The plan with one coefficient of a random worker's first task moved
+    by a random nonzero amount; that task must be coded and hold every
+    block."""
+    workers = [list(tasks) for tasks in plan.workers]
+    i = int(rng.integers(0, plan.n))
+    coeffs = dict(workers[i][0].coeffs)
+    b = int(rng.integers(0, plan.params.delta))
+    coeffs[b] = (coeffs[b] + int(rng.integers(1, P - 1))) % P
+    workers[i][0] = core.Coded.from_map(coeffs)
+    return core.AssignmentPlan(params=plan.params, workers=tuple(map(tuple, workers)))
+
+
+def count_evaluations(monkeypatch):
+    """Count ``DecodabilityChecker.decodable`` calls from now on."""
+    calls = [0]
+    decodable = core.DecodabilityChecker.decodable
+
+    def counted(self, state):
+        calls[0] += 1
+        return decodable(self, state)
+
+    monkeypatch.setattr(core.DecodabilityChecker, "decodable", counted)
+    return calls
 
 
 def random_state(plan, rng):
@@ -119,9 +203,9 @@ def dominated_state(state, rng):
 
 def trial(plan, speed, cost, seed):
     """One trial of a plan through the batched simulator (a batch of one
-    seed), with an unmemoised checker."""
-    decodable = core.DecodabilityChecker(plan).decodable
-    return next(sim._trials(decodable, sim.task_weights(plan, cost), speed, [seed]))
+    seed) and its incremental walk."""
+    checker = core.DecodabilityChecker(plan)
+    return next(sim._trials(checker, sim.task_weights(plan, cost), speed, [seed]))
 
 
 def reference_trial(plan, speed, cost, seed):

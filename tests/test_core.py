@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedmv import core, schemes
-from codedmv.field import P
 from codedmv.core import (
     AssignmentPlan,
     Coded,
@@ -25,12 +24,16 @@ from codedmv.core import (
 from support import (
     arrival_states,
     dominated_state,
+    perturbed,
     prefix_equations,
     random_scheme_plan,
     random_state,
     reference_decodable,
     relabel_blocks,
     scheme_plan_up_to,
+    singular_plan,
+    twin_plan,
+    zero_column_plan,
 )
 
 FIG3 = schemes.cyclic_uncoded(5, 3)  # the <5,3,5,3> cyclic layout
@@ -292,19 +295,6 @@ def count_ranks(monkeypatch):
     return calls
 
 
-def hand_plan(workers, delta, placement=Placement.FULLY_CODED):
-    """A plan from explicit task lists; every worker holds as many tasks."""
-    ell_u = sum(isinstance(t, Uncoded) for t in workers[0])
-    params = SystemParams(n=len(workers), delta=delta, ell_u=ell_u,
-                          ell_c=len(workers[0]) - ell_u,
-                          r_u=len(workers) * ell_u // delta, placement=placement)
-    return AssignmentPlan(params=params, workers=tuple(map(tuple, workers)))
-
-
-def cauchy_task(row, blocks):
-    return Coded(tuple((b, row[b]) for b in blocks))
-
-
 def every_state(plan):
     return product(range(plan.ell + 1), repeat=plan.n)
 
@@ -354,23 +344,13 @@ def test_scheme_queries_never_rank(monkeypatch):
 @settings(max_examples=15, deadline=None)
 def test_perturbed_coefficient_loses_the_certificate(seed):
     rng = np.random.default_rng(seed)
-    plan = schemes.cyclic_coded(5, 2, 1, Placement.CODED_TOP)
-    workers = [list(tasks) for tasks in plan.workers]
-    i = int(rng.integers(0, plan.n))
-    coeffs = dict(workers[i][0].coeffs)
-    b = int(rng.integers(0, plan.params.delta))
-    coeffs[b] = (coeffs[b] + int(rng.integers(1, P - 1))) % P
-    workers[i][0] = Coded.from_map(coeffs)
-    bent = AssignmentPlan(params=plan.params, workers=tuple(map(tuple, workers)))
+    bent = perturbed(schemes.cyclic_coded(5, 2, 1, Placement.CODED_TOP), rng)
     assert not core.DecodabilityChecker(bent).certified
     agrees_with_reference(bent, [random_state(bent, rng) for _ in range(100)])
 
 
 def test_singular_perturbation_is_ranked(monkeypatch):
-    # rows 0 and 1 made proportional: two rows, two unknowns, rank 1
-    row0, row1, row2 = schemes.cauchy(3, 2)
-    bent0 = (row0[0], row0[0] * row1[1] * pow(row1[0], -1, P) % P)
-    plan = hand_plan([[cauchy_task(r, (0, 1))] for r in (bent0, row1, row2)], 2)
+    plan = singular_plan()
     checker = core.DecodabilityChecker(plan)
     assert not checker.certified
     ranks = count_ranks(monkeypatch)
@@ -382,14 +362,7 @@ def test_singular_perturbation_is_ranked(monkeypatch):
 
 @pytest.mark.parametrize("twin", ["row", "column"])
 def test_repeated_cauchy_values_lose_the_certificate(twin):
-    # consistent with x_r - y_j on every entry, but two rows share an x (the
-    # same row twice) or two blocks share a y (the same column twice)
-    rows = schemes.cauchy(3, 2)
-    if twin == "row":
-        rows = (rows[0], rows[0], rows[1])
-    else:
-        rows = tuple((r[0], r[0]) for r in rows)
-    plan = hand_plan([[cauchy_task(r, (0, 1))] for r in rows], 2)
+    plan = twin_plan(twin)
     checker = core.DecodabilityChecker(plan)
     assert not checker.certified
     assert not checker.decodable((1, 1, 0))  # two rows, two unknowns, rank 1
@@ -397,14 +370,7 @@ def test_repeated_cauchy_values_lose_the_certificate(twin):
 
 
 def test_zero_in_an_unknown_column_is_ranked(monkeypatch):
-    # a certified plan whose received rows all miss the unknown block 1:
-    # three rows, two unknowns, yet block 1 appears in none of them
-    rows = schemes.cauchy(3, 3)
-    supports = ((0,), (0,), (0, 2))
-    plan = hand_plan(
-        [[cauchy_task(r, s), Uncoded(j)] for j, (r, s) in enumerate(zip(rows, supports))],
-        3, Placement.CODED_TOP,
-    )
+    plan = zero_column_plan()
     checker = core.DecodabilityChecker(plan)
     assert checker.certified
     ranks = count_ranks(monkeypatch)

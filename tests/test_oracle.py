@@ -15,24 +15,12 @@ from codedmv.oracle import (
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 
 from support import (
+    count_evaluations,
     min_uncoded_coverage,
     random_scheme_plan,
     random_uncoded_plan,
     reference_q,
 )
-
-
-def count_evaluations(monkeypatch):
-    """Count ``DecodabilityChecker.decodable`` calls from now on."""
-    calls = [0]
-    decodable = core.DecodabilityChecker.decodable
-
-    def counted(self, state):
-        calls[0] += 1
-        return decodable(self, state)
-
-    monkeypatch.setattr(core.DecodabilityChecker, "decodable", counted)
-    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,22 @@ from codedmv.sim import (
     _block_products,
 )
 
-from support import random_scheme_plan, random_state, reference_trial, trial
+from support import (
+    arrival_events,
+    count_evaluations,
+    perturbed,
+    prefix_equations,
+    random_scheme_plan,
+    random_state,
+    reference_decodable,
+    reference_trial,
+    relabel_blocks,
+    scheme_plan_up_to,
+    singular_plan,
+    trial,
+    twin_plan,
+    zero_column_plan,
+)
 
 UNCODED = cyclic_uncoded(5, 3)
 BOTTOM = cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM)
@@ -265,6 +280,88 @@ def test_trial_breaks_time_ties_by_worker_then_position():
                 assert repr(got.finish_time) == repr(ref.finish_time)
 
 
+# ---------------------------------------------------------------------------
+# the incremental walk
+
+
+def assert_walk_stops_at_first_decodable_prefix(plan, events):
+    """``run_trial`` over ``events``, event j completing at time j, against
+    the first prefix of ``events`` that ``reference_decodable`` accepts."""
+    times = np.full((plan.n, plan.ell), np.inf)
+    for j, e in enumerate(events):
+        times[divmod(e, plan.ell)] = float(j)
+    got = sim.run_trial(core.DecodabilityChecker(plan), times, events)
+    state = [0] * plan.n
+    for j, e in enumerate(events):
+        i, k = divmod(e, plan.ell)
+        state[i] = k + 1
+        if reference_decodable(plan.params.delta, *prefix_equations(plan, state)):
+            assert got == sim.TrialResult(float(j), tuple(state), j + 1, True), plan.params
+            return
+    assert got == sim.TrialResult(math.inf, tuple(state), len(events), False), plan.params
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_walk_stops_at_the_first_decodable_prefix(seed, relabel, halt):
+    # every scheme family up to n = 12, as designed or relabelled; a halted
+    # walk (a random prefix of the arrivals) may never decode
+    rng = np.random.default_rng(seed)
+    plan = scheme_plan_up_to(12, rng)
+    if relabel:
+        plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    events = arrival_events(plan, rng)
+    if halt:
+        events = events[: int(rng.integers(0, len(events) + 1))]
+    assert_walk_stops_at_first_decodable_prefix(plan, events)
+
+
+def test_walk_at_n40_matches_reference():
+    rng = np.random.default_rng(40)
+    for placement in (Placement.CODED_TOP, Placement.CODED_BOTTOM):
+        plan = cyclic_coded(40, 2, 1, placement)
+        assert_walk_stops_at_first_decodable_prefix(plan, arrival_events(plan, rng))
+        plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+        assert_walk_stops_at_first_decodable_prefix(plan, arrival_events(plan, rng))
+
+
+def test_walk_falls_back_to_rank_where_counting_cannot_decide(monkeypatch):
+    # uncertified plans, and a certified one whose received rows miss an
+    # unknown block, reach the checker's rank path
+    rng = np.random.default_rng(8)
+    plans = [singular_plan(), twin_plan("row"), twin_plan("column"), zero_column_plan()]
+    plans += [perturbed(TOP, rng) for _ in range(5)]
+    calls = count_evaluations(monkeypatch)
+    for plan in plans:
+        calls[0] = 0
+        for _ in range(30):
+            events = arrival_events(plan, rng)
+            assert_walk_stops_at_first_decodable_prefix(plan, events)
+            cut = int(rng.integers(0, len(events) + 1))
+            assert_walk_stops_at_first_decodable_prefix(plan, events[:cut])
+        assert calls[0] > 0, plan.params
+
+
+def test_simulate_n40_plans_never_ask_the_checker(monkeypatch):
+    # certified plans decide every event by the count: O(1) per event
+    plans = [cyclic_coded(40, 2, 1, Placement.CODED_TOP),
+             cyclic_coded(40, 2, 1, Placement.CODED_BOTTOM),
+             cyclic_uncoded(40, 3), mds_plan(40, 2, 40)]
+    speed = ShiftedExponential(multipliers=(1.0,) * 32 + (0.2,) * 8)
+    calls = count_evaluations(monkeypatch)
+    rows, _ = run_experiment(plans, speed, Uniform(), 5, seed=3)
+    assert all(r.decode_ok for r in rows)
+    assert calls[0] == 0
+
+
+def test_uncertified_plan_asks_the_checker(monkeypatch):
+    plan = perturbed(TOP, np.random.default_rng(4))
+    assert not core.DecodabilityChecker(plan).certified
+    calls = count_evaluations(monkeypatch)
+    assert_rows_match_reference(plan, ShiftedExponential(), Uniform(), 20, seed=6)
+    assert calls[0] > 0
+
+
 def test_experiment_pairs_draws_across_plans():
     # identical plans see identical trials; draws depend on the trial, not
     # the plan
@@ -277,9 +374,9 @@ def test_experiment_pairs_draws_across_plans():
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_experiment_memo_is_transparent(plan_seed, seed):
-    # run_experiment memoises each plan's answers and batches its trials;
-    # the per-trial reference with a fresh, unmemoised checker must give
+def test_experiment_matches_reference_on_random_plans(plan_seed, seed):
+    # run_experiment batches its trials and walks each one incrementally;
+    # the per-trial reference, which ranks every state afresh, must give
     # the same rows
     plan = random_scheme_plan(np.random.default_rng(plan_seed))
     speed = ShiftedExponential(multipliers=tuple([1.0] * (plan.n - 1) + [0.2]))
