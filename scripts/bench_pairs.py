@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Alternating parent/change benchmark pairs, summarised as a BENCH_*.json.
+
+Runs ``perfbench/run.py --trace 0`` for the ``run_seconds`` that
+``BENCHMARK.json`` sets, once per seed in each of two source checkouts
+(each holding ``BENCHMARK.json``, ``perfbench/`` and ``src/``),
+alternating which side runs first, and writes per workload and end-to-end
+metric: each side's median, quartiles and IQR, and the number of pairs in
+which the change read lower. Quartiles are ``statistics.quantiles(n=4)``
+(exclusive method). Every run's record (correct, attempted, failed and the
+metrics) is kept under ``runs``.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload simulate-n5-decode --seeds 501-510 --out BENCH_8.json
+
+Runs are sequential: the pairs only mean something on an otherwise idle
+host. With ``--out`` naming an existing file, new workloads are merged into
+it and a workload measured again replaces its old entry.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def seed_range(text: str) -> list:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "seed": seed,
+        "correct": doc["correct"],
+        "attempted": doc["attempted"],
+        "failed": doc["failed"],
+        "metrics": {k: v["value"] for k, v in doc["metrics"].items()},
+    }
+
+
+def spread(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarise(runs: dict, metrics: list) -> dict:
+    out = {"pairs": len(runs["parent"])}
+    for m in metrics:
+        parent = [r["metrics"][m["name"]] for r in runs["parent"]]
+        change = [r["metrics"][m["name"]] for r in runs["change"]]
+        out[m["name"]] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "parent": spread(parent),
+            "change": spread(change),
+            "change_lower": sum(c < p for p, c in zip(parent, change)),
+        }
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", type=seed_range, required=True, help="e.g. 501-510")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    if len(args.seeds) < 2:
+        parser.error("need at least two seeds for quartiles")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for j, seed in enumerate(args.seeds):
+            order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(getattr(args, side), workload, seed,
+                                           spec["run_seconds"]))
+                print(workload, seed, side, runs[side][-1]["metrics"]["pass_probes"],
+                      file=sys.stderr, flush=True)
+        doc[workload] = {**summarise(runs, spec["end_to_end"]), "runs": runs}
+        args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -269,20 +269,24 @@ def _speed_from_config(doc) -> sim.SpeedModel:
     if kind == "shifted-exponential":
         mult = doc.get("multipliers")
         return sim.ShiftedExponential(
-            shift=float(doc.get("shift", 1.0)),
-            rate=float(doc.get("rate", 1.0)),
-            multipliers=None if mult is None else tuple(float(v) for v in mult),
+            shift=_json_number(doc.get("shift", 1.0), "shift"),
+            rate=_json_number(doc.get("rate", 1.0), "rate"),
+            multipliers=None if mult is None else tuple(
+                _json_number(v, "every multiplier") for v in mult
+            ),
         )
     if kind == "deterministic":
         per = doc.get("per_block", 1.0)
-        if isinstance(per, (int, float)):
-            return sim.Deterministic(per_block=float(per))
-        return sim.Deterministic(per_block=tuple(float(v) for v in per))
+        if isinstance(per, list):
+            return sim.Deterministic(
+                per_block=tuple(_json_number(v, "every per_block time") for v in per)
+            )
+        return sim.Deterministic(per_block=_json_number(per, "per_block"))
     if kind == "halt-after":
         return sim.HaltAfter(
             stragglers=tuple(_json_int(v, "every straggler") for v in doc.get("stragglers", ())),
             blocks=_config_int(doc, "blocks", 0),
-            per_block=float(doc.get("per_block", 1.0)),
+            per_block=_json_number(doc.get("per_block", 1.0), "per_block"),
         )
     raise UsageError(f"unknown speed model kind {kind!r}")
 
@@ -301,6 +305,17 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise UsageError(f"{what} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _json_number(value, what: str) -> float:
+    """A config value that must be a JSON number (strings and true and
+    false are not); the speed models reject non-finite values."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{what} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal too large for a float
+        raise UsageError(f"{what} must be a finite number, got {value}")
 
 
 def _config_int(cfg: dict, key: str, default: int) -> int:

@@ -3,18 +3,23 @@
 Worker i's k-th task completes at the cumulative sum of its per-task
 durations, each duration being a raw speed draw scaled by the cost weight
 of that task; the master stops at the first completion after which the
-plan can decode. Trials run in batches of ``_BATCH``: per batch, one
-masked multiply weights the raw durations (a task a halted worker never
-reaches stays at inf), one cumulative sum gives the completion times and
-one stable argsort over the worker-major flat task index orders the
-events. Ties in time therefore fall in (worker, position) order. Each
-trial then walks its own finite events in plain Python. A completion
-changes the state by one task, so the walk keeps the state's
-decodability triple (see :class:`codedmv.core.DecodabilityChecker`) up
-to date from the checker's per-worker prefix triples, O(1) work per
-event, and asks the checker's rank path only when the count cannot
-decide. Memory per batch is O(batch * n * ell), whatever the trial count;
-nothing is remembered across trials.
+plan can decode. Trials run in batches of ``_BATCH`` seeds, and every plan
+of an experiment runs each batch before the next batch is drawn. Per
+batch, each trial seed builds one generator for the whole experiment: its
+standard-exponential stream is drawn once, as wide as the largest n * ell
+of the plans, and a plan of shape (n, ell) reads the first n * ell values
+of it. Per plan and batch, one masked multiply weights the raw durations
+(a task a halted worker never reaches stays at inf), one cumulative sum
+gives the completion times and one stable argsort over the worker-major
+flat task index orders the events. Ties in time therefore fall in
+(worker, position) order. Each trial then walks its own finite events in
+plain Python. A completion changes the state by one task, so the walk
+keeps the state's decodability triple (see
+:class:`codedmv.core.DecodabilityChecker`) up to date from the checker's
+per-worker prefix triples, O(1) work per event, and asks the checker's
+rank path only when the count cannot decide. Memory per batch is
+O(batch * n * ell) for each distinct plan shape, whatever the trial
+count; nothing is remembered across trials.
 
 The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
@@ -71,12 +76,14 @@ class ShiftedExponential:
     multipliers: tuple | None = None
 
     def __post_init__(self):
-        if self.shift < 0:
-            raise ValueError("shift must be >= 0")
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
-        if self.multipliers is not None and any(m <= 0 for m in self.multipliers):
-            raise ValueError("multipliers must be positive")
+        if not (math.isfinite(self.shift) and self.shift >= 0):
+            raise ValueError(f"shift must be a finite number >= 0, got {self.shift}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be a finite number > 0, got {self.rate}")
+        if self.multipliers is not None and not all(
+            math.isfinite(m) and m > 0 for m in self.multipliers
+        ):
+            raise ValueError(f"multipliers must be finite and positive, got {self.multipliers}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,8 @@ class Deterministic:
         values = (
             (self.per_block,) if isinstance(self.per_block, (int, float)) else self.per_block
         )
-        if any(v <= 0 for v in values):
-            raise ValueError("per-block times must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise ValueError(f"per-block times must be finite and positive, got {self.per_block}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,8 @@ class HaltAfter:
     def __post_init__(self):
         if self.blocks < 0:
             raise ValueError("blocks must be >= 0")
-        if self.per_block <= 0:
-            raise ValueError("per_block must be positive")
+        if not (math.isfinite(self.per_block) and self.per_block > 0):
+            raise ValueError(f"per_block must be finite and positive, got {self.per_block}")
 
 
 SpeedModel = Union[ShiftedExponential, Deterministic, HaltAfter]
@@ -115,23 +122,50 @@ SpeedModel = Union[ShiftedExponential, Deterministic, HaltAfter]
 _BATCH = 64
 
 
-def raw_durations(speed: SpeedModel, n: int, ell: int, seeds: Sequence[int]) -> np.ndarray:
-    """(len(seeds), n, ell) per-task durations before cost weighting, one
-    (n, ell) slice per trial seed; inf marks tasks a halted worker never
-    completes. Slice j depends only on (n, ell, seeds[j]) and on no plan,
-    which is what makes paired trials comparable. Deterministic and
-    halt-after models return one read-only (n, ell) array broadcast over
-    the seeds."""
-    if isinstance(speed, ShiftedExponential):
+def raw_durations(speed: SpeedModel, shapes: Iterable[tuple], seeds: Sequence[int]) -> dict:
+    """Per-task durations before cost weighting for one batch of trial
+    seeds: {(n, ell): (len(seeds), n, ell) array} for every (n, ell) in
+    ``shapes``; inf marks tasks a halted worker never completes.
+
+    Shifted-exponential speeds build one generator per seed and draw its
+    standard-exponential stream once, as wide as the largest n * ell in
+    ``shapes``. Slice j of shape (n, ell) holds the first n * ell values of
+    seed j's stream in worker-major order, scaled by 1 / (rate * multiplier)
+    per worker and shifted; a generator fills its output sequentially, so
+    those values equal a draw of size (n, ell) from the same seed, whatever
+    the other shapes are. They depend on no plan, which is what makes
+    paired trials comparable. Deterministic and halt-after models return,
+    per shape, one read-only (n, ell) array broadcast over the seeds.
+
+    Raises:
+        ValueError: multipliers or per-worker times that do not list one
+            value per worker of a shape, or a straggler index outside it.
+    """
+    shapes = list(dict.fromkeys(shapes))
+    if not isinstance(speed, ShiftedExponential):
+        return {
+            (n, ell): np.broadcast_to(_fixed_durations(speed, n, ell), (len(seeds), n, ell))
+            for n, ell in shapes
+        }
+    scales = {}
+    for n, ell in shapes:
         mult = np.ones(n) if speed.multipliers is None else np.asarray(speed.multipliers, dtype=float)
         if mult.shape != (n,):
             raise ValueError(f"need {n} multipliers, got {mult.shape}")
-        dur = np.empty((len(seeds), n, ell))
-        for j, s in enumerate(seeds):
-            dur[j] = np.random.default_rng(s).exponential(size=(n, ell))
-        dur /= (speed.rate * mult)[:, None]
+        scales[n, ell] = (speed.rate * mult)[:, None]
+    stream = np.empty((len(seeds), max((n * ell for n, ell in shapes), default=0)))
+    for j, s in enumerate(seeds):
+        stream[j] = np.random.default_rng(s).exponential(size=stream.shape[1])
+    out = {}
+    for (n, ell), scale in scales.items():
+        dur = stream[:, : n * ell].reshape(len(seeds), n, ell) / scale
         dur += speed.shift
-        return dur
+        out[n, ell] = dur
+    return out
+
+
+def _fixed_durations(speed: SpeedModel, n: int, ell: int) -> np.ndarray:
+    """The (n, ell) durations of a deterministic or halt-after model."""
     if isinstance(speed, Deterministic):
         if isinstance(speed.per_block, (int, float)):
             per = np.full(n, float(speed.per_block))
@@ -139,17 +173,16 @@ def raw_durations(speed: SpeedModel, n: int, ell: int, seeds: Sequence[int]) -> 
             per = np.asarray(speed.per_block, dtype=float)
             if per.shape != (n,):
                 raise ValueError(f"need {n} per-block times, got {per.shape}")
-        one = np.repeat(per[:, None], ell, axis=1)
-    elif isinstance(speed, HaltAfter):
+        return np.repeat(per[:, None], ell, axis=1)
+    if isinstance(speed, HaltAfter):
         bad = [i for i in speed.stragglers if not 0 <= i < n]
         if bad:
             raise ValueError(f"straggler index {bad[0]} outside [0, {n})")
         one = np.full((n, ell), speed.per_block)
         for i in speed.stragglers:
             one[i, min(speed.blocks, ell) :] = np.inf
-    else:
-        raise TypeError(f"unknown speed model {speed!r}")
-    return np.broadcast_to(one, (len(seeds), n, ell))
+        return one
+    raise TypeError(f"unknown speed model {speed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +301,23 @@ def run_trial(checker: DecodabilityChecker, times: np.ndarray, events: Sequence[
     )
 
 
-def _trials(checker: DecodabilityChecker, weights: np.ndarray, speed: SpeedModel, seeds: Sequence[int]):
-    """Yield one :func:`run_trial` result per seed, in seed order, for the
-    plan whose :func:`task_weights` are ``weights``; ``_BATCH`` seeds share
-    one pass of array operations (see the module docstring)."""
-    n, ell = weights.shape
-    for lo in range(0, len(seeds), _BATCH):
-        dur = raw_durations(speed, n, ell, seeds[lo : lo + _BATCH])
-        # a task never completed stays at inf; masking never forms inf * 0
-        times = np.full(dur.shape, np.inf)
-        np.multiply(dur, weights, out=times, where=~np.isinf(dur))
-        np.cumsum(times, axis=2, out=times)
-        # stable: equal times keep the worker-major (worker, position) order,
-        # and the infinite times of unreachable tasks sort last
-        flat = times.reshape(len(dur), n * ell)
-        order = np.argsort(flat, axis=1, kind="stable")
-        counts = np.isfinite(flat).sum(axis=1).tolist()
-        for j, count in enumerate(counts):
-            yield run_trial(checker, times[j], order[j, :count].tolist())
+def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):
+    """Yield one :func:`run_trial` result per slice of ``dur``, a batch of
+    :func:`raw_durations` of the plan's shape, in seed order, for the plan
+    whose :func:`task_weights` are ``weights``; the batch shares one pass
+    of array operations (see the module docstring)."""
+    batch, n, ell = dur.shape
+    # a task never completed stays at inf; masking never forms inf * 0
+    times = np.full(dur.shape, np.inf)
+    np.multiply(dur, weights, out=times, where=~np.isinf(dur))
+    np.cumsum(times, axis=2, out=times)
+    # stable: equal times keep the worker-major (worker, position) order,
+    # and the infinite times of unreachable tasks sort last
+    flat = times.reshape(batch, n * ell)
+    order = np.argsort(flat, axis=1, kind="stable")
+    counts = np.isfinite(flat).sum(axis=1).tolist()
+    for j, count in enumerate(counts):
+        yield run_trial(checker, times[j], order[j, :count].tolist())
 
 
 @dataclass(frozen=True)
@@ -309,7 +341,8 @@ class PlanSummary:
 
 def trial_seed(seed: int, trial: int) -> int:
     """Per-trial seed; deliberately independent of the plan so all plans in
-    one experiment see identical raw duration draws."""
+    one experiment read the same generator stream (see
+    :func:`raw_durations`)."""
     if seed < 0 or trial < 0:
         raise ValueError("seed and trial index must be non-negative")
     return int(np.random.SeedSequence((seed, trial)).generate_state(1)[0])
@@ -327,15 +360,18 @@ def run_experiment(
 
     Returns (rows, summaries); row order is plan-major, trial-minor.
     Summary statistics are over successful trials (inf when none succeed).
-    Plans run one after another, each over every trial seed in batches of
-    ``_BATCH`` (see :func:`_trials`); a trial's row is built as soon as it
+    The trial seeds run in batches of ``_BATCH``: one :func:`raw_durations`
+    call per batch draws every plan's durations from one generator per
+    seed, then each plan runs the batch (see :func:`_trials`). A trial's
+    row goes straight to its plan-major place in the result as soon as it
     is walked, so only one batch of durations and completion times is
     alive at a time. Each plan gets one checker, shared by its trials; it
     remembers no answers.
 
     Raises:
-        ValueError: trials < 1, mismatched plan_ids, or a cost model that
-            does not fit a plan (see :func:`task_weights`).
+        ValueError: trials < 1, mismatched plan_ids, or a speed or cost
+            model that does not fit a plan (see :func:`raw_durations` and
+            :func:`task_weights`).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -344,27 +380,23 @@ def run_experiment(
     if len(plan_ids) != len(plans):
         raise ValueError("plan_ids must match plans")
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    rows = []
-    summaries = []
-    for pid, plan in zip(plan_ids, plans):
-        checker = DecodabilityChecker(plan)
-        weights = task_weights(plan, cost)
-        finishes = []
-        failures = 0
-        for t, res in enumerate(_trials(checker, weights, speed, seeds)):
-            rows.append(
-                TrialRow(
+    checkers = [DecodabilityChecker(plan) for plan in plans]
+    weights = [task_weights(plan, cost) for plan in plans]
+    rows = [None] * (len(plans) * trials)
+    for lo in range(0, trials, _BATCH):
+        durs = raw_durations(speed, [w.shape for w in weights], seeds[lo : lo + _BATCH])
+        for p, (pid, checker, w) in enumerate(zip(plan_ids, checkers, weights)):
+            for t, res in enumerate(_trials(checker, w, durs[w.shape]), lo):
+                rows[p * trials + t] = TrialRow(
                     plan_id=pid,
                     trial=t,
                     finish_time=res.finish_time,
                     blocks_total=res.blocks_processed_total,
                     decode_ok=res.decode_ok,
                 )
-            )
-            if res.decode_ok:
-                finishes.append(res.finish_time)
-            else:
-                failures += 1
+    summaries = []
+    for p, pid in enumerate(plan_ids):
+        finishes = [r.finish_time for r in rows[p * trials : (p + 1) * trials] if r.decode_ok]
         if finishes:
             arr = np.array(finishes)
             summaries.append(
@@ -374,7 +406,7 @@ def run_experiment(
                     mean_finish=float(arr.mean()),
                     median_finish=float(np.median(arr)),
                     p95_finish=float(np.percentile(arr, 95)),
-                    failure_rate=failures / trials,
+                    failure_rate=(trials - len(finishes)) / trials,
                 )
             )
         else:

@@ -205,7 +205,8 @@ def trial(plan, speed, cost, seed):
     """One trial of a plan through the batched simulator (a batch of one
     seed) and its incremental walk."""
     checker = core.DecodabilityChecker(plan)
-    return next(sim._trials(checker, sim.task_weights(plan, cost), speed, [seed]))
+    dur = sim.raw_durations(speed, [(plan.n, plan.ell)], [seed])[plan.n, plan.ell]
+    return next(sim._trials(checker, sim.task_weights(plan, cost), dur))
 
 
 def reference_trial(plan, speed, cost, seed):
@@ -214,10 +215,18 @@ def reference_trial(plan, speed, cost, seed):
     Each worker's weighted durations are summed in Python floats, every
     finite completion becomes a (time, worker, position) tuple, the tuples
     are sorted, and the events are walked with :func:`rank_decodable`.
-    Only the raw draws come from ``sim.raw_durations``, as a batch of one.
+    Shifted-exponential durations come from a generator of the plan's own,
+    ``default_rng(seed).exponential(size=(n, ell))``, not from the stream
+    ``sim.raw_durations`` shares between plans; deterministic and
+    halt-after durations come from ``sim.raw_durations``, as a batch of one.
     """
     n, ell = plan.n, plan.ell
-    dur = sim.raw_durations(speed, n, ell, [seed])[0].tolist()
+    if isinstance(speed, sim.ShiftedExponential):
+        mult = np.ones(n) if speed.multipliers is None else np.asarray(speed.multipliers)
+        draw = np.random.default_rng(seed).exponential(size=(n, ell))
+        dur = (speed.shift + draw / (speed.rate * mult)[:, None]).tolist()
+    else:
+        dur = sim.raw_durations(speed, [(n, ell)], [seed])[n, ell][0].tolist()
     weights = sim.task_weights(plan, cost).tolist()
     events = []
     for i in range(n):

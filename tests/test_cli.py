@@ -247,6 +247,22 @@ def test_simulate_halted_zero_cost_block_warns_nothing(tmp_path):
     assert out.read_text().splitlines()[1] == "inline,0,5.0,3,true"
 
 
+def test_simulate_multipliers_that_fit_only_the_first_plan(tmp_path, capsys):
+    # five multipliers fit the two n = 5 plans, not the n = 6 one
+    cfg = write_sim_setup(tmp_path, trials=3)
+    (tmp_path / "six.json").write_text(core.plan_to_json(cyclic_uncoded(6, 3)))
+    config = json.loads(cfg.read_text())
+    config["plans"].append("six.json")
+    config["speed"]["multipliers"] = [1.0, 1.0, 1.0, 1.0, 0.2]
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "rows.csv"
+    code, stdout, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert err == "error: need 6 multipliers, got (5,)\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # decode
 
@@ -360,12 +376,14 @@ def _config_value(key, value, section=None):
         cfg.write_text(json.dumps(config))
         return ["simulate", "--config", str(cfg)], {}
 
-    setup.__name__ = f"_{key}_is_{type(value).__name__}_{value}"
+    setup.__name__ = f"_{key}_is_{type(value).__name__}_{value}"[:40]
     return setup
 
 
 HALT_AFTER = ("speed", {"kind": "halt-after", "stragglers": [0], "blocks": 1})
 SPARSITY = ("cost", {"kind": "sparsity-aware"})
+SHIFTED = ("speed", {"kind": "shifted-exponential"})
+DETERMINISTIC = ("speed", {"kind": "deterministic"})
 
 
 @pytest.mark.parametrize("setup", [_undecodable_plan, _budget_not_an_integer,
@@ -376,7 +394,23 @@ SPARSITY = ("cost", {"kind": "sparsity-aware"})
                                    _config_value("seed", False),
                                    _config_value("stragglers", [0.9, 1.7], HALT_AFTER),
                                    _config_value("blocks", 1.5, HALT_AFTER),
-                                   _config_value("nnz", [2.9, 5, 5, 5, 5], SPARSITY)])
+                                   _config_value("nnz", [2.9, 5, 5, 5, 5], SPARSITY),
+                                   _config_value("rate", "nan", SHIFTED),
+                                   _config_value("rate", float("nan"), SHIFTED),
+                                   _config_value("shift", "inf", SHIFTED),
+                                   _config_value("shift", float("inf"), SHIFTED),
+                                   _config_value("shift", "2", SHIFTED),
+                                   _config_value("shift", True, SHIFTED),
+                                   _config_value("shift", 10**400, SHIFTED),
+                                   _config_value("multipliers", [1, "nan", 1, 1, 1], SHIFTED),
+                                   _config_value("multipliers", [1, float("nan"), 1, 1, 1],
+                                                 SHIFTED),
+                                   _config_value("per_block", "nan", HALT_AFTER),
+                                   _config_value("per_block", float("nan"), HALT_AFTER),
+                                   _config_value("per_block", "inf", DETERMINISTIC),
+                                   _config_value("per_block", float("inf"), DETERMINISTIC),
+                                   _config_value("per_block", [1, 2, False, 1, 1],
+                                                 DETERMINISTIC)])
 def test_bad_input_is_usage_error_without_traceback(tmp_path, setup):
     argv, env = setup(tmp_path)
     proc = run_python(["-m", "codedmv.cli", *argv], env=env)

@@ -89,52 +89,79 @@ def test_split_partitions_and_balances(rows, delta):
 
 def test_shifted_exponential_draws():
     speed = ShiftedExponential(shift=1.0, rate=2.0, multipliers=(1.0, 0.5, 1.0))
-    d = raw_durations(speed, 3, 4, [7])[0]
+    d = raw_durations(speed, [(3, 4)], [7])[3, 4][0]
     assert d.shape == (3, 4)
     assert (d > 1.0).all()
     # same raw exponentials underneath: halving the rate multiplier doubles
     # the stochastic part
-    base = raw_durations(ShiftedExponential(1.0, 2.0, (1.0, 1.0, 1.0)), 3, 4, [7])[0]
+    base = raw_durations(ShiftedExponential(1.0, 2.0, (1.0, 1.0, 1.0)), [(3, 4)], [7])[3, 4][0]
     assert np.allclose((d[1] - 1.0), (base[1] - 1.0) * 2)
 
 
 def test_deterministic_per_worker():
-    d = raw_durations(Deterministic(per_block=(1.0, 2.0)), 2, 3, [0, 1])
+    d = raw_durations(Deterministic(per_block=(1.0, 2.0)), [(2, 3)], [0, 1])[2, 3]
     assert d.shape == (2, 2, 3)
     assert np.array_equal(d[1], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
 
 
 def test_halt_after_marks_unreachable_tasks():
-    d = raw_durations(HaltAfter(stragglers=(1,), blocks=1), 3, 3, [0])[0]
+    d = raw_durations(HaltAfter(stragglers=(1,), blocks=1), [(3, 3)], [0])[3, 3][0]
     assert np.isfinite(d[0]).all()
     assert np.isfinite(d[1][0]) and np.isinf(d[1][1:]).all()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**63 + 5])
+def test_exponential_stream_prefix_property(seed):
+    # raw_durations draws one stream per seed, as wide as the widest plan,
+    # and every plan reads a prefix of it; that equals a plan's own draw
+    # only while the generator fills its output sequentially
+    for width, k in [(15, 10), (15, 15), (40, 1), (120, 80), (1600, 80), (1600, 1599)]:
+        wide = np.random.default_rng(seed).exponential(size=width)
+        assert np.array_equal(wide[:k], np.random.default_rng(seed).exponential(size=k))
+
+
 def test_raw_durations_batch_pins_the_single_seed_stream():
-    # slice j of a batch is exactly the single-seed draw of seeds[j]
+    # slice j of every shape is exactly the single-seed draw of seeds[j] of
+    # that shape, whatever the other shapes of the batch are
     speed = ShiftedExponential(shift=0.5, rate=3.0, multipliers=(1.0, 0.2, 2.5))
     mult = np.asarray(speed.multipliers)
     seeds = [trial_seed(4, t) for t in range(sim._BATCH + 3)]
-    batch = raw_durations(speed, 3, 5, seeds)
-    assert batch.shape == (len(seeds), 3, 5)
-    for j, s in enumerate(seeds):
-        draw = np.random.default_rng(s).exponential(size=(3, 5))
-        assert np.array_equal(batch[j], speed.shift + draw / (speed.rate * mult[:, None]))
-    assert np.array_equal(raw_durations(speed, 3, 5, seeds[7:9]), batch[7:9])
-    assert raw_durations(speed, 3, 5, []).shape == (0, 3, 5)
+    shapes = [(3, 5), (3, 2), (3, 7), (3, 5)]
+    batch = raw_durations(speed, shapes, seeds)
+    assert sorted(batch) == [(3, 2), (3, 5), (3, 7)]
+    for shape in shapes:
+        assert batch[shape].shape == (len(seeds), *shape)
+        for j, s in enumerate(seeds):
+            draw = np.random.default_rng(s).exponential(size=shape)
+            assert np.array_equal(batch[shape][j], speed.shift + draw / (speed.rate * mult[:, None]))
+        alone = raw_durations(speed, [shape], seeds[7:9])[shape]
+        assert np.array_equal(alone, batch[shape][7:9])
+    assert raw_durations(speed, [(3, 5)], [])[3, 5].shape == (0, 3, 5)
 
 
 def test_speed_model_validation():
-    with pytest.raises(ValueError):
-        ShiftedExponential(rate=0.0)
-    with pytest.raises(ValueError):
-        ShiftedExponential(multipliers=(1.0, -1.0))
-    with pytest.raises(ValueError):
-        Deterministic(per_block=0.0)
-    with pytest.raises(ValueError):
-        HaltAfter(stragglers=(0,), blocks=-1)
-    with pytest.raises(ValueError):
-        raw_durations(HaltAfter(stragglers=(9,)), 3, 2, [0])
+    invalid = [
+        lambda: ShiftedExponential(rate=0.0),
+        lambda: ShiftedExponential(rate=math.nan),
+        lambda: ShiftedExponential(rate=math.inf),
+        lambda: ShiftedExponential(shift=math.inf),
+        lambda: ShiftedExponential(shift=math.nan),
+        lambda: ShiftedExponential(multipliers=(1.0, -1.0)),
+        lambda: ShiftedExponential(multipliers=(1.0, math.nan, 1.0)),
+        lambda: ShiftedExponential(multipliers=(1.0, math.inf)),
+        lambda: Deterministic(per_block=0.0),
+        lambda: Deterministic(per_block=math.inf),
+        lambda: Deterministic(per_block=(1.0, math.nan)),
+        lambda: HaltAfter(stragglers=(0,), blocks=-1),
+        lambda: HaltAfter(stragglers=(0,), per_block=math.nan),
+        lambda: HaltAfter(stragglers=(0,), per_block=math.inf),
+        lambda: raw_durations(HaltAfter(stragglers=(9,)), [(3, 2)], [0]),
+        lambda: raw_durations(ShiftedExponential(multipliers=(1.0, 1.0)), [(2, 2), (3, 1)], [0]),
+    ]
+    for j, make in enumerate(invalid):
+        with pytest.raises(ValueError):
+            make()
+            pytest.fail(f"case {j} was accepted")
 
 
 def test_task_weights():
@@ -223,10 +250,15 @@ def test_trial_sparsity_weights_change_times():
 # run_experiment
 
 
-def assert_rows_match_reference(plan, speed, cost, trials, seed):
-    rows, summaries = run_experiment([plan], speed, cost, trials, seed=seed)
-    assert [r.trial for r in rows] == list(range(trials))
+def assert_rows_match_reference(plans, speed, cost, trials, seed):
+    """One experiment over ``plans``; its plan-major rows against
+    ``reference_trial``, which draws every plan's durations afresh."""
+    rows, summaries = run_experiment(plans, speed, cost, trials, seed=seed)
+    assert [(r.plan_id, r.trial) for r in rows] == [
+        (f"plan_{p}", t) for p in range(len(plans)) for t in range(trials)
+    ]
     for row in rows:
+        plan = plans[int(row.plan_id.removeprefix("plan_"))]
         ref = reference_trial(plan, speed, cost, trial_seed(seed, row.trial))
         assert repr(row.finish_time) == repr(ref.finish_time)
         assert row.blocks_total == ref.blocks_processed_total
@@ -236,7 +268,7 @@ def assert_rows_match_reference(plan, speed, cost, trials, seed):
 
 def test_experiment_single_trial_matches_run_trial():
     rows, summaries = assert_rows_match_reference(
-        BOTTOM, ShiftedExponential(), Uniform(), 1, seed=5
+        [BOTTOM], ShiftedExponential(), Uniform(), 1, seed=5
     )
     s = summaries[0]
     assert s.mean_finish == s.median_finish == s.p95_finish == rows[0].finish_time
@@ -250,7 +282,36 @@ def test_experiment_rows_match_reference_across_batch_boundaries(trials):
     speed = ShiftedExponential(multipliers=(1.0, 1.0, 1.0, 1.0, 0.2))
     cost = SparsityAware(nnz=(0, 4, 0, 2, 7))
     for plan in (TOP, UNCODED):
-        assert_rows_match_reference(plan, speed, cost, trials, seed=11)
+        assert_rows_match_reference([plan], speed, cost, trials, seed=11)
+
+
+@pytest.mark.parametrize("trials", [1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1])
+def test_experiment_shares_one_stream_across_mixed_shapes(trials):
+    # the n = 5 trio and MDS (5,2,5) read 15 and 10 values of each seed's
+    # stream; without multipliers, plans of different n share it too
+    stragglers = ShiftedExponential(multipliers=(1.0, 0.2, 1.0, 1.0, 0.5))
+    assert_rows_match_reference(
+        [TOP, BOTTOM, mds_plan(5, 2, 5), UNCODED], stragglers, Uniform(), trials, seed=13
+    )
+    mixed_n = [cyclic_uncoded(3, 2), TOP, cyclic_coded(7, 2, 2, Placement.CODED_TOP),
+               mds_plan(4, 1, 4)]
+    assert_rows_match_reference(mixed_n, ShiftedExponential(shift=0.5), Uniform(), trials, seed=2)
+
+
+def test_experiment_builds_one_generator_per_trial(monkeypatch):
+    built = [0]
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        built[0] += 1
+        return default_rng(seed)
+
+    monkeypatch.setattr(sim.np.random, "default_rng", counted)
+    for plans in ([TOP], [TOP, BOTTOM, UNCODED, mds_plan(5, 2, 5)],
+                  [cyclic_uncoded(3, 2), cyclic_coded(7, 2, 2, Placement.CODED_TOP)]):
+        built[0] = 0
+        run_experiment(plans, ShiftedExponential(), Uniform(), sim._BATCH + 6, seed=1)
+        assert built[0] == sim._BATCH + 6
 
 
 def tie_models(plan):
@@ -358,7 +419,7 @@ def test_uncertified_plan_asks_the_checker(monkeypatch):
     plan = perturbed(TOP, np.random.default_rng(4))
     assert not core.DecodabilityChecker(plan).certified
     calls = count_evaluations(monkeypatch)
-    assert_rows_match_reference(plan, ShiftedExponential(), Uniform(), 20, seed=6)
+    assert_rows_match_reference([plan], ShiftedExponential(), Uniform(), 20, seed=6)
     assert calls[0] > 0
 
 
@@ -380,7 +441,7 @@ def test_experiment_matches_reference_on_random_plans(plan_seed, seed):
     # the same rows
     plan = random_scheme_plan(np.random.default_rng(plan_seed))
     speed = ShiftedExponential(multipliers=tuple([1.0] * (plan.n - 1) + [0.2]))
-    assert_rows_match_reference(plan, speed, Uniform(), 30, seed)
+    assert_rows_match_reference([plan], speed, Uniform(), 30, seed)
 
 
 def test_experiment_ordering_smoke():
