@@ -329,14 +329,11 @@ def _experiment_from_config(cfg, base: Path, seed_override):
     plans, ids = [], []
     for entry in cfg.get("plans", []):
         if isinstance(entry, str):
-            path = base / entry if not Path(entry).is_absolute() else Path(entry)
-            plans.append(_load_plan(str(path)))
-            ids.append(Path(entry).stem)
-        elif "path" in entry:
-            raw = entry["path"]
-            path = base / raw if not Path(raw).is_absolute() else Path(raw)
-            plans.append(_load_plan(str(path)))
-            ids.append(entry.get("id", Path(raw).stem))
+            entry = {"path": entry}
+        if "path" in entry:
+            path = Path(entry["path"])
+            plans.append(_load_plan(str(base / path)))  # an absolute path replaces base
+            ids.append(entry.get("id", path.stem))
         elif "plan" in entry:
             plan = plan_from_dict(entry["plan"])
             violations = validate_plan(plan)
@@ -471,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="brute-force oracle vs formulas")
     v.add_argument("--plan", required=True)
-    v.add_argument("--budget", type=int, default=None,
-                   help=f"max decodability evaluations (default {oracle_mod.DEFAULT_BUDGET}, "
-                        "or the CODEDMV_BUDGET environment variable)")
+    v.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
+                   help="max decodability evaluations of each search, counted as they "
+                        "are made (default %(default)s)")
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 

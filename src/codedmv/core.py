@@ -283,8 +283,10 @@ class DecodabilityChecker:
     whose received supports hold every unknown block decodes by the count.
     Only the remaining queries (an uncertified plan, or a received row with
     a zero in an unknown column) build the received row ids and take the
-    GF(P) rank of those rows restricted to the unknown blocks. The checker
-    remembers no answers: every query is decided afresh.
+    GF(P) rank of those rows restricted to the unknown blocks. Coded rows
+    are stored worker-major, so worker i's first c coded rows are
+    ``_start[i]`` .. ``_start[i] + c - 1``. The checker remembers no
+    answers: every query is decided afresh.
     """
 
     def __init__(self, plan: AssignmentPlan):
@@ -295,15 +297,14 @@ class DecodabilityChecker:
         rows = []
         coded_tasks = []
         self._prefix = []
-        self._crows = []
+        self._start = []
         for tasks in plan.workers:
             umask, coded, common = 0, 0, self.full_mask
             prefix = [(umask, coded, common)]
-            row_ids = [()]
+            self._start.append(len(rows))
             for t in tasks:
                 if isinstance(t, Uncoded):
                     umask |= 1 << t.block
-                    row_ids.append(row_ids[-1])
                 else:
                     vec = [0] * p.delta
                     support = 0
@@ -312,12 +313,10 @@ class DecodabilityChecker:
                         support |= 1 << b
                     coded += 1
                     common &= support
-                    row_ids.append(row_ids[-1] + (len(rows),))
                     rows.append(vec)
                     coded_tasks.append(t)
                 prefix.append((umask, coded, common))
             self._prefix.append(prefix)
-            self._crows.append(row_ids)
         self._rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, p.delta), dtype=np.int64)
         self.certified = _cauchy_certified(coded_tasks, p.delta)
 
@@ -347,8 +346,8 @@ class DecodabilityChecker:
         if counted is not None:
             return counted
         row_ids = []
-        for crows, w in zip(self._crows, state):
-            row_ids.extend(crows[w])
+        for prefix, start, w in zip(self._prefix, self._start, state):
+            row_ids.extend(range(start, start + prefix[w][1]))
         cols = [j for j in range(self.delta) if not mask >> j & 1]
         return rank(self._rows[np.ix_(row_ids, cols)]) == len(cols)
 

@@ -10,10 +10,9 @@ otherwise. The threshold search walks only the non-decodable down-set, upward
 from the zero state, and prunes branches that cannot beat the best total
 found; see :func:`brute_force_q`.
 
-Budgets are accounted in decodability evaluations. The threshold search
-counts the evaluations it makes and stops once the next would exceed the
-budget, reporting how far it got; the resilience search knows its size
-(2**n subsets) and refuses up front.
+Budgets are accounted in decodability evaluations, one budget per search.
+Both searches count the evaluations they make and stop once the next would
+exceed the budget, reporting what they certified so far.
 
 The plan is shared read-only; every search is a pure function of it and
 builds its own checker, which is dropped when the search returns, so no
@@ -23,9 +22,9 @@ ranges freely.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .core import (
     AssignmentPlan,
@@ -35,14 +34,14 @@ from .core import (
 )
 
 DEFAULT_BUDGET = 10_000_000
-_BUDGET_ENV = "CODEDMV_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
     """A search needs more decodability evaluations than its budget.
 
-    ``evaluations`` counts the evaluations made before the search stopped:
-    0 for a search that refused up front.
+    ``evaluations`` counts the evaluations made before the search stopped.
+    The searches here raise it mid-search, on the evaluation that would
+    exceed the budget, so it equals the budget.
     """
 
     def __init__(self, message: str, budget: int, evaluations: int = 0):
@@ -72,22 +71,29 @@ class OracleReport:
         }
 
 
-def default_budget() -> int:
-    """The evaluation budget from the environment, else the default.
+def _counted(plan: AssignmentPlan, budget: int, search: str, so_far: Callable[[], str]):
+    """The plan's decodability predicate, counting its calls against the
+    budget: the call that would exceed it raises BudgetExceededError,
+    whose message names the search and ends with ``so_far()``, what the
+    search has certified up to that point."""
+    decodable = DecodabilityChecker(plan).decodable
+    evaluations = 0
 
-    Raises:
-        ValueError: the environment variable is not an integer.
-    """
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
+    def decide(state: tuple) -> bool:
+        nonlocal evaluations
+        if evaluations >= budget:
+            raise BudgetExceededError(
+                f"{search} stopped at its budget of {budget} decodability evaluations; "
+                f"{so_far()}; raise the budget to finish",
+                budget, evaluations,
+            )
+        evaluations += 1
+        return decodable(state)
+
+    return decide
 
 
-def brute_force_q(plan: AssignmentPlan, budget: int | None = None) -> OracleReport:
+def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
     """True recovery threshold: 1 + max total over non-decodable states.
 
     The non-decodable states form a down-set (decodability is monotone),
@@ -122,22 +128,12 @@ def brute_force_q(plan: AssignmentPlan, budget: int | None = None) -> OracleRepo
             evaluations made and the best total certified so far.
         ValueError: the fully-processed state itself cannot decode.
     """
-    budget = default_budget() if budget is None else budget
     n, ell = plan.n, plan.ell
-    decodable = DecodabilityChecker(plan).decodable
-    evaluations = 0
-
-    def decide(state: tuple) -> bool:
-        nonlocal evaluations
-        if evaluations >= budget:
-            raise BudgetExceededError(
-                f"threshold search stopped at its budget of {budget} decodability "
-                f"evaluations; the largest non-decodable total found so far is "
-                f"{best_total}, so Q >= {best_total + 1}; raise the budget to finish",
-                budget, evaluations,
-            )
-        evaluations += 1
-        return decodable(state)
+    decide = _counted(
+        plan, budget, "threshold search",
+        lambda: f"the largest non-decodable total found so far is {best_total}, "
+                f"so Q >= {best_total + 1}",
+    )
 
     # the zero state holds no rows and delta >= 1, so it never decodes
     state = [0] * n
@@ -200,40 +196,38 @@ def uncoded_q_fast(plan: AssignmentPlan) -> int:
     return worst + 1
 
 
-def straggler_resilience(plan: AssignmentPlan, budget: int | None = None) -> OracleReport:
+def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Largest s such that every s-subset of fully absent workers still
     leaves a decodable system (absent workers contribute zero blocks,
     everyone else finishes).
 
+    Subsets are tried by increasing size, in ``combinations`` order, up to
+    the first that does not decode.
+
     Raises:
-        BudgetExceededError: 2**n subsets above the evaluation budget.
+        BudgetExceededError: the search needs more decodability
+            evaluations than the budget; raised mid-search with the
+            evaluations made and the resilience certified so far.
     """
-    budget = default_budget() if budget is None else budget
     n, ell = plan.n, plan.ell
-    if 2**n > budget:
-        raise BudgetExceededError(
-            f"resilience search needs {2**n} decodability evaluations, budget "
-            f"is {budget}; raise the budget to at least {2**n}", budget,
-        )
-    checker = DecodabilityChecker(plan)
+    decide = _counted(
+        plan, budget, "resilience search",
+        lambda: f"every set of {s - 1} absent workers decodes, so resilience >= {s - 1}",
+    )
     for s in range(1, n + 1):
         for subset in combinations(range(n), s):
             state = [ell] * n
             for i in subset:
                 state[i] = 0
-            if not checker.decodable(tuple(state)):
+            if not decide(tuple(state)):
                 return OracleReport(resilience_true=s - 1, worst_straggler_set=subset)
     # removing all n workers leaves nothing, so the loop always returns
     raise AssertionError("unreachable: s = n never decodes")
 
 
-def analyze(plan: AssignmentPlan, budget: int | None = None) -> OracleReport:
-    """Threshold and resilience in one report.
-
-    The resilience search runs first because it refuses up front: a budget
-    below its 2**n evaluations then stops before the threshold search has
-    spent any of it.
-    """
+def analyze(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
+    """Threshold and resilience in one report; each search has its own
+    budget."""
     res = straggler_resilience(plan, budget)
     q = brute_force_q(plan, budget)
     return OracleReport(

@@ -396,30 +396,17 @@ def run_experiment(
                 )
     summaries = []
     for p, pid in enumerate(plan_ids):
-        finishes = [r.finish_time for r in rows[p * trials : (p + 1) * trials] if r.decode_ok]
-        if finishes:
-            arr = np.array(finishes)
-            summaries.append(
-                PlanSummary(
-                    plan_id=pid,
-                    trials=trials,
-                    mean_finish=float(arr.mean()),
-                    median_finish=float(np.median(arr)),
-                    p95_finish=float(np.percentile(arr, 95)),
-                    failure_rate=(trials - len(finishes)) / trials,
-                )
-            )
-        else:
-            summaries.append(
-                PlanSummary(
-                    plan_id=pid,
-                    trials=trials,
-                    mean_finish=math.inf,
-                    median_finish=math.inf,
-                    p95_finish=math.inf,
-                    failure_rate=1.0,
-                )
-            )
+        finishes = np.array(
+            [r.finish_time for r in rows[p * trials : (p + 1) * trials] if r.decode_ok]
+        )
+        # numpy warns on the statistics of an empty array
+        stats = (
+            (finishes.mean(), np.median(finishes), np.percentile(finishes, 95))
+            if finishes.size else (math.inf,) * 3
+        )
+        summaries.append(PlanSummary(
+            pid, trials, *(float(v) for v in stats), (trials - finishes.size) / trials
+        ))
     return rows, summaries
 
 

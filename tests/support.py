@@ -244,7 +244,7 @@ def reference_trial(plan, speed, cost, seed):
     return sim.TrialResult(math.inf, tuple(state), sum(state), False)
 
 
-def min_uncoded_coverage(plan, k, budget=None):
+def min_uncoded_coverage(plan, k, budget=oracle.DEFAULT_BUDGET):
     """Minimum, over all k-subsets of workers, of the number of distinct
     uncoded blocks they jointly hold.
 
@@ -255,7 +255,6 @@ def min_uncoded_coverage(plan, k, budget=None):
     n = plan.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k = {k}")
-    budget = oracle.default_budget() if budget is None else budget
     if comb(n, k) > budget:
         raise oracle.BudgetExceededError(
             f"coverage search needs {comb(n, k)} evaluations, budget is {budget}", budget

@@ -81,6 +81,18 @@ def test_threshold_budget_counts_exact_work(monkeypatch):
     assert err.value.evaluations == used - 1
 
 
+def test_resilience_budget_counts_exact_work(monkeypatch):
+    plan = cyclic_coded(6, 2, 1, Placement.CODED_TOP)
+    calls = count_evaluations(monkeypatch)
+    rep = straggler_resilience(plan)
+    used = calls[0]
+    assert straggler_resilience(plan, budget=used) == rep
+    with pytest.raises(BudgetExceededError) as err:
+        straggler_resilience(plan, budget=used - 1)
+    assert err.value.evaluations == used - 1
+    assert f"resilience >= {rep.resilience_true};" in str(err.value)
+
+
 def test_threshold_certifies_beyond_lattice_budget():
     # the lattice has 5**7 = 78,125 states; the search makes 2,865 evaluations
     plan = cyclic_coded(7, 2, 2, Placement.CODED_TOP)
@@ -206,6 +218,13 @@ def test_resilience_worst_set_is_a_witness():
     assert not is_decodable(plan, tuple(state))
 
 
+def test_resilience_n40_within_default_budget():
+    # 2**40 subsets, but the search stops at the first failing set size
+    rep = straggler_resilience(cyclic_uncoded(40, 3))
+    assert rep.resilience_true == 2
+    assert rep.worst_straggler_set == (0, 1, 2)
+
+
 def test_resilience_budget_refusal():
     with pytest.raises(BudgetExceededError):
         straggler_resilience(cyclic_uncoded(5, 3), budget=10)
@@ -259,11 +278,14 @@ def test_coverage_input_validation():
 # reports
 
 
-def test_analyze_refuses_before_threshold_work():
-    # 2**12 > 4,000, so the resilience search refuses before any evaluation
+def test_analyze_budget_stops_threshold_search_after_resilience():
+    # each search has its own budget: resilience completes within 4,000
+    # evaluations, then the threshold search spends all of them
     with pytest.raises(BudgetExceededError) as err:
         analyze(cyclic_uncoded(12, 3), budget=4_000)
-    assert err.value.evaluations == 0
+    assert err.value.evaluations == 4_000
+    assert str(err.value).startswith("threshold search ")
+    assert "Q >= 31;" in str(err.value)
 
 
 def test_analyze_merges_reports():

@@ -1,5 +1,7 @@
-"""Smoke runs of the experiment scripts in scripts/."""
+"""Smoke runs of the experiment scripts in scripts/, and unit tests of the
+benchmark pair summary."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -19,3 +21,44 @@ def test_script_runs_and_prints_csv_header(script, args, header):
     proc = run_python([str(SCRIPTS / script), *args])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+# ---------------------------------------------------------------------------
+# bench_pairs.py, on made-up run records (no benchmark runs)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_seed_range():
+    bench = _bench_pairs()
+    assert bench.seed_range("501-505") == [501, 502, 503, 504, 505]
+    assert bench.seed_range("7") == [7]
+
+
+def test_bench_pairs_spread_uses_exclusive_quartiles():
+    # exclusive method: quartile p sits at rank (len + 1) * p, interpolated
+    assert _bench_pairs().spread([float(v) for v in range(1, 11)]) == {
+        "median": 5.5, "q1": 2.75, "q3": 8.25, "iqr": 5.5,
+    }
+
+
+def test_bench_pairs_summarise_counts_strict_wins():
+    def run(value):
+        return {"seed": 0, "correct": 1, "attempted": 1, "failed": 0,
+                "metrics": {"pass_probes": value}}
+
+    runs = {"parent": [run(v) for v in (2.0, 2.0, 3.0, 5.0)],
+            "change": [run(v) for v in (1.0, 2.0, 4.0, 4.0)]}
+    metrics = [{"name": "pass_probes", "unit": "probes", "better": "lower", "bound": 0.25}]
+    out = _bench_pairs().summarise(runs, metrics)
+    assert out["pairs"] == 4
+    entry = out["pass_probes"]
+    assert (entry["unit"], entry["better"]) == ("probes", "lower")
+    assert entry["change_lower"] == 2  # the tie in the second pair counts for neither
+    assert entry["parent"] == {"median": 2.5, "q1": 2.0, "q3": 4.5, "iqr": 2.5}
+    assert entry["change"] == {"median": 3.0, "q1": 1.25, "q3": 4.0, "iqr": 2.75}
