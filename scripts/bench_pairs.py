@@ -14,12 +14,17 @@ metrics) is kept under ``runs``.
         --workload simulate-n5-decode --seeds 501-510 --out BENCH_8.json
 
 Runs are sequential: the pairs only mean something on an otherwise idle
-host. With ``--out`` naming an existing file, new workloads are merged into
-it and a workload measured again replaces its old entry.
+host. A ``__pycache__`` under ``src/`` or ``perfbench/`` of either checkout
+makes one side start from compiled bytecode and the other not, so the
+script refuses to start while one exists; its own runs write none
+(``PYTHONDONTWRITEBYTECODE=1``). With ``--out`` naming an existing file,
+new workloads are merged into it and a workload measured again replaces
+its old entry.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -31,11 +36,18 @@ def seed_range(text: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def stale_bytecode(roots: list) -> list:
+    """Every ``__pycache__`` directory under src/ or perfbench/ of the roots."""
+    return [str(d) for root in roots for sub in ("src", "perfbench")
+            for d in sorted((root / sub).rglob("__pycache__"))]
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
@@ -78,6 +90,10 @@ def main():
     args = parser.parse_args()
     if len(args.seeds) < 2:
         parser.error("need at least two seeds for quartiles")
+    stale = stale_bytecode([args.parent, args.change])
+    if stale:
+        sys.exit("error: stale bytecode would bias the pairs; remove "
+                 + ", ".join(stale))
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     for workload in args.workload:

@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--plan", required=True)
     v.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
                    help="max decodability evaluations of each search, counted as they "
-                        "are made (default %(default)s)")
+                        "are made; at least 1 (default %(default)s)")
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 

@@ -238,9 +238,6 @@ def validate_plan(plan: AssignmentPlan) -> list:
                     f"block {_block_label(b)}: replication count {c}, "
                     f"expected r_u = {p.r_u}"
                 )
-        stray = [b for b in uncoded_counts if b >= p.delta]
-        for b in sorted(stray):
-            out.append(f"block {_block_label(b)}: index outside [A_1, {_block_label(p.delta - 1)}]")
     return out
 
 

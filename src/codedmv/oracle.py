@@ -75,7 +75,13 @@ def _counted(plan: AssignmentPlan, budget: int, search: str, so_far: Callable[[]
     """The plan's decodability predicate, counting its calls against the
     budget: the call that would exceed it raises BudgetExceededError,
     whose message names the search and ends with ``so_far()``, what the
-    search has certified up to that point."""
+    search has certified up to that point.
+
+    Raises:
+        ValueError: the budget is below 1, before any evaluation.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     decodable = DecodabilityChecker(plan).decodable
     evaluations = 0
 
@@ -126,7 +132,8 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
         BudgetExceededError: the search needs more decodability
             evaluations than the budget; raised mid-search with the
             evaluations made and the best total certified so far.
-        ValueError: the fully-processed state itself cannot decode.
+        ValueError: the budget is below 1, or the fully-processed state
+            itself cannot decode.
     """
     n, ell = plan.n, plan.ell
     decide = _counted(
@@ -208,6 +215,7 @@ def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> 
         BudgetExceededError: the search needs more decodability
             evaluations than the budget; raised mid-search with the
             evaluations made and the resilience certified so far.
+        ValueError: the budget is below 1.
     """
     n, ell = plan.n, plan.ell
     decide = _counted(

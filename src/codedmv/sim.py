@@ -463,34 +463,6 @@ def real_coefficient(c: int) -> float:
     return 1.0 / pow(c % P, -1, P)
 
 
-def _block_products(plan, A, x, pairs):
-    """Products each completed task would transmit, keyed by (worker, pos)."""
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    ranges = split_matrix(A.shape[0], plan.params.delta)
-    hmax = max(len(r) for r in ranges)
-    cache = {}
-
-    def block_product(b):
-        if b not in cache:
-            r = ranges[b]
-            cache[b] = A[r.start : r.stop] @ x
-        return cache[b]
-
-    out = {}
-    for i, k in pairs:
-        t = plan.workers[i][k]
-        if isinstance(t, Uncoded):
-            out[(i, k)] = block_product(t.block)
-        else:
-            acc = np.zeros(hmax)
-            for b, c in t.coeffs:
-                p = block_product(b)
-                acc[: len(p)] += real_coefficient(c) * p
-            out[(i, k)] = acc
-    return out
-
-
 def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarray:
     """Master-side reconstruction of the full product vector.
 
@@ -498,10 +470,13 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
     plan's coefficients and the received vectors are the only inputs; the
     matrix itself is never touched here.
 
-    Known uncoded products are copied verbatim (duplicates must agree
-    bitwise). The unknown blocks are solved from a square system: its rows
-    are the first received coded rows that are independent over GF(P) when
-    restricted to the unknown blocks, in arrival order.
+    Received uncoded products fill the table of known blocks verbatim
+    (duplicates must agree bitwise). The unknown blocks are solved from a
+    square system: its rows are the first received coded rows that are
+    independent over GF(P) when restricted to the unknown blocks, in
+    arrival order, each with the known blocks' terms subtracted from its
+    right-hand side. The solution completes the table, and the result is
+    its blocks in order, each cut to its height.
 
     Raises:
         NotDecodableError: the equation set has rank below delta.
@@ -511,7 +486,6 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
     """
     delta = plan.params.delta
     ranges = split_matrix(nrows, delta)
-    hmax = max(len(r) for r in ranges)
     known = {}
     coded = []
     for i, k, vec in received:
@@ -527,7 +501,6 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
         else:
             coded.append((t.coeff_map(), vec))
     unknown = [b for b in range(delta) if b not in known]
-    solved = {}
     if unknown:
         u = len(unknown)
         # coded rows restricted to the unknown blocks, as the checker's rank
@@ -541,51 +514,54 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
                 "received equations do not determine every block product"
             )
         square = np.zeros((u, u))
-        rhs = np.zeros((u, hmax))
+        rhs = np.zeros((u, len(ranges[0])))  # the first block is the tallest
         for r, ridx in enumerate(sel):
             cm, vec = coded[ridx]
-            row_rhs = vec.copy()
+            rhs[r] = vec
             for b, c in cm.items():
                 if b in known:
                     p = known[b]
-                    row_rhs[: len(p)] -= real_coefficient(c) * p
+                    rhs[r, : len(p)] -= real_coefficient(c) * p
             for j, b in enumerate(unknown):
                 if b in cm:
                     square[r, j] = real_coefficient(cm[b])
-            rhs[r] = row_rhs
         cond = float(np.linalg.cond(square))
         if not cond <= 1e12:
             raise DecodeFailure(cond)
-        z = np.linalg.solve(square, rhs)
-        for j, b in enumerate(unknown):
-            solved[b] = z[j]
-    parts = []
-    for b in range(delta):
-        h = len(ranges[b])
-        vec = known[b] if b in known else solved[b]
-        parts.append(np.asarray(vec)[:h])
-    return np.concatenate(parts)
+        known.update(zip(unknown, np.linalg.solve(square, rhs)))
+    return np.concatenate([known[b][: len(r)] for b, r in enumerate(ranges)])
 
 
 def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
-    """End-to-end check: compute the products the completed tasks would
-    transmit, then reconstruct A @ x from those products alone.
+    """End-to-end check: compute each block product A_b @ x once, build the
+    vector each received task would transmit from them, then reconstruct
+    A @ x from those vectors alone.
 
-    ``received`` is an iterable of (worker, position) pairs.
+    ``received`` is an iterable of (worker, position) pairs; a repeated
+    pair counts once, at its first occurrence.
+
+    Raises:
+        ValueError: ``A`` is not 2-D, or a pair lies outside the plan.
+        NotDecodableError, DecodeFailure: as for ``decode_from_products``.
     """
     A = np.asarray(A, dtype=float)
-    pairs = []
-    seen = set()
-    for i, k in received:
+    if A.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
+    x = np.asarray(x, dtype=float)
+    prods = [A[r.start : r.stop] @ x for r in split_matrix(A.shape[0], plan.params.delta)]
+    vecs = []
+    for i, k in dict.fromkeys((i, k) for i, k in received):
         if not 0 <= i < plan.n or not 0 <= k < plan.ell:
             raise ValueError(f"received task ({i}, {k}) outside the plan")
-        if (i, k) not in seen:
-            seen.add((i, k))
-            pairs.append((i, k))
-    prods = _block_products(plan, A, x, pairs)
-    return decode_from_products(
-        plan, A.shape[0], [(i, k, prods[(i, k)]) for i, k in pairs]
-    )
+        t = plan.workers[i][k]
+        if isinstance(t, Uncoded):
+            vec = prods[t.block]
+        else:
+            vec = np.zeros(len(prods[0]))  # the first block is the tallest
+            for b, c in t.coeffs:
+                vec[: len(prods[b])] += real_coefficient(c) * prods[b]
+        vecs.append((i, k, vec))
+    return decode_from_products(plan, A.shape[0], vecs)
 
 
 def state_received(plan: AssignmentPlan, state: Sequence) -> list:

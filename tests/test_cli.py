@@ -130,6 +130,14 @@ def test_verify_budget_exceeded_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+def test_verify_budget_of_one_is_exceeded(tmp_path, capsys):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(core.plan_to_json(cyclic_uncoded(5, 3)))
+    code, _, err = run(capsys, "verify", "--plan", str(plan_file), "--budget", "1")
+    assert code == 3
+    assert "budget of 1 " in err
+
+
 def test_verify_budget_stops_threshold_search_midway(tmp_path, capsys):
     # the resilience search needs 16 evaluations; the threshold search needs 159
     plan_file = tmp_path / "plan.json"
@@ -341,6 +349,36 @@ def _undecodable_plan(tmp_path):
     return ["verify", "--plan", str(tmp_path / "plan.json")], {}
 
 
+def _verify_with_budget(tmp_path, budget):
+    (tmp_path / "plan.json").write_text(core.plan_to_json(cyclic_uncoded(5, 3)))
+    return ["verify", "--plan", str(tmp_path / "plan.json"), "--budget", budget], {}
+
+
+def _budget_zero(tmp_path):
+    return _verify_with_budget(tmp_path, "0")
+
+
+def _budget_negative(tmp_path):
+    return _verify_with_budget(tmp_path, "-3")
+
+
+def _decode_npy_matrix(tmp_path, matrix):
+    (tmp_path / "plan.json").write_text(core.plan_to_json(cyclic_uncoded(3, 2)))
+    np.save(tmp_path / "a.npy", matrix)
+    np.save(tmp_path / "x.npy", np.ones(2))
+    return ["decode", "--plan", str(tmp_path / "plan.json"),
+            "--matrix", str(tmp_path / "a.npy"), "--vector", str(tmp_path / "x.npy"),
+            "--state", "2,2,2"], {}
+
+
+def _matrix_1d_npy(tmp_path):
+    return _decode_npy_matrix(tmp_path, np.ones(6))
+
+
+def _matrix_3d_npy(tmp_path):
+    return _decode_npy_matrix(tmp_path, np.ones((6, 2, 2)))
+
+
 def _config_not_an_object(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(["plan.json"]))
     return ["simulate", "--config", str(tmp_path / "config.json")], {}
@@ -381,7 +419,8 @@ SHIFTED = ("speed", {"kind": "shifted-exponential"})
 DETERMINISTIC = ("speed", {"kind": "deterministic"})
 
 
-@pytest.mark.parametrize("setup", [_undecodable_plan,
+@pytest.mark.parametrize("setup", [_undecodable_plan, _budget_zero, _budget_negative,
+                                   _matrix_1d_npy, _matrix_3d_npy,
                                    _config_not_an_object, _config_entry_malformed,
                                    _nnz_shorter_than_delta,
                                    _config_value("trials", 2.7), _config_value("trials", True),

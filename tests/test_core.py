@@ -132,6 +132,16 @@ def test_validate_flags_out_of_range_block():
     assert any("outside" in m for m in validate_plan(bad))
 
 
+def test_validate_reports_out_of_range_uncoded_block_once():
+    plan = schemes.cyclic_uncoded(3, 2)
+    workers = list(plan.workers)
+    workers[0] = (Uncoded(7),) + workers[0][1:]
+    bad = AssignmentPlan(params=plan.params, workers=tuple(workers))
+    assert [m for m in validate_plan(bad) if "A_8" in m] == [
+        "worker 1: uncoded block A_8 outside [A_1, A_3]"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # prefix equations (the reference in tests/support.py)
 

@@ -230,6 +230,14 @@ def test_resilience_budget_refusal():
         straggler_resilience(cyclic_uncoded(5, 3), budget=10)
 
 
+@pytest.mark.parametrize("search", [brute_force_q, straggler_resilience])
+def test_budget_below_one_is_refused_before_any_evaluation(monkeypatch, search):
+    calls = count_evaluations(monkeypatch)
+    with pytest.raises(ValueError, match="budget must be at least 1, got 0"):
+        search(cyclic_uncoded(5, 3), budget=0)
+    assert calls[0] == 0
+
+
 def test_resilience_threshold_consistency():
     # Q <= (n - s) * ell certifies resilience at least s
     plans = [

@@ -62,3 +62,28 @@ def test_bench_pairs_summarise_counts_strict_wins():
     assert entry["change_lower"] == 2  # the tie in the second pair counts for neither
     assert entry["parent"] == {"median": 2.5, "q1": 2.0, "q3": 4.5, "iqr": 2.5}
     assert entry["change"] == {"median": 3.0, "q1": 1.25, "q3": 4.0, "iqr": 2.75}
+
+
+def test_bench_pairs_refuses_stale_bytecode(tmp_path, monkeypatch):
+    bench = _bench_pairs()
+    stale = [tmp_path / "parent" / "src" / "codedmv" / "__pycache__",
+             tmp_path / "change" / "perfbench" / "__pycache__"]
+    for d in stale:
+        d.mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": []}')
+
+    def run_once(*args):
+        raise AssertionError("ran a benchmark despite stale bytecode")
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--workload", "simulate-n5-decode",
+        "--seeds", "1-2", "--out", str(tmp_path / "bench.json")])
+    with pytest.raises(SystemExit) as info:
+        bench.main()
+    assert info.value.code not in (0, None)
+    message = str(info.value.code)
+    assert all(str(d) in message for d in stale)
+    assert not (tmp_path / "bench.json").exists()

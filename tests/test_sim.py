@@ -27,7 +27,6 @@ from codedmv.sim import (
     state_received,
     task_weight,
     trial_seed,
-    _block_products,
 )
 
 from support import (
@@ -630,17 +629,29 @@ def test_decode_refuses_ill_conditioned_system():
     assert "numerically unsafe" in str(info.value)
 
 
-def test_task_products_shapes():
+def test_task_products_shapes(monkeypatch):
+    # numeric_decode hands the master one vector per distinct received task,
+    # in first-occurrence order: an uncoded vector has its block's height, a
+    # coded one the tallest block's
     plan = BOTTOM
     a = np.arange(22.0).reshape(11, 2)
     x = np.array([1.0, -1.0])
-    pairs = [(i, k) for i in range(plan.n) for k in range(plan.ell)]
-    prods = _block_products(plan, a, x, pairs)
+    order = [(i, k) for i in reversed(range(plan.n)) for k in range(plan.ell)]
+    received = order[:4] + [order[2], order[0]] + order[4:] + [order[-1]]
+    seen = []
+    monkeypatch.setattr(sim, "decode_from_products",
+                        lambda plan, nrows, vecs: seen.extend(vecs))
+    numeric_decode(plan, a, x, received)
+    assert [(i, k) for i, k, _ in seen] == order
     ranges = split_matrix(11, 5)
     hmax = max(len(r) for r in ranges)
-    for i, tasks in enumerate(plan.workers):
-        for k, t in enumerate(tasks):
-            if isinstance(t, core.Uncoded):
-                assert prods[(i, k)].shape == (len(ranges[t.block]),)
-            else:
-                assert prods[(i, k)].shape == (hmax,)
+    assert hmax > min(len(r) for r in ranges)
+    kinds = set()
+    for i, k, vec in seen:
+        t = plan.workers[i][k]
+        kinds.add(type(t))
+        if isinstance(t, core.Uncoded):
+            assert vec.shape == (len(ranges[t.block]),)
+        else:
+            assert vec.shape == (hmax,)
+    assert kinds == {core.Uncoded, core.Coded}
