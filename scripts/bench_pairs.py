@@ -7,8 +7,10 @@ Runs ``perfbench/run.py --trace 0`` for the ``run_seconds`` that
 alternating which side runs first, and writes per workload and end-to-end
 metric: each side's median, quartiles and IQR, and the number of pairs in
 which the change read lower. Quartiles are ``statistics.quantiles(n=4)``
-(exclusive method). Every run's record (correct, attempted, failed and the
-metrics) is kept under ``runs``.
+(exclusive method). Per workload, ``failures`` totals each side's failed
+and attempted operations and lists the seeds at which the change failed a
+larger share than the parent. Every run's record (correct, attempted,
+failed and the metrics) is kept under ``runs``.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload simulate-n5-decode --seeds 501-510 --out BENCH_8.json
@@ -66,6 +68,15 @@ def spread(values: list) -> dict:
 
 def summarise(runs: dict, metrics: list) -> dict:
     out = {"pairs": len(runs["parent"])}
+    # a larger share of failed operations rejects a change, whatever its metrics
+    out["failures"] = {
+        side: {key: sum(r[key] for r in runs[side]) for key in ("failed", "attempted")}
+        for side in ("parent", "change")
+    }
+    out["failures"]["change_failed_more"] = [
+        c["seed"] for p, c in zip(runs["parent"], runs["change"])
+        if c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+    ]
     for m in metrics:
         parent = [r["metrics"][m["name"]] for r in runs["parent"]]
         change = [r["metrics"][m["name"]] for r in runs["change"]]

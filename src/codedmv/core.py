@@ -4,9 +4,10 @@ An assignment plan gives every worker an ordered list of block-row tasks,
 processed strictly top to bottom. A computation state is a plain tuple of
 per-worker processed-task counts; decodability of a state is a monotone,
 exact predicate over GF(P). When the plan's coded rows are certified to
-form a Cauchy matrix (every plan :mod:`codedmv.schemes` builds is), and
-every received coded row covers every unknown block, it is a count of rows
-against unknown blocks; otherwise it is a GF(P) rank computation.
+form a Cauchy matrix and each coded row covers every block its worker has
+not delivered uncoded above it (every plan :mod:`codedmv.schemes` builds
+does both), it is a count of rows against unknown blocks; otherwise it is
+a GF(P) rank computation. Both facts are decided once per plan.
 
 Conventions:
   * block indices are 0-based in code and in the JSON interchange format;
@@ -259,30 +260,29 @@ def check_state(plan: AssignmentPlan, state: Sequence) -> StateVector:
 class DecodabilityChecker:
     """Precomputed fast path for repeated decodability queries on one plan.
 
-    ``__init__`` tries once to certify the plan's Cauchy structure (see
-    :func:`_cauchy_certified`): values x_r per coded row r and y_j per
-    block j with inv(c_{r,j}) = x_r - y_j (mod P) on every support entry,
-    pairwise distinct within each connected piece of the row-block support
-    graph. Every square submatrix of such a matrix is nonsingular, so
-    received coded rows whose supports all hold every unknown block decode
-    exactly when there are at least as many of them as unknown blocks.
-    ``certified`` records the outcome; every plan :mod:`codedmv.schemes`
-    builds is certified.
+    ``__init__`` decides two facts about the plan once, in the pass that
+    stores its coded rows. ``certified`` (see :func:`_cauchy_certified`):
+    values x_r per coded row r and y_j per block j with inv(c_{r,j}) =
+    x_r - y_j (mod P) on every support entry, pairwise distinct within each
+    connected piece of the row-block support graph, so every square
+    submatrix is nonsingular. ``count_complete``: each coded task's
+    support, ORed with the blocks its worker holds uncoded above it, covers
+    every block; tasks arrive in prefix order, so every received coded row
+    then holds every unknown block.
 
-    A state is summarised by its triple: the OR of the uncoded block masks
-    received, the number of coded rows received and the AND of their
-    supports. ``_prefix[i][w]`` is that triple for worker i's first w
-    tasks, so a state's triple combines one prefix triple per worker, and
-    the simulator's walk (:func:`codedmv.sim.run_trial`) updates its own
-    triple from ``_prefix[i][k]`` and ``_prefix[i][k + 1]`` when worker i
-    completes task k. :meth:`by_count` decides a triple when a count
-    settles it: too few coded rows never decode, and a certified plan
-    whose received supports hold every unknown block decodes by the count.
-    Only the remaining queries (an uncertified plan, or a received row with
-    a zero in an unknown column) build the received row ids and take the
-    GF(P) rank of those rows restricted to the unknown blocks. Coded rows
-    are stored worker-major, so worker i's first c coded rows are
-    ``_start[i]`` .. ``_start[i] + c - 1``. The checker remembers no
+    On a plan with both (every plan :mod:`codedmv.schemes` builds), a state
+    decodes exactly when it has at least as many coded rows as unknown
+    blocks. :meth:`_count` states that rule and settles any plan's trivial
+    states: too few coded rows never decode, no unknown block always does.
+    Every other state takes the GF(P) rank of its received coded rows
+    restricted to the unknown blocks.
+
+    A state is summarised by the OR of the uncoded block masks received and
+    the number of coded rows received. ``_prefix[i][w]`` is that pair for
+    worker i's first w tasks, so a state's pair combines one prefix pair
+    per worker, and :meth:`first_decodable` updates it in O(1) per event.
+    Coded rows are stored worker-major, so worker i's first c coded rows
+    are ``_start[i]`` .. ``_start[i] + c - 1``. The checker remembers no
     answers: every query is decided afresh.
     """
 
@@ -290,56 +290,52 @@ class DecodabilityChecker:
         p = plan.params
         self.plan = plan
         self.delta = p.delta
-        self.full_mask = (1 << p.delta) - 1
+        every_block = (1 << p.delta) - 1
         rows = []
         coded_tasks = []
         self._prefix = []
         self._start = []
+        self.count_complete = True
         for tasks in plan.workers:
-            umask, coded, common = 0, 0, self.full_mask
-            prefix = [(umask, coded, common)]
+            umask, coded = 0, 0
+            prefix = [(umask, coded)]
             self._start.append(len(rows))
             for t in tasks:
                 if isinstance(t, Uncoded):
                     umask |= 1 << t.block
                 else:
                     vec = [0] * p.delta
-                    support = 0
+                    support = umask
                     for b, c in t.coeffs:
                         vec[b] = c % P
                         support |= 1 << b
+                    self.count_complete &= support == every_block
                     coded += 1
-                    common &= support
                     rows.append(vec)
                     coded_tasks.append(t)
-                prefix.append((umask, coded, common))
+                prefix.append((umask, coded))
             self._prefix.append(prefix)
         self._rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, p.delta), dtype=np.int64)
         self.certified = _cauchy_certified(coded_tasks, p.delta)
+        self._count_is_exact = self.certified and self.count_complete
 
-    def by_count(self, mask: int, coded: int, common: int):
-        """Decodability of the state with triple (mask, coded, common) when
-        counting settles it, else None: fewer coded rows than unknown
-        blocks does not decode, no block unknown does, and on a certified
-        plan enough rows whose supports all hold every unknown block do."""
+    def _count(self, mask: int, coded: int):
+        """Decodability of a state with uncoded mask ``mask`` and ``coded``
+        coded rows when counting settles it, else None."""
         missing = self.delta - mask.bit_count()
         if coded < missing:
             return False
-        if missing == 0:
-            return True
-        unknown = self.full_mask ^ mask
-        if self.certified and unknown & common == unknown:
+        if missing == 0 or self._count_is_exact:
             return True
         return None
 
     def decodable(self, state: StateVector) -> bool:
-        mask, coded, common = 0, 0, self.full_mask
+        mask, coded = 0, 0
         for prefix, w in zip(self._prefix, state):
-            u, c, s = prefix[w]
+            u, c = prefix[w]
             mask |= u
             coded += c
-            common &= s
-        counted = self.by_count(mask, coded, common)
+        counted = self._count(mask, coded)
         if counted is not None:
             return counted
         row_ids = []
@@ -347,6 +343,32 @@ class DecodabilityChecker:
             row_ids.extend(range(start, start + prefix[w][1]))
         cols = [j for j in range(self.delta) if not mask >> j & 1]
         return rank(self._rows[np.ix_(row_ids, cols)]) == len(cols)
+
+    def first_decodable(self, events: Sequence[int]):
+        """(j, state) for completion events walked from the zero state: j
+        indexes the first event after which the state decodes, or is None,
+        and state is the state after event j, or after every event.
+
+        ``events`` are flat worker-major indices i * ell + k, each worker's
+        in position order. Where :meth:`_count` cannot decide an event's
+        state, it is passed to :meth:`decodable`.
+        """
+        ell, prefixes, count = self.plan.ell, self._prefix, self._count
+        state = [0] * self.plan.n
+        mask, coded = 0, 0
+        for j, e in enumerate(events):
+            i, k = divmod(e, ell)
+            state[i] = k + 1
+            prefix = prefixes[i]
+            u, c = prefix[k + 1]
+            mask |= u
+            coded += c - prefix[k][1]
+            ok = count(mask, coded)
+            if ok is None:
+                ok = self.decodable(tuple(state))
+            if ok:
+                return j, tuple(state)
+        return None, tuple(state)
 
 
 def _cauchy_certified(coded: Sequence[Coded], delta: int) -> bool:
@@ -408,9 +430,9 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     The unit rows of the known uncoded blocks together with the received
     coded rows must have rank delta over GF(P); equivalently, the coded
     rows restricted to the unknown columns must cover all the unknowns.
-    On a plan with a Cauchy certificate whose received rows all cover every
-    unknown block, that rank is the smaller of the two counts, so no
-    elimination runs; see :class:`DecodabilityChecker`.
+    On a plan that is Cauchy-certified and count-complete, that rank is the
+    smaller of the two counts, so no elimination runs; see
+    :class:`DecodabilityChecker`.
 
     Each call builds a fresh :class:`DecodabilityChecker`, certificate
     included; for many queries on one plan, build one checker and call its

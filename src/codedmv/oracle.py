@@ -3,10 +3,10 @@
 The searches here are independent of the closed-form module: they
 enumerate computation states directly and decide each one with the exact
 decodability predicate, so they can certify (or refute) every formula at
-desk scale. That predicate counts rows only on plans whose Cauchy
-structure the checker has certified from the coefficients themselves, an
-exact property of the plan rather than a formula, and ranks over GF(P)
-otherwise. The threshold search walks only the non-decodable down-set, upward
+desk scale. That predicate counts rows only on plans the checker has
+certified, from the coefficients and supports themselves, to be Cauchy and
+count-complete, exact properties of the plan rather than formulas, and
+ranks over GF(P) otherwise. The threshold search walks only the non-decodable down-set, upward
 from the zero state, and prunes branches that cannot beat the best total
 found; see :func:`brute_force_q`.
 
@@ -208,20 +208,24 @@ def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> 
     leaves a decodable system (absent workers contribute zero blocks,
     everyone else finishes).
 
-    Subsets are tried by increasing size, in ``combinations`` order, up to
-    the first that does not decode.
+    The fully processed state (no absent worker) is evaluated first, as in
+    :func:`brute_force_q`; then subsets are tried by increasing size, in
+    ``combinations`` order, up to the first that does not decode.
 
     Raises:
         BudgetExceededError: the search needs more decodability
             evaluations than the budget; raised mid-search with the
             evaluations made and the resilience certified so far.
-        ValueError: the budget is below 1.
+        ValueError: the budget is below 1, or the fully-processed state
+            itself cannot decode.
     """
     n, ell = plan.n, plan.ell
     decide = _counted(
         plan, budget, "resilience search",
         lambda: f"every set of {s - 1} absent workers decodes, so resilience >= {s - 1}",
     )
+    if not decide(tuple([ell] * n)):
+        raise ValueError("plan cannot decode even with every task processed")
     for s in range(1, n + 1):
         for subset in combinations(range(n), s):
             state = [ell] * n

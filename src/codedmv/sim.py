@@ -12,12 +12,10 @@ of it. Per plan and batch, one masked multiply weights the raw durations
 (a task a halted worker never reaches stays at inf), one cumulative sum
 gives the completion times and one stable argsort over the worker-major
 flat task index orders the events. Ties in time therefore fall in
-(worker, position) order. Each trial then walks its own finite events in
-plain Python. A completion changes the state by one task, so the walk
-keeps the state's decodability triple (see
-:class:`codedmv.core.DecodabilityChecker`) up to date from the checker's
-per-worker prefix triples, O(1) work per event, and asks the checker's
-rank path only when the count cannot decide. Memory per batch is
+(worker, position) order. Each trial then hands its own finite events to
+the plan's checker (:meth:`codedmv.core.DecodabilityChecker.first_decodable`),
+which keeps the state's summary up to date with O(1) work per event and
+ranks only where its count cannot decide. Memory per batch is
 O(batch * n * ell) for each distinct plan shape, whatever the trial
 count; nothing is remembered across trials.
 
@@ -257,48 +255,18 @@ def run_trial(checker: DecodabilityChecker, times: np.ndarray, events: Sequence[
     ``events`` lists the flat worker-major indices i * ell + k of its
     finite completions in the order they happen; each worker's tasks
     complete in position order. ``checker`` is the plan's
-    :class:`~codedmv.core.DecodabilityChecker`.
-
-    Each event (i, k) updates the state's decodability triple from the
-    checker's prefix triples of worker i: it ORs in the uncoded mask, adds
-    the coded rows of task k and ANDs in the support. ``checker.by_count``
-    decides the triple; only when the count cannot decide (an uncertified
-    plan, or a received row with a zero in an unknown column) does the
-    walk call ``checker.decodable`` on the state tuple.
+    :class:`~codedmv.core.DecodabilityChecker`, whose
+    :meth:`~codedmv.core.DecodabilityChecker.first_decodable` walks the
+    events.
 
     The master decodes at the first event whose state is decodable. If even
     the final reachable state cannot decode, the result reports
     decode_ok = False with finish_time = inf.
     """
-    n, ell = times.shape
-    prefix = checker._prefix
-    by_count = checker.by_count
-    state = [0] * n
-    mask, coded, common = 0, 0, checker.full_mask
-    for e in events:
-        i, k = divmod(e, ell)
-        state[i] = k + 1
-        triples = prefix[i]
-        u, c, s = triples[k + 1]
-        mask |= u
-        coded += c - triples[k][1]
-        common &= s
-        ok = by_count(mask, coded, common)
-        if ok is None:
-            ok = checker.decodable(tuple(state))
-        if ok:
-            return TrialResult(
-                finish_time=float(times[i, k]),
-                final_state=tuple(state),
-                blocks_processed_total=sum(state),
-                decode_ok=True,
-            )
-    return TrialResult(
-        finish_time=math.inf,
-        final_state=tuple(state),
-        blocks_processed_total=sum(state),
-        decode_ok=False,
-    )
+    j, state = checker.first_decodable(events)
+    if j is None:
+        return TrialResult(math.inf, state, sum(state), False)
+    return TrialResult(float(times.flat[events[j]]), state, sum(state), True)
 
 
 def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):

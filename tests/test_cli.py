@@ -130,16 +130,28 @@ def test_verify_budget_exceeded_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
-def test_verify_budget_of_one_is_exceeded(tmp_path, capsys):
+def test_verify_budget_of_one_is_exceeded(tmp_path, capsys, monkeypatch):
+    # the one evaluation the budget allows is the fully processed state, so
+    # "every set of 0 absent workers decodes" has been checked
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(core.plan_to_json(cyclic_uncoded(5, 3)))
+    states = []
+    decodable = core.DecodabilityChecker.decodable
+
+    def recorded(self, state):
+        states.append(state)
+        return decodable(self, state)
+
+    monkeypatch.setattr(core.DecodabilityChecker, "decodable", recorded)
     code, _, err = run(capsys, "verify", "--plan", str(plan_file), "--budget", "1")
     assert code == 3
     assert "budget of 1 " in err
+    assert "every set of 0 absent workers decodes" in err
+    assert states == [(3, 3, 3, 3, 3)]
 
 
 def test_verify_budget_stops_threshold_search_midway(tmp_path, capsys):
-    # the resilience search needs 16 evaluations; the threshold search needs 159
+    # the resilience search needs 17 evaluations; the threshold search needs 159
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(core.plan_to_json(cyclic_uncoded(5, 3)))
     code, _, err = run(capsys, "verify", "--plan", str(plan_file), "--budget", "40")

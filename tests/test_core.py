@@ -334,9 +334,11 @@ def test_every_scheme_plan_with_coded_rows_is_certified():
             plans.extend(schemes.mds_plan(n, ell, delta) for delta in range(ell, n * ell + 1))
     rng = np.random.default_rng(5)
     for plan in plans:
-        assert core.DecodabilityChecker(plan).certified, plan.params
         perm = rng.permutation(plan.params.delta)
-        assert core.DecodabilityChecker(relabel_blocks(plan, perm)).certified, plan.params
+        for checker in (core.DecodabilityChecker(plan),
+                        core.DecodabilityChecker(relabel_blocks(plan, perm))):
+            assert checker.certified, plan.params
+            assert checker.count_complete, plan.params
 
 
 def test_scheme_queries_never_rank(monkeypatch):
@@ -383,10 +385,49 @@ def test_zero_in_an_unknown_column_is_ranked(monkeypatch):
     plan = zero_column_plan()
     checker = core.DecodabilityChecker(plan)
     assert checker.certified
+    assert not checker.count_complete
     ranks = count_ranks(monkeypatch)
     assert not checker.decodable((1, 1, 2))
     assert ranks[0] == 1
     agrees_with_reference(plan, every_state(plan))
+
+
+def shrunk_supports(plan, drop, rng):
+    """The plan with each coded entry dropped with probability ``drop``,
+    keeping at least one entry per task; what is left of a Cauchy matrix
+    is still one."""
+    workers = []
+    for tasks in plan.workers:
+        row = []
+        for t in tasks:
+            if isinstance(t, Coded):
+                kept = [e for e in t.coeffs if rng.random() >= drop]
+                t = Coded(tuple(kept) or t.coeffs[:1])
+            row.append(t)
+        workers.append(tuple(row))
+    return AssignmentPlan(params=plan.params, workers=tuple(workers))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.3]))
+@settings(max_examples=100, deadline=None)
+def test_count_decides_only_count_complete_plans(seed, drop):
+    # certified plans whose coded rows may miss blocks their worker has not
+    # delivered: the rank decides those, and never runs on a count-complete one
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 11))
+    r_u = int(rng.integers(0, min(n - 1, 3) + 1))
+    ell_c = int(rng.integers(1, min(n - r_u, 2) + 1))
+    placement = (Placement.CODED_TOP, Placement.CODED_BOTTOM)[int(rng.integers(0, 2))]
+    plan = schemes.cyclic_coded(n, r_u, ell_c, placement)
+    plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    plan = shrunk_supports(plan, drop, rng)
+    checker = core.DecodabilityChecker(plan)
+    assert checker.certified
+    with pytest.MonkeyPatch.context() as mp:
+        ranks = count_ranks(mp)
+        agrees_with_reference(plan, arrival_states(plan, rng))
+    if checker.count_complete:
+        assert ranks[0] == 0
 
 
 # ---------------------------------------------------------------------------

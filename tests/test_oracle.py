@@ -154,6 +154,17 @@ def test_threshold_rejects_hopeless_plan():
         brute_force_q(plan)
 
 
+@pytest.mark.parametrize("search", [brute_force_q, straggler_resilience])
+def test_plan_that_cannot_decode_is_refused_by_both_searches(search):
+    # two one-row workers whose rows on two blocks are proportional: even
+    # the fully processed state has rank 1
+    params = core.SystemParams(2, 2, 0, 1, 0, Placement.FULLY_CODED)
+    rows = ((core.Coded(((0, 1), (1, 2))),), (core.Coded(((0, 3), (1, 6))),))
+    plan = AssignmentPlan(params=params, workers=rows)
+    with pytest.raises(ValueError, match="cannot decode even with every task processed"):
+        search(plan)
+
+
 # ---------------------------------------------------------------------------
 # uncoded_q_fast
 

@@ -64,6 +64,22 @@ def test_bench_pairs_summarise_counts_strict_wins():
     assert entry["change"] == {"median": 3.0, "q1": 1.25, "q3": 4.0, "iqr": 2.75}
 
 
+def test_bench_pairs_summarise_reports_failures():
+    # a seed counts against the change when it fails a larger share of its
+    # attempts, even with an equal or smaller count
+    def run(seed, attempted, failed):
+        return {"seed": seed, "correct": 1, "attempted": attempted, "failed": failed,
+                "metrics": {}}
+
+    runs = {"parent": [run(1, 10, 2), run(2, 10, 2), run(3, 8, 2), run(4, 12, 3)],
+            "change": [run(1, 10, 2), run(2, 10, 3), run(3, 10, 2), run(4, 10, 3)]}
+    assert _bench_pairs().summarise(runs, [])["failures"] == {
+        "parent": {"failed": 9, "attempted": 40},
+        "change": {"failed": 10, "attempted": 40},
+        "change_failed_more": [2, 4],
+    }
+
+
 def test_bench_pairs_refuses_stale_bytecode(tmp_path, monkeypatch):
     bench = _bench_pairs()
     stale = [tmp_path / "parent" / "src" / "codedmv" / "__pycache__",
