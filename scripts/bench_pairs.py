@@ -21,7 +21,9 @@ makes one side start from compiled bytecode and the other not, so the
 script refuses to start while one exists; its own runs write none
 (``PYTHONDONTWRITEBYTECODE=1``). With ``--out`` naming an existing file,
 new workloads are merged into it and a workload measured again replaces
-its old entry.
+its old entry. A run that exits non-zero stops the script with exit 1: it
+names the side, seed, exit code and the tail of the run's stderr, and the
+workload's entry in ``--out`` holds only the ``runs`` measured before it.
 """
 
 import argparse
@@ -45,6 +47,7 @@ def stale_bytecode(roots: list) -> list:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One run's record; a non-zero exit raises CalledProcessError."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -90,6 +93,10 @@ def summarise(runs: dict, metrics: list) -> dict:
     return out
 
 
+def write_doc(path: Path, doc: dict):
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -112,12 +119,19 @@ def main():
         for j, seed in enumerate(args.seeds):
             order = ("parent", "change") if j % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(getattr(args, side), workload, seed,
-                                           spec["run_seconds"]))
+                try:
+                    record = run_once(getattr(args, side), workload, seed, spec["run_seconds"])
+                except subprocess.CalledProcessError as e:
+                    doc[workload] = {"runs": runs}
+                    write_doc(args.out, doc)
+                    tail = "\n".join(e.stderr.splitlines()[-20:])
+                    sys.exit(f"error: {workload}: the {side} run at seed {seed} exited "
+                             f"{e.returncode}; runs so far are in {args.out}\n{tail}")
+                runs[side].append(record)
                 print(workload, seed, side, runs[side][-1]["metrics"]["pass_probes"],
                       file=sys.stderr, flush=True)
         doc[workload] = {**summarise(runs, spec["end_to_end"]), "runs": runs}
-        args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_doc(args.out, doc)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,9 @@ def coded_top_q_bound(params: SystemParams) -> BoundReport:
     (strict, exact rationals), in which case at least x + ell*beta + 1
     blocks are needed. The search runs over beta in [0, n - r_u] and
     x in [0, n*ell_c - ell_c*beta]; ties prefer smaller beta, then smaller
-    x; the result is additionally floored at delta.
+    x; the result is additionally floored at delta. The objective rises
+    strictly with x, so for each beta only the largest feasible x,
+    min(n*ell_c, ceil(rhs) - 1) - ell_c*beta, is tried.
 
     Raises:
         ValueError: wrong placement, delta != n, or r_u < 1.
@@ -115,16 +117,13 @@ def coded_top_q_bound(params: SystemParams) -> BoundReport:
         raise ValueError("bound requires r_u >= 1")
     n, delta = params.n, params.delta
     ell, ell_c, r_u = params.ell, params.ell_c, params.r_u
-    best_obj = None
-    best_witness = None
+    best_obj = best_witness = None
     for beta in range(0, n - r_u + 1):
-        rhs = Fraction(delta * comb(n - r_u, beta), comb(n, beta))
-        for x in range(0, n * ell_c - ell_c * beta + 1):
-            if x + ell_c * beta < rhs:
-                obj = x + ell * beta + 1
-                if best_obj is None or obj > best_obj:
-                    best_obj = obj
-                    best_witness = (x, beta)
+        # ceil(rhs) - 1 is the largest integer below rhs = num / den
+        below_rhs = (delta * comb(n - r_u, beta) - 1) // comb(n, beta)
+        x = min(n * ell_c, below_rhs) - ell_c * beta
+        if x >= 0 and (best_obj is None or x + ell * beta + 1 > best_obj):
+            best_obj, best_witness = x + ell * beta + 1, (x, beta)
     # (0, 0) is always feasible since delta > 0, so a witness exists
     return BoundReport(
         q_lower=max(delta, best_obj),

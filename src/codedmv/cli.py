@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: design, bounds, verify, simulate, decode.
-Exit codes: 0 success, 1 usage or input error, 2 verification mismatch or
-a decode refused as numerically unsafe, 3 search budget exceeded.
+Exit codes: 0 success, 1 usage or input error (an unreadable input or an
+unwritable --out included), 2 verification mismatch or a decode refused as
+numerically unsafe, 3 search budget exceeded. ``main`` alone maps a failure
+to its exit code and prints it as one ``error:`` line, never a traceback.
 Identical flags and inputs always produce byte-identical output files.
 """
 
@@ -25,7 +27,6 @@ from .core import (
     Uncoded,
     check_state,
     plan_from_dict,
-    plan_from_json,
     plan_to_json,
     validate_plan,
 )
@@ -70,15 +71,27 @@ def _write(path: str, text: str):
     Path(path).write_text(text)
 
 
-def _load_plan(path: str) -> AssignmentPlan:
+def _read_json(path: str, what: str):
     try:
-        plan = plan_from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError) as e:
-        raise UsageError(f"cannot read plan {path}: {e}")
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:
+        raise UsageError(f"cannot read {what} {path}: {e}")
+
+
+def _plan(doc, name: str) -> AssignmentPlan:
+    """The valid plan a plan document describes; ``name`` says where it is."""
+    try:
+        plan = plan_from_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"malformed {name}: {type(e).__name__}: {e}")
     violations = validate_plan(plan)
     if violations:
-        raise UsageError(f"plan {path} is invalid: " + "; ".join(violations))
+        raise UsageError(f"{name} is invalid: " + "; ".join(violations))
     return plan
+
+
+def _load_plan(path: str) -> AssignmentPlan:
+    return _plan(_read_json(path, "plan"), f"plan {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,26 +99,19 @@ def _load_plan(path: str) -> AssignmentPlan:
 
 
 def _cmd_design(args) -> int:
-    try:
-        if args.scheme == "cyclic-uncoded":
-            if args.r is None:
-                raise UsageError("cyclic-uncoded needs --n and --r")
-            plan = schemes.cyclic_uncoded(args.n, args.r)
-        elif args.scheme in ("cyclic-coded-bottom", "cyclic-coded-top"):
-            if args.r_u is None or args.ell_c is None:
-                raise UsageError(f"{args.scheme} needs --n, --r_u and --ell_c")
-            placement = (
-                Placement.CODED_BOTTOM
-                if args.scheme == "cyclic-coded-bottom"
-                else Placement.CODED_TOP
-            )
-            plan = schemes.cyclic_coded(args.n, args.r_u, args.ell_c, placement)
-        else:
-            if args.ell is None or args.delta is None:
-                raise UsageError("mds needs --n, --ell and --delta")
-            plan = schemes.mds_plan(args.n, args.ell, args.delta)
-    except ValueError as e:
-        raise UsageError(str(e))
+    if args.scheme == "cyclic-uncoded":
+        if args.r is None:
+            raise UsageError("cyclic-uncoded needs --n and --r")
+        plan = schemes.cyclic_uncoded(args.n, args.r)
+    elif args.scheme in ("cyclic-coded-bottom", "cyclic-coded-top"):
+        if args.r_u is None or args.ell_c is None:
+            raise UsageError(f"{args.scheme} needs --n, --r_u and --ell_c")
+        placement = Placement(args.scheme.removeprefix("cyclic-"))
+        plan = schemes.cyclic_coded(args.n, args.r_u, args.ell_c, placement)
+    else:
+        if args.ell is None or args.delta is None:
+            raise UsageError("mds needs --n, --ell and --delta")
+        plan = schemes.mds_plan(args.n, args.ell, args.delta)
     violations = validate_plan(plan)
     if violations:  # constructions always validate; belt and braces
         raise UsageError("constructed plan is invalid: " + "; ".join(violations))
@@ -150,11 +156,8 @@ def _params_from_args(args) -> SystemParams:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        params = _load_plan(args.plan).params if args.plan else _params_from_args(args)
-        report = bounds_mod.bound_report(params)
-    except ValueError as e:
-        raise UsageError(str(e))
+    params = _load_plan(args.plan).params if args.plan else _params_from_args(args)
+    report = bounds_mod.bound_report(params)
     print(f"system: n={params.n} delta={params.delta} ell_u={params.ell_u} "
           f"ell_c={params.ell_c} r_u={params.r_u} placement={params.placement.value}")
     print(f"q_lower      {report.q_lower}")
@@ -237,10 +240,7 @@ def _verify_checks(plan: AssignmentPlan, report: oracle_mod.OracleReport) -> lis
 
 def _cmd_verify(args) -> int:
     plan = _load_plan(args.plan)
-    try:
-        report = oracle_mod.analyze(plan, args.budget)
-    except ValueError as e:
-        raise UsageError(str(e))
+    report = oracle_mod.analyze(plan, args.budget)
     print(f"q_true             {report.q_true}")
     print(f"worst_state        {list(report.worst_state)}")
     print(f"resilience_true    {report.resilience_true}")
@@ -335,11 +335,7 @@ def _experiment_from_config(cfg, base: Path, seed_override):
             plans.append(_load_plan(str(base / path)))  # an absolute path replaces base
             ids.append(entry.get("id", path.stem))
         elif "plan" in entry:
-            plan = plan_from_dict(entry["plan"])
-            violations = validate_plan(plan)
-            if violations:
-                raise UsageError("inline plan is invalid: " + "; ".join(violations))
-            plans.append(plan)
+            plans.append(_plan(entry["plan"], "inline plan"))
             ids.append(entry.get("id", f"plan_{len(plans) - 1}"))
         else:
             raise UsageError(f"plan entry {entry!r} needs a path or an inline plan")
@@ -355,18 +351,12 @@ def _experiment_from_config(cfg, base: Path, seed_override):
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError) as e:
-        raise UsageError(f"cannot read config {args.config}: {e}")
+    cfg = _read_json(args.config, "config")
     try:
         experiment = _experiment_from_config(cfg, Path(args.config).parent, args.seed)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError) as e:  # a value of the wrong shape
         raise UsageError(f"malformed config {args.config}: {type(e).__name__}: {e}")
-    try:
-        rows, summaries = sim.run_experiment(*experiment)
-    except ValueError as e:
-        raise UsageError(str(e))
+    rows, summaries = sim.run_experiment(*experiment)
     print(sim.summaries_to_csv(summaries), end="")
     if args.out:
         _write(args.out, sim.rows_to_csv(rows))
@@ -413,15 +403,8 @@ def _cmd_decode(args) -> int:
         state = tuple(int(v) for v in args.state.split(","))
     except ValueError:
         raise UsageError(f"state must be comma-separated integers, got {args.state!r}")
-    try:
-        check_state(plan, state)
-        received = sim.state_received(plan, state)
-        y = sim.numeric_decode(plan, A, x, received)
-    except ValueError as e:  # NotDecodableError included
-        raise UsageError(str(e))
-    except sim.DecodeFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
+    check_state(plan, state)
+    y = sim.numeric_decode(plan, A, x, sim.state_received(plan, state))
     text = "\n".join(repr(float(v)) for v in y) + "\n"
     if args.out:
         _write(args.out, text)
@@ -496,12 +479,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except (UsageError, ValueError, OSError) as e:  # NotDecodableError is a ValueError
+        error, code = e, EXIT_USAGE
+    except sim.DecodeFailure as e:
+        error, code = e, EXIT_MISMATCH
     except oracle_mod.BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+        error, code = e, EXIT_BUDGET
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entrypoint():

@@ -111,7 +111,7 @@ class Uncoded:
     block: int
 
     def __post_init__(self):
-        if not isinstance(self.block, int) or self.block < 0:
+        if not isinstance(self.block, int) or isinstance(self.block, bool) or self.block < 0:
             raise ValueError(f"block index must be a non-negative int, got {self.block!r}")
 
 
@@ -139,6 +139,10 @@ class Coded:
 
     @classmethod
     def from_map(cls, coeffs: Mapping[int, int]) -> "Coded":
+        """Coefficients are ints or decimal strings, reduced mod P."""
+        for c in coeffs.values():
+            if isinstance(c, (bool, float)):  # never truncated
+                raise ValueError(f"coefficient must be an integer or a decimal string, got {c!r}")
         return cls(tuple(sorted((int(b), int(c) % P) for b, c in coeffs.items())))
 
     @property
@@ -470,26 +474,24 @@ def plan_to_dict(plan: AssignmentPlan) -> dict:
 def plan_from_dict(doc: Mapping) -> AssignmentPlan:
     """Inverse of :func:`plan_to_dict`.
 
+    Nothing is coerced: the ``params`` counts and every ``u`` block must be
+    integers (not bools), and a coefficient a decimal string or an integer.
+
     Raises:
-        ValueError / KeyError: malformed documents.
+        ValueError / KeyError: a wrong value or a missing field.
+        AttributeError / TypeError: a document of the wrong shape.
     """
     pd = doc["params"]
-    params = SystemParams(
-        n=int(pd["n"]),
-        delta=int(pd["delta"]),
-        ell_u=int(pd["ell_u"]),
-        ell_c=int(pd["ell_c"]),
-        r_u=int(pd["r_u"]),
-        placement=Placement(pd["placement"]),
-    )
+    counts = {k: pd[k] for k in ("n", "delta", "ell_u", "ell_c", "r_u")}
+    params = SystemParams(**counts, placement=Placement(pd["placement"]))
     workers = []
     for row in doc["workers"]:
         tasks = []
         for t in row:
             if "u" in t:
-                tasks.append(Uncoded(int(t["u"])))
+                tasks.append(Uncoded(t["u"]))
             elif "c" in t:
-                tasks.append(Coded.from_map({int(b): int(c) for b, c in t["c"].items()}))
+                tasks.append(Coded.from_map({int(b): c for b, c in t["c"].items()}))
             else:
                 raise ValueError(f"task {t!r} is neither uncoded nor coded")
         workers.append(tuple(tasks))

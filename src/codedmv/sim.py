@@ -337,7 +337,9 @@ def run_experiment(
     remembers no answers.
 
     Raises:
-        ValueError: trials < 1, mismatched plan_ids, or a speed or cost
+        ValueError: trials < 1; plan_ids that do not match plans, or that
+            repeat an id or hold one that is not a str free of ``,``, ``"``,
+            CR and LF (the CSV writers do not quote); or a speed or cost
             model that does not fit a plan (see :func:`raw_durations` and
             :func:`task_weights`).
     """
@@ -347,6 +349,11 @@ def run_experiment(
         plan_ids = [f"plan_{i}" for i in range(len(plans))]
     if len(plan_ids) != len(plans):
         raise ValueError("plan_ids must match plans")
+    for i, pid in enumerate(plan_ids):
+        if not isinstance(pid, str) or any(ch in pid for ch in ',"\r\n'):
+            raise ValueError(f"plan id {pid!r} is not a string free of ',', '\"', CR and LF")
+        if pid in plan_ids[:i]:
+            raise ValueError(f"plan id {pid!r} is repeated")
     seeds = [trial_seed(seed, t) for t in range(trials)]
     checkers = [DecodabilityChecker(plan) for plan in plans]
     weights = [task_weights(plan, cost) for plan in plans]

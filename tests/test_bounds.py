@@ -154,6 +154,32 @@ def test_coded_top_bound_grows_with_replication():
             assert values == sorted(values), (n, ell, values)
 
 
+def _coded_top_double_loop(params):
+    """Reference for coded_top_q_bound: every (beta, x), exact rationals."""
+    n, delta, ell, ell_c, r_u = params.n, params.delta, params.ell, params.ell_c, params.r_u
+    best_obj = best_witness = None
+    for beta in range(0, n - r_u + 1):
+        rhs = Fraction(delta * comb(n - r_u, beta), comb(n, beta))
+        for x in range(0, n * ell_c - ell_c * beta + 1):
+            if x + ell_c * beta < rhs:
+                obj = x + ell * beta + 1
+                if best_obj is None or obj > best_obj:
+                    best_obj, best_witness = obj, (x, beta)
+    return max(delta, best_obj), best_witness
+
+
+def test_coded_top_bound_closed_form_matches_double_loop():
+    systems = 0
+    for n in range(2, 17):
+        for r_u in range(1, n):
+            for ell_c in range(1, n - r_u + 1):
+                params = coded_params(n, r_u, ell_c, Placement.CODED_TOP)
+                report = coded_top_q_bound(params)
+                assert (report.q_lower, report.witness) == _coded_top_double_loop(params), params
+                systems += 1
+    assert systems == 680
+
+
 # ---------------------------------------------------------------------------
 # soundness against the oracle, and report dispatch
 

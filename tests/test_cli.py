@@ -425,6 +425,107 @@ def _config_value(key, value, section=None):
     return setup
 
 
+def _out_in_missing_dir(command):
+    def setup(tmp_path):
+        decode_argv, _ = _decode_npy_matrix(tmp_path, np.ones((6, 2)))  # writes plan.json too
+        plan = str(tmp_path / "plan.json")
+        argv = {
+            "design": ["design", "cyclic-uncoded", "--n", "3", "--r", "2"],
+            "bounds": ["bounds", "--plan", plan],
+            "verify": ["verify", "--plan", plan],
+            "simulate": ["simulate", "--config", str(write_sim_setup(tmp_path, trials=2))],
+            "decode": decode_argv,
+        }[command]
+        return [*argv, "--out", str(tmp_path / "missing" / "out")], {}
+
+    setup.__name__ = f"_{command}_out_in_missing_dir"
+    return setup
+
+
+def _bad_plan_doc(edit):
+    """A coded-bottom (3,1,1) plan document changed by ``edit``."""
+    doc = core.plan_to_dict(cyclic_coded(3, 1, 1, Placement.CODED_BOTTOM))
+    return edit(doc) or doc
+
+
+def _set_task(worker, position, task):
+    def edit(doc):
+        doc["workers"][worker][position] = task
+    return edit
+
+
+def _add_to_coefficient(delta):
+    def edit(doc):
+        coeffs = doc["workers"][0][1]["c"]
+        block = min(coeffs)
+        coeffs[block] = int(coeffs[block]) + delta
+    return edit
+
+
+def _set_param(key, value):
+    def edit(doc):
+        doc["params"][key] = value
+    return edit
+
+
+BAD_PLANS = {
+    # shapes that are not plan documents
+    "top_level_array": lambda doc: [doc],
+    "params_list": lambda doc: {**doc, "params": list(doc["params"].values())},
+    "workers_int": lambda doc: {**doc, "workers": 3},
+    "task_string": _set_task(0, 0, "u0"),
+    "u_list": _set_task(0, 0, {"u": [0]}),
+    "c_list": _set_task(0, 1, {"c": [1]}),
+    # values that used to be coerced silently
+    "u_float": _set_task(0, 0, {"u": 0.7}),
+    "u_bool": _set_task(1, 0, {"u": True}),
+    "n_float": _set_param("n", 3.9),
+    "n_string": _set_param("n", "3"),
+    "coefficient_float": _add_to_coefficient(0.5),
+    "coefficient_bool": _set_task(0, 1, {"c": {"1": True, "2": "1"}}),
+}
+
+
+def _verify_bad_plan(name):
+    def setup(tmp_path):
+        doc = _bad_plan_doc(BAD_PLANS[name])
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+        return ["verify", "--plan", str(tmp_path / "plan.json")], {}
+
+    setup.__name__ = f"_verify_plan_{name}"
+    return setup
+
+
+def _simulate_inline_plan_c_list(tmp_path):
+    config = {"plans": [{"plan": _bad_plan_doc(BAD_PLANS["c_list"])}], "trials": 2}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return ["simulate", "--config", str(tmp_path / "config.json")], {}
+
+
+def _plan_entries(name, entries):
+    def setup(tmp_path):
+        cfg = write_sim_setup(tmp_path, trials=2)
+        (tmp_path / "a,b.json").write_text((tmp_path / "top.json").read_text())
+        config = json.loads(cfg.read_text())
+        config["plans"] = entries
+        cfg.write_text(json.dumps(config))
+        return ["simulate", "--config", str(cfg)], {}
+
+    setup.__name__ = f"_plan_id_{name}"
+    return setup
+
+
+BAD_PLAN_IDS = [
+    _plan_entries("comma", [{"id": "a,b", "path": "top.json"}]),
+    _plan_entries("list", [{"id": ["x", "y"], "path": "top.json"}]),
+    _plan_entries("quote", [{"id": 'say "top"', "path": "top.json"}]),
+    _plan_entries("newline", [{"id": "top\nmore", "path": "top.json"}]),
+    _plan_entries("repeated", [{"id": "top", "path": "top.json"},
+                               {"id": "top", "path": "uncoded.json"}]),
+    _plan_entries("path_stem_comma", ["a,b.json"]),
+]
+
+
 HALT_AFTER = ("speed", {"kind": "halt-after", "stragglers": [0], "blocks": 1})
 SPARSITY = ("cost", {"kind": "sparsity-aware"})
 SHIFTED = ("speed", {"kind": "shifted-exponential"})
@@ -456,7 +557,11 @@ DETERMINISTIC = ("speed", {"kind": "deterministic"})
                                    _config_value("per_block", "inf", DETERMINISTIC),
                                    _config_value("per_block", float("inf"), DETERMINISTIC),
                                    _config_value("per_block", [1, 2, False, 1, 1],
-                                                 DETERMINISTIC)])
+                                                 DETERMINISTIC),
+                                   *(_out_in_missing_dir(command) for command in
+                                     ("design", "bounds", "verify", "simulate", "decode")),
+                                   *(_verify_bad_plan(name) for name in BAD_PLANS),
+                                   _simulate_inline_plan_c_list, *BAD_PLAN_IDS])
 def test_bad_input_is_usage_error_without_traceback(tmp_path, setup):
     argv, env = setup(tmp_path)
     proc = run_python(["-m", "codedmv.cli", *argv], env=env)

@@ -2,6 +2,8 @@
 benchmark pair summary."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,35 @@ def test_bench_pairs_refuses_stale_bytecode(tmp_path, monkeypatch):
     message = str(info.value.code)
     assert all(str(d) in message for d in stale)
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_bench_pairs_keeps_runs_when_a_run_fails(tmp_path, monkeypatch):
+    bench = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": []}')
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append((root.name, seed))
+        if len(calls) == 3:  # seed 2 runs the change first
+            raise subprocess.CalledProcessError(
+                4, ["run.py"], output="", stderr="early line\nTraceback\nboom: late line\n")
+        return {"seed": seed, "correct": 1, "attempted": 1, "failed": 0,
+                "metrics": {"pass_probes": 1.0}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--workload", "simulate-n5-decode",
+        "--seeds", "1-3", "--out", str(tmp_path / "bench.json")])
+    with pytest.raises(SystemExit) as info:
+        bench.main()
+    assert calls == [("parent", 1), ("change", 1), ("change", 2)]
+    message = str(info.value.code)
+    assert "change run at seed 2 exited 4" in message
+    assert message.endswith("boom: late line")
+    runs = json.loads((tmp_path / "bench.json").read_text())["simulate-n5-decode"]["runs"]
+    assert [r["seed"] for r in runs["parent"]] == [1]
+    assert [r["seed"] for r in runs["change"]] == [1]
