@@ -23,6 +23,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -276,15 +277,19 @@ class DecodabilityChecker:
 
     On a plan with both (every plan :mod:`codedmv.schemes` builds), a state
     decodes exactly when it has at least as many coded rows as unknown
-    blocks. :meth:`_count` states that rule and settles any plan's trivial
+    blocks. :meth:`count` states that rule and settles any plan's trivial
     states: too few coded rows never decode, no unknown block always does.
     Every other state takes the GF(P) rank of its received coded rows
     restricted to the unknown blocks.
 
     A state is summarised by the OR of the uncoded block masks received and
-    the number of coded rows received. ``_prefix[i][w]`` is that pair for
-    worker i's first w tasks, so a state's pair combines one prefix pair
-    per worker, and :meth:`first_decodable` updates it in O(1) per event.
+    the number of coded rows received. The public table ``prefix[i][w]`` is
+    that pair for worker i's first w tasks, so a state's pair combines one
+    prefix pair per worker. :meth:`decodable` combines all n of them;
+    callers that move between states one task at a time, such as
+    :meth:`first_decodable` and the threshold search of
+    :mod:`codedmv.oracle`, update the pair in O(1) and pass it to
+    :meth:`count`, falling back to :meth:`decodable` when it returns None.
     Coded rows are stored worker-major, so worker i's first c coded rows
     are ``_start[i]`` .. ``_start[i] + c - 1``. The checker remembers no
     answers: every query is decided afresh.
@@ -297,7 +302,7 @@ class DecodabilityChecker:
         every_block = (1 << p.delta) - 1
         rows = []
         coded_tasks = []
-        self._prefix = []
+        self.prefix = []
         self._start = []
         self.count_complete = True
         for tasks in plan.workers:
@@ -318,14 +323,15 @@ class DecodabilityChecker:
                     rows.append(vec)
                     coded_tasks.append(t)
                 prefix.append((umask, coded))
-            self._prefix.append(prefix)
+            self.prefix.append(prefix)
         self._rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, p.delta), dtype=np.int64)
         self.certified = _cauchy_certified(coded_tasks, p.delta)
         self._count_is_exact = self.certified and self.count_complete
 
-    def _count(self, mask: int, coded: int):
+    def count(self, mask: int, coded: int):
         """Decodability of a state with uncoded mask ``mask`` and ``coded``
-        coded rows when counting settles it, else None."""
+        coded rows when counting settles it, else None; the pair is the
+        state's combined ``prefix`` entries."""
         missing = self.delta - mask.bit_count()
         if coded < missing:
             return False
@@ -335,15 +341,15 @@ class DecodabilityChecker:
 
     def decodable(self, state: StateVector) -> bool:
         mask, coded = 0, 0
-        for prefix, w in zip(self._prefix, state):
+        for prefix, w in zip(self.prefix, state):
             u, c = prefix[w]
             mask |= u
             coded += c
-        counted = self._count(mask, coded)
+        counted = self.count(mask, coded)
         if counted is not None:
             return counted
         row_ids = []
-        for prefix, start, w in zip(self._prefix, self._start, state):
+        for prefix, start, w in zip(self.prefix, self._start, state):
             row_ids.extend(range(start, start + prefix[w][1]))
         cols = [j for j in range(self.delta) if not mask >> j & 1]
         return rank(self._rows[np.ix_(row_ids, cols)]) == len(cols)
@@ -354,10 +360,10 @@ class DecodabilityChecker:
         and state is the state after event j, or after every event.
 
         ``events`` are flat worker-major indices i * ell + k, each worker's
-        in position order. Where :meth:`_count` cannot decide an event's
+        in position order. Where :meth:`count` cannot decide an event's
         state, it is passed to :meth:`decodable`.
         """
-        ell, prefixes, count = self.plan.ell, self._prefix, self._count
+        ell, prefixes, count = self.plan.ell, self.prefix, self.count
         state = [0] * self.plan.n
         mask, coded = 0, 0
         for j, e in enumerate(events):
@@ -446,6 +452,11 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     return DecodabilityChecker(plan).decodable(w)
 
 
+# the keys of a coefficient map, joined by commas: each the decimal of a
+# block as plan_to_dict writes it, so no two keys can name one block
+_BLOCK_KEYS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+
+
 def plan_to_dict(plan: AssignmentPlan) -> dict:
     """Plan as a JSON-ready dict; coefficients become decimal strings."""
     p = plan.params
@@ -475,7 +486,10 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
     """Inverse of :func:`plan_to_dict`.
 
     Nothing is coerced: the ``params`` counts and every ``u`` block must be
-    integers (not bools), and a coefficient a decimal string or an integer.
+    integers (not bools), a coefficient a decimal string or an integer, and
+    a coefficient key the canonical decimal of a block, as
+    :func:`plan_to_dict` writes it (``"1"``, never ``"01"``, ``" 1"`` or
+    ``"+1"``), so no two keys can name one block.
 
     Raises:
         ValueError / KeyError: a wrong value or a missing field.
@@ -491,7 +505,13 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
             if "u" in t:
                 tasks.append(Uncoded(t["u"]))
             elif "c" in t:
-                tasks.append(Coded.from_map({int(b): c for b, c in t["c"].items()}))
+                coeffs = t["c"]
+                if coeffs and not _BLOCK_KEYS.fullmatch(",".join(coeffs)):
+                    raise ValueError(
+                        f"coefficient keys {list(coeffs)} must be block numbers such as "
+                        "'0' or '12', with no sign, space or leading zero"
+                    )
+                tasks.append(Coded.from_map({int(b): c for b, c in coeffs.items()}))
             else:
                 raise ValueError(f"task {t!r} is neither uncoded nor coded")
         workers.append(tuple(tasks))

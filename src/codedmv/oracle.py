@@ -6,13 +6,16 @@ decodability predicate, so they can certify (or refute) every formula at
 desk scale. That predicate counts rows only on plans the checker has
 certified, from the coefficients and supports themselves, to be Cauchy and
 count-complete, exact properties of the plan rather than formulas, and
-ranks over GF(P) otherwise. The threshold search walks only the non-decodable down-set, upward
-from the zero state, and prunes branches that cannot beat the best total
-found; see :func:`brute_force_q`.
+ranks over GF(P) otherwise. The threshold search walks only the
+non-decodable down-set, upward from the zero state, and prunes branches
+that cannot beat the best total found. Each state it visits differs from
+its parent in one worker, so it carries the checker's (uncoded mask, coded
+count) summary down the path and decides a state in O(1) whenever the
+count settles it; see :func:`brute_force_q`.
 
 Budgets are accounted in decodability evaluations, one budget per search.
-Both searches count the evaluations they make and stop once the next would
-exceed the budget, reporting what they certified so far.
+Both searches charge one counter before each evaluation and stop once the
+next would exceed the budget, reporting what they certified so far.
 
 The plan is shared read-only; every search is a pure function of it and
 builds its own checker, which is dropped when the search returns, so no
@@ -71,21 +74,20 @@ class OracleReport:
         }
 
 
-def _counted(plan: AssignmentPlan, budget: int, search: str, so_far: Callable[[], str]):
-    """The plan's decodability predicate, counting its calls against the
-    budget: the call that would exceed it raises BudgetExceededError,
-    whose message names the search and ends with ``so_far()``, what the
-    search has certified up to that point.
+def _counted(budget: int, search: str, so_far: Callable[[], str]) -> Callable[[], None]:
+    """An evaluation counter for one search: each call charges one
+    evaluation, and the call that would exceed the budget raises
+    BudgetExceededError, whose message names the search and ends with
+    ``so_far()``, what the search has certified up to that point.
 
     Raises:
         ValueError: the budget is below 1, before any evaluation.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    decodable = DecodabilityChecker(plan).decodable
     evaluations = 0
 
-    def decide(state: tuple) -> bool:
+    def charge() -> None:
         nonlocal evaluations
         if evaluations >= budget:
             raise BudgetExceededError(
@@ -94,9 +96,8 @@ def _counted(plan: AssignmentPlan, budget: int, search: str, so_far: Callable[[]
                 budget, evaluations,
             )
         evaluations += 1
-        return decodable(state)
 
-    return decide
+    return charge
 
 
 def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
@@ -128,6 +129,15 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
     only states that are decodable (above a decodable state) or that
     cannot exceed the best total.
 
+    Each evaluation is O(1). Every frame on the path carries the checker's
+    (uncoded mask, coded count) summary of its state and of its state
+    without its last nonzero worker k. A child that increments worker j
+    adds worker j's ``prefix`` pair to the second summary when j == k and
+    to the first when j > k (workers after k are still 0), and
+    :meth:`~codedmv.core.DecodabilityChecker.count` decides it; only a
+    state the count cannot settle, on a plan that is not both certified and
+    count-complete, is passed whole to ``decodable``.
+
     Raises:
         BudgetExceededError: the search needs more decodability
             evaluations than the budget; raised mid-search with the
@@ -136,42 +146,55 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
             itself cannot decode.
     """
     n, ell = plan.n, plan.ell
-    decide = _counted(
-        plan, budget, "threshold search",
+    charge = _counted(
+        budget, "threshold search",
         lambda: f"the largest non-decodable total found so far is {best_total}, "
                 f"so Q >= {best_total + 1}",
     )
+    checker = DecodabilityChecker(plan)
+    prefix, count, decodable = checker.prefix, checker.count, checker.decodable
 
     # the zero state holds no rows and delta >= 1, so it never decodes
     state = [0] * n
     best_total, best = 0, tuple(state)
-    if not decide(tuple([ell] * n)):
+    charge()
+    if not decodable(tuple([ell] * n)):
         raise ValueError("plan cannot decode even with every task processed")
 
     # one frame per state on the path from the zero state: [next worker
-    # to increment, total, room], room = sum over j >= that worker of
-    # ell - state[j], so the child that increments it is bounded by
-    # total + room; a loop, as paths of n*ell steps outgrow recursion
-    frames = [[0, 0, n * ell]]
+    # to increment, total, room, base mask, base coded, mask, coded], room
+    # = sum over j >= that worker of ell - state[j], so the child that
+    # increments it is bounded by total + room; (mask, coded) summarises
+    # the state and the base summarises it without its last nonzero
+    # worker; a loop, as paths of n*ell steps outgrow recursion
+    frames = [[0, 0, n * ell, 0, 0, 0, 0]]
     while frames:
         frame = frames[-1]
-        i, total, room = frame
+        i, total, room, base_mask, base_coded, mask, coded = frame
         if i == n or total + room <= best_total:
             frames.pop()  # the bound only shrinks as i grows
             if frames:
                 state[frames[-1][0] - 1] -= 1
             continue
         frame[0], frame[2] = i + 1, room - (ell - state[i])
-        if state[i] == ell:
+        w = state[i]
+        if w == ell:
             continue
-        state[i] += 1
-        child = tuple(state)
-        if decide(child):
-            state[i] -= 1
+        if not w:  # i is past the last nonzero worker
+            base_mask, base_coded = mask, coded
+        u, c = prefix[i][w + 1]
+        mask, coded = base_mask | u, base_coded + c
+        state[i] = w + 1
+        charge()
+        ok = count(mask, coded)
+        if ok is None:
+            ok = decodable(tuple(state))
+        if ok:
+            state[i] = w
             continue
         if total + 1 > best_total:
-            best_total, best = total + 1, child
-        frames.append([i, total + 1, room - 1])
+            best_total, best = total + 1, tuple(state)
+        frames.append([i, total + 1, room - 1, base_mask, base_coded, mask, coded])
     return OracleReport(q_true=best_total + 1, worst_state=best)
 
 
@@ -220,18 +243,21 @@ def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> 
             itself cannot decode.
     """
     n, ell = plan.n, plan.ell
-    decide = _counted(
-        plan, budget, "resilience search",
+    charge = _counted(
+        budget, "resilience search",
         lambda: f"every set of {s - 1} absent workers decodes, so resilience >= {s - 1}",
     )
-    if not decide(tuple([ell] * n)):
+    decodable = DecodabilityChecker(plan).decodable
+    charge()
+    if not decodable(tuple([ell] * n)):
         raise ValueError("plan cannot decode even with every task processed")
     for s in range(1, n + 1):
         for subset in combinations(range(n), s):
             state = [ell] * n
             for i in subset:
                 state[i] = 0
-            if not decide(tuple(state)):
+            charge()
+            if not decodable(tuple(state)):
                 return OracleReport(resilience_true=s - 1, worst_straggler_set=subset)
     # removing all n workers leaves nothing, so the loop always returns
     raise AssertionError("unreachable: s = n never decodes")

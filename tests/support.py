@@ -179,6 +179,22 @@ def perturbed(plan, rng):
     return core.AssignmentPlan(params=plan.params, workers=tuple(map(tuple, workers)))
 
 
+def shrunk_supports(plan, drop, rng):
+    """The plan with each coded entry dropped with probability ``drop``,
+    keeping at least one entry per task; what is left of a Cauchy matrix
+    is still one, but the plan need not stay count-complete."""
+    workers = []
+    for tasks in plan.workers:
+        row = []
+        for t in tasks:
+            if isinstance(t, core.Coded):
+                kept = [e for e in t.coeffs if rng.random() >= drop]
+                t = core.Coded(tuple(kept) or t.coeffs[:1])
+            row.append(t)
+        workers.append(tuple(row))
+    return core.AssignmentPlan(params=plan.params, workers=tuple(workers))
+
+
 def count_evaluations(monkeypatch):
     """Count ``DecodabilityChecker.decodable`` calls from now on."""
     calls = [0]

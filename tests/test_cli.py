@@ -462,6 +462,19 @@ def _add_to_coefficient(delta):
     return edit
 
 
+def _add_coefficient_key(key):
+    def edit(doc):
+        doc["workers"][0][1]["c"][key] = "1"
+    return edit
+
+
+def _rename_coefficient_key(old, new):
+    def edit(doc):
+        coeffs = doc["workers"][0][1]["c"]
+        coeffs[new] = coeffs.pop(old)
+    return edit
+
+
 def _set_param(key, value):
     def edit(doc):
         doc["params"][key] = value
@@ -483,6 +496,11 @@ BAD_PLANS = {
     "n_string": _set_param("n", "3"),
     "coefficient_float": _add_to_coefficient(0.5),
     "coefficient_bool": _set_task(0, 1, {"c": {"1": True, "2": "1"}}),
+    # coefficient keys that are not the canonical decimal of a block
+    "key_01_repeats_block_1": _add_coefficient_key("01"),
+    "key_space": _rename_coefficient_key("2", " 2"),
+    "key_plus": _rename_coefficient_key("1", "+1"),
+    "key_underscore": _rename_coefficient_key("1", "0_1"),
 }
 
 

@@ -15,6 +15,7 @@ from codedmv.core import (
     SystemParams,
     Uncoded,
     is_decodable,
+    plan_from_dict,
     plan_from_json,
     plan_to_dict,
     plan_to_json,
@@ -31,6 +32,7 @@ from support import (
     reference_decodable,
     relabel_blocks,
     scheme_plan_up_to,
+    shrunk_supports,
     singular_plan,
     twin_plan,
     zero_column_plan,
@@ -392,22 +394,6 @@ def test_zero_in_an_unknown_column_is_ranked(monkeypatch):
     agrees_with_reference(plan, every_state(plan))
 
 
-def shrunk_supports(plan, drop, rng):
-    """The plan with each coded entry dropped with probability ``drop``,
-    keeping at least one entry per task; what is left of a Cauchy matrix
-    is still one."""
-    workers = []
-    for tasks in plan.workers:
-        row = []
-        for t in tasks:
-            if isinstance(t, Coded):
-                kept = [e for e in t.coeffs if rng.random() >= drop]
-                t = Coded(tuple(kept) or t.coeffs[:1])
-            row.append(t)
-        workers.append(tuple(row))
-    return AssignmentPlan(params=plan.params, workers=tuple(workers))
-
-
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.3]))
 @settings(max_examples=100, deadline=None)
 def test_count_decides_only_count_complete_plans(seed, drop):
@@ -451,6 +437,19 @@ def test_json_format_contract():
     coded = doc["workers"][0][1]["c"]
     assert set(coded) == {"1", "2"}  # support excludes the worker's own block
     assert all(isinstance(v, str) and v.isdigit() for v in coded.values())
+
+
+@pytest.mark.parametrize("key", ["01", " 2", "2 ", "+1", "1_0", "-1", "1.0", "", "\u0661"])
+def test_plan_from_dict_refuses_non_canonical_block_keys(key):
+    # "01" would name block 1 a second time, and its coefficient would
+    # silently replace the "1" entry's
+    doc = plan_to_dict(FIG2)
+    coeffs = doc["workers"][0][1]["c"]
+    coeffs[key] = "1"
+    with pytest.raises(ValueError, match="coefficient key"):
+        plan_from_dict(doc)
+    del coeffs[key]
+    assert plan_from_dict(doc) == FIG2
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedmv import core
 from codedmv.core import AssignmentPlan, Placement, Uncoded, is_decodable
@@ -17,9 +19,17 @@ from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 from support import (
     count_evaluations,
     min_uncoded_coverage,
+    perturbed,
     random_scheme_plan,
     random_uncoded_plan,
+    rank_decodable,
     reference_q,
+    relabel_blocks,
+    scheme_plan_up_to,
+    shrunk_supports,
+    singular_plan,
+    twin_plan,
+    zero_column_plan,
 )
 
 
@@ -70,15 +80,24 @@ def test_threshold_budget_refusal():
     assert 1 <= q_lower <= 10
 
 
-def test_threshold_budget_counts_exact_work(monkeypatch):
-    plan = cyclic_coded(5, 2, 1, Placement.CODED_TOP)
-    calls = count_evaluations(monkeypatch)
+def assert_evaluations(plan, used):
+    """The threshold search makes exactly ``used`` evaluations: a budget of
+    ``used`` lets it finish, and one less stops it after ``used - 1``."""
     rep = brute_force_q(plan)
-    used = calls[0]
     assert brute_force_q(plan, budget=used) == rep
     with pytest.raises(BudgetExceededError) as err:
         brute_force_q(plan, budget=used - 1)
     assert err.value.evaluations == used - 1
+    return rep
+
+
+def test_threshold_budget_counts_exact_work():
+    # the counts the search made when it called the checker's full
+    # decodability test on every state, pinned so that deciding a state
+    # from its parent's summary neither skips nor adds an evaluation
+    assert_evaluations(cyclic_coded(5, 2, 1, Placement.CODED_TOP), 187)
+    assert_evaluations(cyclic_coded(7, 2, 2, Placement.CODED_TOP), 2_865)
+    assert_evaluations(cyclic_coded(10, 2, 1, Placement.CODED_BOTTOM), 44_292)
 
 
 def test_resilience_budget_counts_exact_work(monkeypatch):
@@ -101,11 +120,9 @@ def test_threshold_certifies_beyond_lattice_budget():
     assert rep.worst_state == (4, 3, 0, 0, 0, 0, 0)
 
 
-def test_threshold_pruning_bound_keeps_high_q_search_small(monkeypatch):
+def test_threshold_pruning_bound_keeps_high_q_search_small():
     # 9,892 evaluations with the bound, 2,852,580 without it
-    calls = count_evaluations(monkeypatch)
-    assert brute_force_q(cyclic_uncoded(11, 3)).q_true == 28
-    assert calls[0] < 100_000
+    assert assert_evaluations(cyclic_uncoded(11, 3), 9_892).q_true == 28
 
 
 def test_threshold_search_follows_paths_past_the_recursion_limit():
@@ -143,6 +160,105 @@ def test_threshold_matches_reference_scan_random():
         plans.append(random_uncoded_plan(n, ell, rng))
     for plan in plans:
         assert brute_force_q(plan) == reference_q(plan), plan.params
+
+
+def scannable_plan(rng, make, lattice=2_200):
+    """``make(rng)`` redrawn until its lattice has at most ``lattice``
+    states, few enough for the reference scan to rank."""
+    while True:
+        plan = make(rng)
+        if (plan.ell + 1) ** plan.n <= lattice:
+            return plan
+
+
+def coded_top_up_to(n_max, rng):
+    n = int(rng.integers(3, n_max + 1))
+    r_u = int(rng.integers(1, min(n - 1, 3) + 1))
+    ell_c = int(rng.integers(1, min(n - r_u, 2) + 1))
+    return cyclic_coded(n, r_u, ell_c, Placement.CODED_TOP)
+
+
+def assert_matches_rank_only_scan(plan):
+    if rank_decodable(plan)(tuple([plan.ell] * plan.n)):
+        assert brute_force_q(plan) == reference_q(plan), plan.params
+    else:
+        with pytest.raises(ValueError, match="cannot decode even with every task"):
+            brute_force_q(plan)
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["designed", "relabelled", "perturbed", "shrunk"]))
+@settings(max_examples=60, deadline=None)
+def test_threshold_matches_rank_only_scan_up_to_n10(seed, variant):
+    # the search decides most states from its parent's summary and the
+    # count; the reference ranks every state it scans, with no certificate.
+    # "perturbed" plans lose the certificate and "shrunk" ones stay
+    # certified but need not be count-complete, so both reach the fallback
+    rng = np.random.default_rng(seed)
+    if variant == "perturbed":
+        plan = perturbed(scannable_plan(rng, lambda r: coded_top_up_to(10, r)), rng)
+    else:
+        plan = scannable_plan(rng, lambda r: scheme_plan_up_to(10, r))
+    if variant != "designed":
+        plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    if variant == "shrunk":
+        plan = shrunk_supports(plan, 0.3, rng)
+    assert_matches_rank_only_scan(plan)
+
+
+def record_decodable(monkeypatch):
+    """The states passed to ``DecodabilityChecker.decodable`` from now on."""
+    states = []
+    decodable = core.DecodabilityChecker.decodable
+
+    def recorded(self, state):
+        states.append(state)
+        return decodable(self, state)
+
+    monkeypatch.setattr(core.DecodabilityChecker, "decodable", recorded)
+    return states
+
+
+@pytest.mark.parametrize("make", [
+    singular_plan, lambda: twin_plan("row"), lambda: twin_plan("column"), zero_column_plan,
+], ids=["singular", "twin-row", "twin-column", "zero-column"])
+def test_threshold_matches_rank_only_scan_on_hand_plans(make):
+    # the column twins have rank 1 even when every task is processed
+    assert_matches_rank_only_scan(make())
+
+
+@pytest.mark.parametrize("make", [
+    singular_plan, lambda: twin_plan("row"), zero_column_plan,
+    lambda: perturbed(cyclic_coded(5, 2, 1, Placement.CODED_TOP), np.random.default_rng(3)),
+], ids=["singular", "twin-row", "zero-column", "perturbed"])
+def test_threshold_falls_back_to_decodable_where_the_count_cannot_decide(monkeypatch, make):
+    plan = make()
+    checker = core.DecodabilityChecker(plan)
+    assert not (checker.certified and checker.count_complete)
+    states = record_decodable(monkeypatch)
+    rep = brute_force_q(plan)
+    assert states[0] == tuple([plan.ell] * plan.n)
+    assert len(states) > 1  # the full state, then at least one the count left open
+    assert rep == reference_q(plan)
+
+
+def test_threshold_on_scheme_plans_calls_decodable_only_for_the_full_state(monkeypatch):
+    # certified, count-complete plans: the count decides every state the
+    # search visits, designed or relabelled
+    rng = np.random.default_rng(4)
+    plans = [cyclic_uncoded(n, r) for n in range(2, 9) for r in range(1, min(n, 3) + 1)]
+    for n in range(3, 9):
+        for r_u in range(0, min(n - 1, 3) + 1):
+            for ell_c in range(1, min(n - r_u, 2) + 1):
+                plans += [cyclic_coded(n, r_u, ell_c, placement)
+                          for placement in (Placement.CODED_BOTTOM, Placement.CODED_TOP)]
+        plans += [mds_plan(n, ell, delta) for ell in (1, 2) for delta in (ell, n, n * ell)]
+    plans += [relabel_blocks(plan, rng.permutation(plan.params.delta)) for plan in plans]
+    states = record_decodable(monkeypatch)
+    for plan in plans:
+        states.clear()
+        brute_force_q(plan)
+        assert states == [tuple([plan.ell] * plan.n)], plan.params
 
 
 def test_threshold_rejects_hopeless_plan():

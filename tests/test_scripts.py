@@ -18,6 +18,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
      "plan_id,trials,mean_finish,median_finish,p95_finish,failure_rate"),
     ("sparsity_penalty.py", ["--trials", "20", "--nnz", "1", "2"],
      "nnz_per_block,mds_mean,coded_bottom_mean,ratio"),
+    ("threshold_sweep.py", ["--n-max", "6"], "family,n,q_true,q_lower,resilience"),
 ])
 def test_script_runs_and_prints_csv_header(script, args, header):
     proc = run_python([str(SCRIPTS / script), *args])
