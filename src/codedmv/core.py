@@ -15,9 +15,11 @@ Conventions:
     A_1 .. A_Delta;
   * coded coefficients are canonical residues in [1, P);
   * all types are immutable values after construction and safe to share
-    across threads; ``is_decodable`` and ``DecodabilityChecker.decodable``
-    are pure functions of (plan, state) and keep no memo, so callers may
-    parallelize over states freely.
+    across threads. A plan builds its :class:`DecodabilityChecker` at the
+    first use of ``plan.checker`` and keeps it; the checker holds only
+    tables of the plan and remembers no answers, so ``is_decodable`` and
+    ``DecodabilityChecker.decodable`` are pure functions of (plan, state)
+    and callers may parallelize over states freely.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .field import P, inv, rank
+from .field import P, inv, rank, real_coefficient
 
 StateVector = tuple  # per-worker processed-task counts, length n
 
@@ -172,6 +175,12 @@ class AssignmentPlan:
     def ell(self) -> int:
         return self.params.ell
 
+    @cached_property
+    def checker(self) -> "DecodabilityChecker":
+        """The plan's :class:`DecodabilityChecker`, built at the first access
+        and kept with the plan; equality and hashing ignore it."""
+        return DecodabilityChecker(self)
+
 
 def _block_label(b: int) -> str:
     return f"A_{b + 1}"
@@ -292,23 +301,29 @@ class DecodabilityChecker:
     :meth:`count`, falling back to :meth:`decodable` when it returns None.
     Coded rows are stored worker-major, so worker i's first c coded rows
     are ``_start[i]`` .. ``_start[i] + c - 1``. The checker remembers no
-    answers: every query is decided afresh.
+    answers: every query is decided afresh. Its tables are tuples or
+    arrays that no method writes to, so one checker, ``plan.checker``,
+    serves every caller of a plan; :attr:`decode_tables` is built at the
+    first numeric decode.
     """
 
     def __init__(self, plan: AssignmentPlan):
         p = plan.params
-        self.plan = plan
-        self.delta = p.delta
+        # the plan's parts, not the plan: plan.checker refers to the
+        # checker, and a cycle would keep both alive after the last
+        # reference to the plan, until the cycle collector runs
+        self.n, self.ell, self.delta = p.n, p.ell, p.delta
+        self._workers = plan.workers
         every_block = (1 << p.delta) - 1
         rows = []
         coded_tasks = []
-        self.prefix = []
-        self._start = []
+        prefixes = []
+        starts = []
         self.count_complete = True
         for tasks in plan.workers:
             umask, coded = 0, 0
             prefix = [(umask, coded)]
-            self._start.append(len(rows))
+            starts.append(len(rows))
             for t in tasks:
                 if isinstance(t, Uncoded):
                     umask |= 1 << t.block
@@ -323,10 +338,36 @@ class DecodabilityChecker:
                     rows.append(vec)
                     coded_tasks.append(t)
                 prefix.append((umask, coded))
-            self.prefix.append(prefix)
+            prefixes.append(tuple(prefix))
+        self.prefix = tuple(prefixes)
+        self._start = tuple(starts)
         self._rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, p.delta), dtype=np.int64)
         self.certified = _cauchy_certified(coded_tasks, p.delta)
         self._count_is_exact = self.certified and self.count_complete
+
+    @cached_property
+    def decode_tables(self) -> tuple:
+        """(blocks, field, real, support), one entry or row per task, task
+        i * ell + k being worker i's position k. ``blocks`` lists each
+        uncoded task's block and -1 for a coded one. ``field`` is the
+        (n * ell, delta) int64 array of the coded coefficients and ``real``
+        that of their :func:`~codedmv.field.real_coefficient` images, both
+        0 off the support and on uncoded tasks; ``support`` is the
+        boolean mask of the coded supports."""
+        n, ell, delta = self.n, self.ell, self.delta
+        blocks = [-1] * (n * ell)
+        field = np.zeros((n, ell, delta), dtype=np.int64)
+        real = np.zeros((n, ell, delta))
+        for i, tasks in enumerate(self._workers):
+            for k, t in enumerate(tasks):
+                if isinstance(t, Uncoded):
+                    blocks[i * ell + k] = t.block
+                else:
+                    for b, c in t.coeffs:
+                        field[i, k, b] = c % P
+                        real[i, k, b] = real_coefficient(c)
+        field = field.reshape(n * ell, delta)
+        return blocks, field, real.reshape(n * ell, delta), field != 0
 
     def count(self, mask: int, coded: int):
         """Decodability of a state with uncoded mask ``mask`` and ``coded``
@@ -363,8 +404,8 @@ class DecodabilityChecker:
         in position order. Where :meth:`count` cannot decide an event's
         state, it is passed to :meth:`decodable`.
         """
-        ell, prefixes, count = self.plan.ell, self.prefix, self.count
-        state = [0] * self.plan.n
+        ell, prefixes, count = self.ell, self.prefix, self.count
+        state = [0] * self.n
         mask, coded = 0, 0
         for j, e in enumerate(events):
             i, k = divmod(e, ell)
@@ -444,12 +485,12 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     smaller of the two counts, so no elimination runs; see
     :class:`DecodabilityChecker`.
 
-    Each call builds a fresh :class:`DecodabilityChecker`, certificate
-    included; for many queries on one plan, build one checker and call its
-    ``decodable`` instead.
+    The query goes to the plan's memoised checker, ``plan.checker``: its
+    certificate and tables are built at the plan's first query, and every
+    answer is decided afresh.
     """
     w = check_state(plan, state)
-    return DecodabilityChecker(plan).decodable(w)
+    return plan.checker.decodable(w)
 
 
 # the keys of a coefficient map, joined by commas: each the decimal of a

@@ -18,9 +18,9 @@ Both searches charge one counter before each evaluation and stop once the
 next would exceed the budget, reporting what they certified so far.
 
 The plan is shared read-only; every search is a pure function of it and
-builds its own checker, which is dropped when the search returns, so no
-state outlives a call and callers may parallelize over disjoint parameter
-ranges freely.
+reads the plan's memoised checker, ``plan.checker``, which holds tables of
+the plan and no answers, so no search state outlives a call and callers
+may parallelize over disjoint parameter ranges freely.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .core import (
-    AssignmentPlan,
-    DecodabilityChecker,
-    Placement,
-    Uncoded,
-)
+from .core import AssignmentPlan, Placement, Uncoded
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -151,7 +146,7 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
         lambda: f"the largest non-decodable total found so far is {best_total}, "
                 f"so Q >= {best_total + 1}",
     )
-    checker = DecodabilityChecker(plan)
+    checker = plan.checker
     prefix, count, decodable = checker.prefix, checker.count, checker.decodable
 
     # the zero state holds no rows and delta >= 1, so it never decodes
@@ -247,7 +242,7 @@ def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> 
         budget, "resilience search",
         lambda: f"every set of {s - 1} absent workers decodes, so resilience >= {s - 1}",
     )
-    decodable = DecodabilityChecker(plan).decodable
+    decodable = plan.checker.decodable
     charge()
     if not decodable(tuple([ell] * n)):
         raise ValueError("plan cannot decode even with every task processed")

@@ -23,14 +23,19 @@ The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
 coefficients produced by the Cauchy construction d is exactly x_i - y_j,
 so the real and field matrices share the same parameters and the same
-generic rank profile. Decode chooses its rows exactly: one GF(P)
-elimination over the received coded rows both decides whether they
-determine every unknown block and picks the first independent rows in
-arrival order. The real square system
-on those rows is solved only when its condition number is at most 1e12;
-above that the decode is refused as numerically unsafe (DecodeFailure).
-Below that bound no residual is checked, so the error of a returned vector
-grows with the condition number.
+generic rank profile. Decode solves from the first received coded rows
+that are independent over GF(P) on the unknown blocks, in arrival order.
+The plan's checker builds the real coefficients, supports and uncoded
+blocks of every task once, at the plan's first decode, so a decode does
+only the work that depends on what was received. When the plan is
+Cauchy-certified and the first rows, as many as there are unknown blocks,
+each hold every unknown block, the certificate says they are independent
+and decode takes them as they are; otherwise one GF(P) elimination both
+decides whether the rows determine every unknown block and picks them.
+The real square system on those rows is solved only when its condition
+number is at most 1e12; above that the decode is refused as numerically
+unsafe (DecodeFailure). Below that bound no residual is checked, so the
+error of a returned vector grows with the condition number.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .core import AssignmentPlan, DecodabilityChecker, Uncoded
-from .field import P, pivots
+from .field import pivots
 
 
 class NotDecodableError(ValueError):
@@ -333,8 +338,8 @@ def run_experiment(
     seed, then each plan runs the batch (see :func:`_trials`). A trial's
     row goes straight to its plan-major place in the result as soon as it
     is walked, so only one batch of durations and completion times is
-    alive at a time. Each plan gets one checker, shared by its trials; it
-    remembers no answers.
+    alive at a time. Each plan's trials share its memoised checker,
+    ``plan.checker``, which remembers no answers.
 
     Raises:
         ValueError: trials < 1; plan_ids that do not match plans, or that
@@ -355,7 +360,7 @@ def run_experiment(
         if pid in plan_ids[:i]:
             raise ValueError(f"plan id {pid!r} is repeated")
     seeds = [trial_seed(seed, t) for t in range(trials)]
-    checkers = [DecodabilityChecker(plan) for plan in plans]
+    checkers = [plan.checker for plan in plans]
     weights = [task_weights(plan, cost) for plan in plans]
     rows = [None] * (len(plans) * trials)
     for lo in range(0, trials, _BATCH):
@@ -428,14 +433,39 @@ def split_matrix(rows: int, delta: int):
     return out
 
 
-def real_coefficient(c: int) -> float:
-    """Real image of a field coefficient: 1 / d for d = c^-1 mod P.
+def _task_rows(plan: AssignmentPlan, pairs) -> list:
+    """Row i * ell + k of the plan's decode tables for each (worker i,
+    position k) pair.
 
-    Cauchy-built coefficients are stored as (x_i - y_j)^-1 with
-    0 < x_i - y_j < P, so d recovers the original integer difference and
-    the real matrix is the Cauchy matrix over the same parameters.
+    Raises:
+        ValueError: a pair lies outside the plan.
     """
-    return 1.0 / pow(c % P, -1, P)
+    n, ell = plan.n, plan.ell
+    out = []
+    for i, k in pairs:
+        if not 0 <= i < n or not 0 <= k < ell:
+            raise ValueError(f"received task ({i}, {k}) outside the plan")
+        out.append(i * ell + k)
+    return out
+
+
+def _solve_rows(checker: DecodabilityChecker, rows: list, unknown: list) -> list:
+    """Positions in ``rows`` of the coded rows the master solves from: the
+    first rows, in order, whose restrictions to the ``unknown`` blocks are
+    independent over GF(P), as :func:`~codedmv.field.pivots` finds them.
+    ``rows`` lists distinct tasks by their decode-table row.
+
+    On a certified plan whose first len(unknown) rows each hold every
+    unknown block, those rows are the answer without elimination: they
+    share a block, so they lie in one Cauchy component, and restricted to
+    the unknown blocks they form a square submatrix of it, which is
+    nonsingular. Every other case runs ``pivots``.
+    """
+    _, field, _, support = checker.decode_tables
+    u = len(unknown)
+    if checker.certified and len(rows) >= u and support[rows[:u]][:, unknown].all():
+        return list(range(u))
+    return pivots(field[rows][:, unknown].T)
 
 
 def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarray:
@@ -445,61 +475,69 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
     plan's coefficients and the received vectors are the only inputs; the
     matrix itself is never touched here.
 
-    Received uncoded products fill the table of known blocks verbatim
-    (duplicates must agree bitwise). The unknown blocks are solved from a
-    square system: its rows are the first received coded rows that are
-    independent over GF(P) when restricted to the unknown blocks, in
-    arrival order, each with the known blocks' terms subtracted from its
-    right-hand side. The solution completes the table, and the result is
-    its blocks in order, each cut to its height.
+    Received uncoded products fill the table of known blocks verbatim, and
+    a coded task counts once, at its first occurrence; duplicates of either
+    must agree. The unknown blocks are solved from a square system: its
+    rows are the first received coded rows that are independent over GF(P)
+    when restricted to the unknown blocks, in arrival order (see
+    :func:`_solve_rows`), each with the known blocks' terms subtracted from
+    its right-hand side block by block, in block order. The solution
+    completes the table, and the result is its blocks in order, each cut
+    to its height.
 
     Raises:
         NotDecodableError: the equation set has rank below delta.
         DecodeFailure: the chosen real system has condition number above
             1e12 (or not finite).
-        ValueError: duplicated uncoded products disagree.
+        ValueError: a task lies outside the plan, or duplicated products
+            disagree.
     """
     delta = plan.params.delta
     ranges = split_matrix(nrows, delta)
+    checker = plan.checker
+    blocks, _, real, support = checker.decode_tables
+    received = list(received)
     known = {}
-    coded = []
-    for i, k, vec in received:
-        t = plan.workers[i][k]
+    coded = {}
+    for j, (i, k, vec) in zip(_task_rows(plan, [(i, k) for i, k, _ in received]), received):
         vec = np.asarray(vec, dtype=float)
-        if isinstance(t, Uncoded):
-            prev = known.get(t.block)
+        b = blocks[j]
+        if b >= 0:
+            prev = known.get(b)
             if prev is not None and not np.array_equal(prev, vec):
-                raise ValueError(
-                    f"inconsistent duplicate products for block A_{t.block + 1}"
-                )
-            known[t.block] = vec
-        else:
-            coded.append((t.coeff_map(), vec))
+                raise ValueError(f"inconsistent duplicate products for block A_{b + 1}")
+            known[b] = vec
+        elif j not in coded:
+            coded[j] = vec
+        elif not np.array_equal(coded[j], vec):
+            raise ValueError(
+                f"inconsistent duplicate products for the coded task at "
+                f"worker {i + 1}, position {k + 1}"
+            )
     unknown = [b for b in range(delta) if b not in known]
     if unknown:
         u = len(unknown)
-        # coded rows restricted to the unknown blocks, as the checker's rank
-        # path sees them
-        field_rows = np.array(
-            [[cm.get(b, 0) for b in unknown] for cm, _ in coded], dtype=np.int64
-        ).reshape(len(coded), u)
-        sel = pivots(field_rows.T)
+        rows = list(coded)
+        sel = [rows[r] for r in _solve_rows(checker, rows, unknown)]
         if len(sel) < u:
             raise NotDecodableError(
                 "received equations do not determine every block product"
             )
-        square = np.zeros((u, u))
-        rhs = np.zeros((u, len(ranges[0])))  # the first block is the tallest
-        for r, ridx in enumerate(sel):
-            cm, vec = coded[ridx]
-            rhs[r] = vec
-            for b, c in cm.items():
-                if b in known:
-                    p = known[b]
-                    rhs[r, : len(p)] -= real_coefficient(c) * p
-            for j, b in enumerate(unknown):
-                if b in cm:
-                    square[r, j] = real_coefficient(cm[b])
+        coeffs = real[sel]
+        square = coeffs[:, unknown]
+        products = np.zeros((delta, len(ranges[0])))  # the first block is the tallest
+        for b, p in known.items():
+            products[b, : len(p)] = p
+        # one running sum per row: its received vector, then -(c_b * A_b x)
+        # for b = 0 .. delta - 1. x + -y is x - y bit for bit, and a block
+        # that is unknown or off the row's support gives -0.0, which adds
+        # nothing to any x, so the sum subtracts the known blocks' terms in
+        # block order, as a loop over them would
+        terms = np.zeros((u, delta + 1, products.shape[1]))
+        terms[:, 0] = [coded[j] for j in sel]
+        np.multiply(coeffs[:, :, None], products, out=terms[:, 1:], where=support[sel][:, :, None])
+        np.negative(terms[:, 1:], out=terms[:, 1:])
+        rhs = np.add.accumulate(terms, axis=1)[:, -1]
         cond = float(np.linalg.cond(square))
         if not cond <= 1e12:
             raise DecodeFailure(cond)
@@ -513,7 +551,10 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
     A @ x from those vectors alone.
 
     ``received`` is an iterable of (worker, position) pairs; a repeated
-    pair counts once, at its first occurrence.
+    pair counts once, at its first occurrence. The coded vectors come from
+    one running sum per task over the blocks in order, starting at 0:
+    ``np.add.accumulate`` adds in that order, where ``np.add.reduce`` may
+    pair the terms up.
 
     Raises:
         ValueError: ``A`` is not 2-D, or a pair lies outside the plan.
@@ -523,19 +564,22 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
     x = np.asarray(x, dtype=float)
-    prods = [A[r.start : r.stop] @ x for r in split_matrix(A.shape[0], plan.params.delta)]
-    vecs = []
-    for i, k in dict.fromkeys((i, k) for i, k in received):
-        if not 0 <= i < plan.n or not 0 <= k < plan.ell:
-            raise ValueError(f"received task ({i}, {k}) outside the plan")
-        t = plan.workers[i][k]
-        if isinstance(t, Uncoded):
-            vec = prods[t.block]
-        else:
-            vec = np.zeros(len(prods[0]))  # the first block is the tallest
-            for b, c in t.coeffs:
-                vec[: len(prods[b])] += real_coefficient(c) * prods[b]
-        vecs.append((i, k, vec))
+    ranges = split_matrix(A.shape[0], plan.params.delta)
+    prods = [A[r.start : r.stop] @ x for r in ranges]
+    # block b's product in row b, 0 below its height
+    padded = np.zeros((len(prods), len(prods[0])))  # the first block is the tallest
+    for b, prod in enumerate(prods):
+        padded[b, : len(prod)] = prod
+    pairs = list(dict.fromkeys((i, k) for i, k in received))
+    rows = _task_rows(plan, pairs)
+    blocks, _, real, support = plan.checker.decode_tables
+    coded = [j for j in rows if blocks[j] < 0]
+    # terms[t, 1 + b] = c_b * A_b x on task t's support and 0 elsewhere;
+    # ``where`` never forms 0 * A_b x, which is nan for an infinite product
+    terms = np.zeros((len(coded), len(prods) + 1, padded.shape[1]))
+    np.multiply(real[coded, :, None], padded, out=terms[:, 1:], where=support[coded, :, None])
+    sums = dict(zip(coded, np.add.accumulate(terms, axis=1)[:, -1]))
+    vecs = [(i, k, prods[blocks[j]] if blocks[j] >= 0 else sums[j]) for (i, k), j in zip(pairs, rows)]
     return decode_from_products(plan, A.shape[0], vecs)
 
 

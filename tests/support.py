@@ -13,7 +13,7 @@ import numpy as np
 
 import codedmv
 from codedmv import core, oracle, schemes, sim
-from codedmv.field import P, rank
+from codedmv.field import P, pivots, rank, real_coefficient
 
 
 def random_uncoded_plan(n, ell, rng):
@@ -418,3 +418,81 @@ def reference_decodable(delta, known, coded):
         return True
     rows = [[t.coeff_map().get(b, 0) for b in unknown] for t in coded]
     return reference_rank(rows) == len(unknown)
+
+
+def reference_decode(plan, A, x, received):
+    """``sim.numeric_decode`` as per-coefficient Python loops: each coded
+    vector is built one coefficient at a time and handed, with the uncoded
+    products, to :func:`reference_decode_from_products`."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
+    x = np.asarray(x, dtype=float)
+    prods = [A[r.start : r.stop] @ x for r in sim.split_matrix(A.shape[0], plan.params.delta)]
+    vecs = []
+    for i, k in dict.fromkeys((i, k) for i, k in received):
+        if not 0 <= i < plan.n or not 0 <= k < plan.ell:
+            raise ValueError(f"received task ({i}, {k}) outside the plan")
+        t = plan.workers[i][k]
+        if isinstance(t, core.Uncoded):
+            vec = prods[t.block]
+        else:
+            vec = np.zeros(len(prods[0]))
+            for b, c in t.coeffs:
+                vec[: len(prods[b])] += real_coefficient(c) * prods[b]
+        vecs.append((i, k, vec))
+    return reference_decode_from_products(plan, A.shape[0], vecs)
+
+
+def reference_decode_from_products(plan, nrows, received):
+    """``sim.decode_from_products`` for distinct coded tasks, as
+    per-coefficient Python loops: ``field.pivots`` picks the rows in every
+    case, and each right-hand side subtracts one known block at a time."""
+    ranges = sim.split_matrix(nrows, plan.params.delta)
+    known, coded = {}, []
+    for i, k, vec in received:
+        t = plan.workers[i][k]
+        vec = np.asarray(vec, dtype=float)
+        if isinstance(t, core.Uncoded):
+            prev = known.get(t.block)
+            if prev is not None and not np.array_equal(prev, vec):
+                raise ValueError(f"inconsistent duplicate products for block A_{t.block + 1}")
+            known[t.block] = vec
+        else:
+            coded.append((t.coeff_map(), vec))
+    unknown = [b for b in range(plan.params.delta) if b not in known]
+    if unknown:
+        u = len(unknown)
+        field_rows = np.array(
+            [[cm.get(b, 0) for b in unknown] for cm, _ in coded], dtype=np.int64
+        ).reshape(len(coded), u)
+        sel = pivots(field_rows.T)
+        if len(sel) < u:
+            raise sim.NotDecodableError(
+                "received equations do not determine every block product"
+            )
+        square = np.zeros((u, u))
+        rhs = np.zeros((u, len(ranges[0])))
+        for r, ridx in enumerate(sel):
+            cm, vec = coded[ridx]
+            rhs[r] = vec
+            for b, c in cm.items():
+                if b in known:
+                    p = known[b]
+                    rhs[r, : len(p)] -= real_coefficient(c) * p
+            for j, b in enumerate(unknown):
+                if b in cm:
+                    square[r, j] = real_coefficient(cm[b])
+        cond = float(np.linalg.cond(square))
+        if not cond <= 1e12:
+            raise sim.DecodeFailure(cond)
+        known.update(zip(unknown, np.linalg.solve(square, rhs)))
+    return np.concatenate([known[b][: len(r)] for b, r in enumerate(ranges)])
+
+
+def decode_outcome(decode, *args):
+    """A decode's result as bytes, or the type and text of what it raised."""
+    try:
+        return decode(*args).tobytes()
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)

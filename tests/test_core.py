@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -458,3 +460,17 @@ def test_json_round_trip_random(seed):
     rng = np.random.default_rng(seed)
     plan = random_scheme_plan(rng)
     assert plan_from_json(plan_to_json(plan)) == plan
+
+
+def test_a_plan_frees_its_memoised_checker_without_the_cycle_collector():
+    # the checker keeps the plan's parts, not the plan, so dropping the
+    # last reference frees both at once
+    plan = schemes.cyclic_coded(5, 2, 1, core.Placement.CODED_TOP)
+    assert plan.checker.decode_tables  # the memo and its lazily built tables
+    gone = weakref.ref(plan)
+    gc.disable()
+    try:
+        del plan
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -15,6 +15,7 @@ from codedmv.oracle import (
     analyze,
 )
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
+from codedmv.sim import ShiftedExponential, Uniform, run_experiment
 
 from support import (
     count_evaluations,
@@ -430,3 +431,22 @@ def test_analyze_merges_reports():
     assert doc["q_true"] == 10
     assert isinstance(doc["worst_state"], list)
     assert isinstance(doc["worst_straggler_set"], list)
+
+
+def test_every_search_and_query_shares_the_plans_one_checker(monkeypatch):
+    built = []
+    init = core.DecodabilityChecker.__init__
+
+    def counted(self, plan):
+        built.append(plan)
+        init(self, plan)
+
+    monkeypatch.setattr(core.DecodabilityChecker, "__init__", counted)
+    plan = cyclic_coded(5, 2, 1, Placement.CODED_TOP)
+    report = analyze(plan)
+    assert is_decodable(plan, report.worst_state) is False
+    run_experiment([plan], ShiftedExponential(), Uniform(), 3, seed=0)
+    assert built == [plan] and plan.checker is plan.checker
+    # the memo is not part of the value
+    twin = cyclic_coded(5, 2, 1, Placement.CODED_TOP)
+    assert twin == plan and hash(twin) == hash(plan)

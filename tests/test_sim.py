@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from codedmv import core, oracle, sim
 from codedmv.core import Placement, is_decodable
+from codedmv.field import pivots, real_coefficient
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 from codedmv.sim import (
     DecodeFailure,
@@ -20,7 +21,6 @@ from codedmv.sim import (
     decode_from_products,
     numeric_decode,
     raw_durations,
-    real_coefficient,
     run_experiment,
     rows_to_csv,
     split_matrix,
@@ -32,11 +32,14 @@ from codedmv.sim import (
 from support import (
     arrival_events,
     count_evaluations,
+    decode_outcome,
     perturbed,
     prefix_equations,
     random_scheme_plan,
     random_state,
     reference_decodable,
+    reference_decode,
+    reference_decode_from_products,
     reference_trial,
     relabel_blocks,
     scheme_plan_up_to,
@@ -557,6 +560,19 @@ def test_decode_flags_inconsistent_duplicates():
         decode_from_products(plan, 6, received)
 
 
+def test_decode_flags_inconsistent_coded_duplicates():
+    # worker 1's coded task (position 2) arrives twice: an agreeing copy
+    # counts once, a disagreeing one is refused rather than dropped
+    plan = cyclic_coded(3, 1, 1, Placement.CODED_BOTTOM)
+    rng = np.random.default_rng(6)
+    received = [(i, 1, rng.standard_normal(2)) for i in range(3)]
+    once = decode_from_products(plan, 6, received)
+    again = received + [(0, 1, received[0][2].copy())]
+    assert decode_from_products(plan, 6, again).tobytes() == once.tobytes()
+    with pytest.raises(ValueError, match="worker 1, position 2"):
+        decode_from_products(plan, 6, received + [(0, 1, received[0][2] + 1.0)])
+
+
 def test_decode_agrees_with_field_predicate():
     rng = np.random.default_rng(4)
     agree_true = agree_false = 0
@@ -655,3 +671,176 @@ def test_task_products_shapes(monkeypatch):
         else:
             assert vec.shape == (hmax,)
     assert kinds == {core.Uncoded, core.Coded}
+
+
+# ---------------------------------------------------------------------------
+# row choice and bit-identity of the table-driven decode
+
+
+def received_rows(plan, received):
+    """(rows, unknown) as ``decode_from_products`` sees a received pair
+    list: the distinct coded tasks' decode-table rows in arrival order and
+    the blocks no received uncoded task holds."""
+    known, rows = set(), []
+    for i, k in received:
+        t = plan.workers[i][k]
+        if isinstance(t, core.Uncoded):
+            known.add(t.block)
+        elif i * plan.ell + k not in rows:
+            rows.append(i * plan.ell + k)
+    return rows, [b for b in range(plan.params.delta) if b not in known]
+
+
+def pivot_rows(plan, rows, unknown):
+    """The rows ``field.pivots`` picks, from the plan's coefficient maps."""
+    maps = [plan.workers[j // plan.ell][j % plan.ell].coeff_map() for j in rows]
+    field = np.array([[cm.get(b, 0) for b in unknown] for cm in maps], dtype=np.int64)
+    return pivots(field.reshape(len(rows), len(unknown)).T)
+
+
+def random_pairs(plan, rng):
+    """Random (worker, position) pairs in random order, repeats included,
+    so the received set is rarely a prefix state."""
+    size = int(rng.integers(0, 2 * plan.n * plan.ell + 1))
+    return [(int(rng.integers(0, plan.n)), int(rng.integers(0, plan.ell))) for _ in range(size)]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_row_choice_equals_pivots_on_scheme_plans(seed):
+    rng = np.random.default_rng(seed)
+    plan = random_scheme_plan(rng)
+    if rng.random() < 0.5:
+        plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    rows, unknown = received_rows(plan, random_pairs(plan, rng))
+    assert sim._solve_rows(plan.checker, rows, unknown) == pivot_rows(plan, rows, unknown)
+
+
+@pytest.mark.parametrize("make", [
+    zero_column_plan, singular_plan, lambda: twin_plan("row"), lambda: twin_plan("column"),
+], ids=["zero-column", "singular", "row-twin", "column-twin"])
+def test_row_choice_equals_pivots_where_the_certificate_cannot_pick(make, monkeypatch):
+    # the zero-column plan is certified but not count-complete: a received
+    # coded row can miss an unknown block; the others are not certified.
+    # Every ordered received set of up to four of the plan's tasks
+    plan = make()
+    calls = [0]
+
+    def counted(mat):
+        calls[0] += 1
+        return pivots(mat)
+
+    monkeypatch.setattr(sim, "pivots", counted)
+    pairs = [(i, k) for i in range(plan.n) for k in range(plan.ell)]
+    for size in range(5):
+        for picked in combinations(pairs, size):
+            for received in (picked, picked[::-1]):
+                rows, unknown = received_rows(plan, received)
+                got = sim._solve_rows(plan.checker, rows, unknown)
+                assert got == pivot_rows(plan, rows, unknown)
+    assert calls[0] > 0
+
+
+def test_decode_of_scheme_prefix_states_runs_no_elimination(monkeypatch):
+    # on a certified, count-complete plan every received coded row holds
+    # every unknown block, so a decodable prefix state never eliminates
+    calls = [0]
+
+    def counted(mat):
+        calls[0] += 1
+        return pivots(mat)
+
+    monkeypatch.setattr(sim, "pivots", counted)
+    rng = np.random.default_rng(8)
+    solved = 0
+    for _ in range(60):
+        plan = random_scheme_plan(rng)
+        state = random_state(plan, rng)
+        if not is_decodable(plan, state):
+            continue
+        delta = plan.params.delta
+        a = rng.standard_normal((2 * delta + 1, 3))
+        x = rng.standard_normal(3)
+        received = state_received(plan, state)
+        solved += bool(received_rows(plan, received)[1])
+        assert decode_outcome(numeric_decode, plan, a, x, received) == decode_outcome(
+            reference_decode, plan, a, x, received)
+    assert calls[0] == 0 and solved >= 10
+
+
+def assert_decodes_like_reference(plan, a, x, received):
+    got = decode_outcome(numeric_decode, plan, a, x, received)
+    assert got == decode_outcome(reference_decode, plan, a, x, received)
+    return got
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_decode_is_bit_identical_to_the_per_coefficient_reference(seed):
+    # bytes of the result, or type and text of the exception; the row
+    # count need not be a multiple of delta, so short blocks are padded
+    rng = np.random.default_rng(seed)
+    plan = random_scheme_plan(rng)
+    if rng.random() < 0.5:
+        plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    delta = plan.params.delta
+    a = rng.standard_normal((int(rng.integers(delta, 3 * delta + 2)), int(rng.integers(1, 6))))
+    x = rng.standard_normal(a.shape[1])
+    received = (state_received(plan, random_state(plan, rng)) if rng.random() < 0.5
+                else random_pairs(plan, rng))
+    assert_decodes_like_reference(plan, a, x, received)
+
+
+@pytest.mark.parametrize("n, outcomes", [
+    (12, {DecodeFailure, NotDecodableError}),
+    (8, {bytes, DecodeFailure, NotDecodableError}),
+])
+def test_decode_is_bit_identical_on_mds_refusals_and_short_blocks(n, outcomes):
+    # MDS (12, 2, 12) refuses its decodable states as ill-conditioned,
+    # (8, 2, 8) solves most; n rows give one row per block, which
+    # np.add.reduce would sum pairwise, and 2n + 5 rows leave blocks a row
+    # short of the tallest
+    plan = mds_plan(n, 2, n)
+    rng = np.random.default_rng(9)
+    seen = set()
+    for rows in (n, 2 * n + 5):
+        a = rng.standard_normal((rows, 3))
+        x = rng.standard_normal(3)
+        for _ in range(40):
+            got = assert_decodes_like_reference(
+                plan, a, x, state_received(plan, random_state(plan, rng)))
+            seen.add(got[0] if isinstance(got, tuple) else bytes)
+    assert seen == outcomes
+
+
+def test_decode_is_bit_identical_with_non_finite_products():
+    # block A_2 (rows 3-4 of 11) has an infinite product; workers 1 and 2
+    # deliver it uncoded, and their coded rows, the only ones received,
+    # miss it, so it must reach neither their vectors nor the solve
+    plan = BOTTOM
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((11, 3))
+    a[3, 0] = np.inf
+    x = rng.standard_normal(3)
+    for state in ((3, 3, 0, 0, 0), (3, 3, 1, 0, 0), (3, 3, 0, 0, 1), (3, 3, 2, 2, 2)):
+        got = assert_decodes_like_reference(plan, a, x, state_received(plan, state))
+        y = np.frombuffer(got, dtype=float)
+        assert np.isinf(y[3]) and np.isfinite(np.delete(y, [3])).all()
+
+
+def test_decode_from_products_is_bit_identical_on_signed_zeros():
+    # products the master receives may hold -0.0, which numeric_decode
+    # never builds: every prefix state of coded-bottom (5, 2, 1), with
+    # entries drawn from -0.0, 0.0 and random values
+    plan = BOTTOM
+    rng = np.random.default_rng(11)
+    heights = [len(r) for r in split_matrix(11, plan.params.delta)]
+    for state in product(range(plan.ell + 1), repeat=plan.n):
+        draw = lambda size: rng.choice([-0.0, 0.0, rng.standard_normal()], size=size)
+        uncoded = [draw(h) for h in heights]
+        vecs = [
+            (i, k, uncoded[t.block] if isinstance(t, core.Uncoded) else draw(heights[0]))
+            for i, k in state_received(plan, state) for t in [plan.workers[i][k]]
+        ]
+        assert decode_outcome(decode_from_products, plan, 11, vecs) == decode_outcome(
+            reference_decode_from_products, plan, 11, vecs)
