@@ -7,7 +7,11 @@ exact predicate over GF(P). When the plan's coded rows are certified to
 form a Cauchy matrix and each coded row covers every block its worker has
 not delivered uncoded above it (every plan :mod:`codedmv.schemes` builds
 does both), it is a count of rows against unknown blocks; otherwise it is
-a GF(P) rank computation. Both facts are decided once per plan.
+a GF(P) rank, taken by the elimination that also picks the rows numeric
+decode solves from. Both facts, and every table the rule and the decode
+read, are made in one pass over the plan, by
+:class:`DecodabilityChecker`, whose :meth:`~DecodabilityChecker.decide`
+is the one rule.
 
 Conventions:
   * block indices are 0-based in code and in the JSON interchange format;
@@ -34,7 +38,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .field import P, inv, rank, real_coefficient
+from .field import P, inv, pivots
 
 StateVector = tuple  # per-worker processed-task counts, length n
 
@@ -272,113 +276,121 @@ def check_state(plan: AssignmentPlan, state: Sequence) -> StateVector:
 
 
 class DecodabilityChecker:
-    """Precomputed fast path for repeated decodability queries on one plan.
+    """Precomputed tables and the one decodability rule of a plan.
 
-    ``__init__`` decides two facts about the plan once, in the pass that
-    stores its coded rows. ``certified`` (see :func:`_cauchy_certified`):
-    values x_r per coded row r and y_j per block j with inv(c_{r,j}) =
-    x_r - y_j (mod P) on every support entry, pairwise distinct within each
-    connected piece of the row-block support graph, so every square
-    submatrix is nonsingular. ``count_complete``: each coded task's
-    support, ORed with the blocks its worker holds uncoded above it, covers
-    every block; tasks arrive in prefix order, so every received coded row
-    then holds every unknown block.
+    ``__init__`` makes one pass over the plan and tabulates every task,
+    task i * ell + k being worker i's position k: ``blocks[t]``, task t's
+    uncoded block or -1 for a coded task; ``field``, the (n * ell, delta)
+    int64 array of the coded coefficients, and ``support``, its nonzero
+    mask; ``real``, the numbers numeric decode uses in their place, 1 / d
+    for d = c^-1 mod P (see :mod:`codedmv.sim`); both arrays are 0 off each
+    support and on uncoded tasks. ``prefix[i][w]`` is the (uncoded block
+    mask, coded row count) summary of worker i's first w tasks; a state's
+    summary ORs the masks and adds the counts of one pair per worker.
 
-    On a plan with both (every plan :mod:`codedmv.schemes` builds), a state
-    decodes exactly when it has at least as many coded rows as unknown
-    blocks. :meth:`count` states that rule and settles any plan's trivial
-    states: too few coded rows never decode, no unknown block always does.
-    Every other state takes the GF(P) rank of its received coded rows
-    restricted to the unknown blocks.
+    The same pass decides two facts. ``certified`` (see
+    :func:`_cauchy_certified`): values x_r per coded row r and y_j per block
+    j with inv(c_{r,j}) = x_r - y_j (mod P) on every support entry,
+    pairwise distinct within each connected piece of the row-block support
+    graph, so every square submatrix is nonsingular. ``count_complete``:
+    each coded task's support, ORed with the blocks its worker holds
+    uncoded above it, covers every block; tasks arrive in prefix order, so
+    every received coded row then holds every unknown block.
 
-    A state is summarised by the OR of the uncoded block masks received and
-    the number of coded rows received. The public table ``prefix[i][w]`` is
-    that pair for worker i's first w tasks, so a state's pair combines one
-    prefix pair per worker. :meth:`decodable` combines all n of them;
-    callers that move between states one task at a time, such as
-    :meth:`first_decodable` and the threshold search of
-    :mod:`codedmv.oracle`, update the pair in O(1) and pass it to
-    :meth:`count`, falling back to :meth:`decodable` when it returns None.
-    Coded rows are stored worker-major, so worker i's first c coded rows
-    are ``_start[i]`` .. ``_start[i] + c - 1``. The checker remembers no
-    answers: every query is decided afresh. Its tables are tuples or
-    arrays that no method writes to, so one checker, ``plan.checker``,
-    serves every caller of a plan; :attr:`decode_tables` is built at the
-    first numeric decode.
+    :meth:`decide` is the rule. A state with fewer coded rows than unknown
+    blocks never decodes and one with no unknown block always does; on a
+    plan with both facts (every plan :mod:`codedmv.schemes` builds), enough
+    coded rows always decode. Any other state decodes when
+    :meth:`solving_rows`, which picks the rows numeric decode solves from,
+    finds as many independent received coded rows as unknown blocks.
+    :meth:`decodable` combines a state's n prefix pairs; callers that move
+    between states one task at a time, such as :meth:`first_decodable` and
+    the threshold search of :mod:`codedmv.oracle`, update the summary in
+    O(1) and pass it to :meth:`decide` directly. The checker keeps no
+    reference to the plan and remembers no answers; no method writes to its
+    tables, so one checker, ``plan.checker``, serves every caller of a plan.
     """
 
     def __init__(self, plan: AssignmentPlan):
         p = plan.params
-        # the plan's parts, not the plan: plan.checker refers to the
-        # checker, and a cycle would keep both alive after the last
-        # reference to the plan, until the cycle collector runs
-        self.n, self.ell, self.delta = p.n, p.ell, p.delta
-        self._workers = plan.workers
-        every_block = (1 << p.delta) - 1
-        rows = []
-        coded_tasks = []
+        n, ell, delta = p.n, p.ell, p.delta
+        self.n, self.ell, self.delta = n, ell, delta
+        every_block = (1 << delta) - 1
+        blocks = [-1] * (n * ell)
         prefixes = []
-        starts = []
+        entries = []  # per coded task, in task order: its (block, c^-1) pairs
+        coded_at, coeffs, inverses = [], [], []  # per coded task: its index, c and c^-1 by block
         self.count_complete = True
-        for tasks in plan.workers:
+        for i, tasks in enumerate(plan.workers):
             umask, coded = 0, 0
             prefix = [(umask, coded)]
-            starts.append(len(rows))
-            for t in tasks:
+            for k, t in enumerate(tasks):
                 if isinstance(t, Uncoded):
                     umask |= 1 << t.block
+                    blocks[i * ell + k] = t.block
                 else:
-                    vec = [0] * p.delta
+                    row = [(b, inv(c)) for b, c in t.coeffs]
+                    c_row, d_row = [0] * delta, [0] * delta
                     support = umask
                     for b, c in t.coeffs:
-                        vec[b] = c % P
+                        c_row[b] = c % P
                         support |= 1 << b
+                    for b, d in row:
+                        d_row[b] = d
+                    entries.append(row)
+                    coded_at.append(i * ell + k)
+                    coeffs.append(c_row)
+                    inverses.append(d_row)
                     self.count_complete &= support == every_block
                     coded += 1
-                    rows.append(vec)
-                    coded_tasks.append(t)
                 prefix.append((umask, coded))
             prefixes.append(tuple(prefix))
         self.prefix = tuple(prefixes)
-        self._start = tuple(starts)
-        self._rows = np.array(rows, dtype=np.int64) if rows else np.zeros((0, p.delta), dtype=np.int64)
-        self.certified = _cauchy_certified(coded_tasks, p.delta)
+        self.blocks = tuple(blocks)
+        self.field = np.zeros((n * ell, delta), dtype=np.int64)
+        self.field[coded_at] = np.array(coeffs, dtype=np.int64).reshape(-1, delta)
+        self.support = self.field != 0
+        inverse = np.zeros((n * ell, delta))
+        inverse[coded_at] = np.array(inverses, dtype=float).reshape(-1, delta)
+        self.real = np.divide(1.0, inverse, out=np.zeros_like(inverse), where=self.support)
+        self.certified = _cauchy_certified(entries, delta)
         self._count_is_exact = self.certified and self.count_complete
 
-    @cached_property
-    def decode_tables(self) -> tuple:
-        """(blocks, field, real, support), one entry or row per task, task
-        i * ell + k being worker i's position k. ``blocks`` lists each
-        uncoded task's block and -1 for a coded one. ``field`` is the
-        (n * ell, delta) int64 array of the coded coefficients and ``real``
-        that of their :func:`~codedmv.field.real_coefficient` images, both
-        0 off the support and on uncoded tasks; ``support`` is the
-        boolean mask of the coded supports."""
-        n, ell, delta = self.n, self.ell, self.delta
-        blocks = [-1] * (n * ell)
-        field = np.zeros((n, ell, delta), dtype=np.int64)
-        real = np.zeros((n, ell, delta))
-        for i, tasks in enumerate(self._workers):
-            for k, t in enumerate(tasks):
-                if isinstance(t, Uncoded):
-                    blocks[i * ell + k] = t.block
-                else:
-                    for b, c in t.coeffs:
-                        field[i, k, b] = c % P
-                        real[i, k, b] = real_coefficient(c)
-        field = field.reshape(n * ell, delta)
-        return blocks, field, real.reshape(n * ell, delta), field != 0
-
-    def count(self, mask: int, coded: int):
-        """Decodability of a state with uncoded mask ``mask`` and ``coded``
-        coded rows when counting settles it, else None; the pair is the
-        state's combined ``prefix`` entries."""
+    def decide(self, mask: int, coded: int, state: Sequence[int]) -> bool:
+        """Decodability of ``state``, whose summary is uncoded mask ``mask``
+        and ``coded`` coded rows."""
         missing = self.delta - mask.bit_count()
         if coded < missing:
             return False
         if missing == 0 or self._count_is_exact:
             return True
-        return None
+        return self._rank_decides(mask, state)
+
+    def _rank_decides(self, mask: int, state: Sequence[int]) -> bool:
+        """The rank case of :meth:`decide`: the state's received coded rows
+        have full rank on its unknown blocks. Kept out of :meth:`decide`,
+        whose locals the comprehensions would turn into cells."""
+        ell, blocks = self.ell, self.blocks
+        rows = [t for i, w in enumerate(state) for t in range(i * ell, i * ell + w) if blocks[t] < 0]
+        unknown = [b for b in range(self.delta) if not mask >> b & 1]
+        return len(self.solving_rows(rows, unknown)) == len(unknown)
+
+    def solving_rows(self, rows: list, unknown: list) -> list:
+        """Positions in ``rows``, distinct coded tasks, of the rows a state
+        solves from: the first, in order, whose restrictions to the
+        ``unknown`` blocks are independent over GF(P), as
+        :func:`~codedmv.field.pivots` finds them.
+
+        On a certified plan whose first len(unknown) rows each hold every
+        unknown block, those rows are the answer without elimination: they
+        share a block, so they lie in one Cauchy component, and restricted
+        to the unknown blocks they form a square submatrix of it, which is
+        nonsingular. Every other case runs ``pivots``.
+        """
+        u = len(unknown)
+        if self.certified and len(rows) >= u and self.support[rows[:u]][:, unknown].all():
+            return list(range(u))
+        return pivots(self.field[rows][:, unknown].T)
 
     def decodable(self, state: StateVector) -> bool:
         mask, coded = 0, 0
@@ -386,14 +398,7 @@ class DecodabilityChecker:
             u, c = prefix[w]
             mask |= u
             coded += c
-        counted = self.count(mask, coded)
-        if counted is not None:
-            return counted
-        row_ids = []
-        for prefix, start, w in zip(self.prefix, self._start, state):
-            row_ids.extend(range(start, start + prefix[w][1]))
-        cols = [j for j in range(self.delta) if not mask >> j & 1]
-        return rank(self._rows[np.ix_(row_ids, cols)]) == len(cols)
+        return self.decide(mask, coded, state)
 
     def first_decodable(self, events: Sequence[int]):
         """(j, state) for completion events walked from the zero state: j
@@ -401,10 +406,10 @@ class DecodabilityChecker:
         and state is the state after event j, or after every event.
 
         ``events`` are flat worker-major indices i * ell + k, each worker's
-        in position order. Where :meth:`count` cannot decide an event's
-        state, it is passed to :meth:`decodable`.
+        in position order; each event's state goes to :meth:`decide` with
+        its summary updated in O(1).
         """
-        ell, prefixes, count = self.ell, self.prefix, self.count
+        ell, prefixes, decide = self.ell, self.prefix, self.decide
         state = [0] * self.n
         mask, coded = 0, 0
         for j, e in enumerate(events):
@@ -414,17 +419,15 @@ class DecodabilityChecker:
             u, c = prefix[k + 1]
             mask |= u
             coded += c - prefix[k][1]
-            ok = count(mask, coded)
-            if ok is None:
-                ok = self.decodable(tuple(state))
-            if ok:
+            if decide(mask, coded, state):
                 return j, tuple(state)
         return None, tuple(state)
 
 
-def _cauchy_certified(coded: Sequence[Coded], delta: int) -> bool:
+def _cauchy_certified(entries: Sequence[Sequence[tuple]], delta: int) -> bool:
     """True iff every connected piece of the coded rows is a Cauchy matrix
-    over GF(P).
+    over GF(P). ``entries[r]`` lists coded row r's support entries as
+    (block, inv(c)) pairs.
 
     Walks the bipartite row-block support graph one connected component at
     a time. Each component fixes one normalisation, x = 0 on its first row,
@@ -439,15 +442,12 @@ def _cauchy_certified(coded: Sequence[Coded], delta: int) -> bool:
     never compared: each carries the index of its first row.
     """
     by_block = [[] for _ in range(delta)]
-    entries = []
-    for r, t in enumerate(coded):
-        row = [(b, inv(c)) for b, c in t.coeffs]
-        entries.append(row)
+    for r, row in enumerate(entries):
         for b, d in row:
             by_block[b].append((r, d))
-    x = [None] * len(coded)
+    x = [None] * len(entries)
     y = [None] * delta
-    for first in range(len(coded)):
+    for first in range(len(entries)):
         if x[first] is not None:
             continue
         x[first] = (first, 0)
@@ -486,8 +486,8 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     :class:`DecodabilityChecker`.
 
     The query goes to the plan's memoised checker, ``plan.checker``: its
-    certificate and tables are built at the plan's first query, and every
-    answer is decided afresh.
+    certificate and tables are built at the plan's first query or decode,
+    and every answer is decided afresh.
     """
     w = check_state(plan, state)
     return plan.checker.decodable(w)

@@ -1,9 +1,10 @@
 """Exact arithmetic over the prime field GF(P), P = 2**31 - 1.
 
 All coding coefficients and decodability rank checks live in this field;
-:func:`pivots` is the one elimination every rank question goes through.
-:func:`real_coefficient` maps a coefficient to the real number the numeric
-decode uses in its place.
+:func:`pivots` is the one elimination every rank question goes through,
+called in the package only by
+:meth:`codedmv.core.DecodabilityChecker.solving_rows`, which both decides
+decodability and picks the rows numeric decode solves from.
 With elements reduced to [0, P), a product of two elements stays below
 2**62, so plain int64 numpy arithmetic is exact and no big-integer
 fallback is needed.
@@ -27,16 +28,6 @@ def inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(P)")
     return pow(a, -1, P)
-
-
-def real_coefficient(c: int) -> float:
-    """Real image of a field coefficient: 1 / d for d = c^-1 mod P.
-
-    Cauchy-built coefficients are stored as (x_i - y_j)^-1 with
-    0 < x_i - y_j < P, so d recovers the original integer difference and
-    the real matrix is the Cauchy matrix over the same parameters.
-    """
-    return 1.0 / pow(c % P, -1, P)
 
 
 def pivots(mat: NDArray[np.int64] | list) -> list:

@@ -10,8 +10,9 @@ ranks over GF(P) otherwise. The threshold search walks only the
 non-decodable down-set, upward from the zero state, and prunes branches
 that cannot beat the best total found. Each state it visits differs from
 its parent in one worker, so it carries the checker's (uncoded mask, coded
-count) summary down the path and decides a state in O(1) whenever the
-count settles it; see :func:`brute_force_q`.
+count) summary down the path and hands it to the checker's one rule,
+which decides a state in O(1) whenever the count settles it; see
+:func:`brute_force_q`.
 
 Budgets are accounted in decodability evaluations, one budget per search.
 Both searches charge one counter before each evaluation and stop once the
@@ -129,9 +130,9 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
     without its last nonzero worker k. A child that increments worker j
     adds worker j's ``prefix`` pair to the second summary when j == k and
     to the first when j > k (workers after k are still 0), and
-    :meth:`~codedmv.core.DecodabilityChecker.count` decides it; only a
-    state the count cannot settle, on a plan that is not both certified and
-    count-complete, is passed whole to ``decodable``.
+    :meth:`~codedmv.core.DecodabilityChecker.decide` decides it: by the
+    count alone, unless the plan is not both certified and count-complete
+    and the count cannot settle the state, which is then ranked.
 
     Raises:
         BudgetExceededError: the search needs more decodability
@@ -147,13 +148,13 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
                 f"so Q >= {best_total + 1}",
     )
     checker = plan.checker
-    prefix, count, decodable = checker.prefix, checker.count, checker.decodable
+    prefix, decide = checker.prefix, checker.decide
 
     # the zero state holds no rows and delta >= 1, so it never decodes
     state = [0] * n
     best_total, best = 0, tuple(state)
     charge()
-    if not decodable(tuple([ell] * n)):
+    if not checker.decodable(tuple([ell] * n)):
         raise ValueError("plan cannot decode even with every task processed")
 
     # one frame per state on the path from the zero state: [next worker
@@ -181,10 +182,7 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
         mask, coded = base_mask | u, base_coded + c
         state[i] = w + 1
         charge()
-        ok = count(mask, coded)
-        if ok is None:
-            ok = decodable(tuple(state))
-        if ok:
+        if decide(mask, coded, state):
             state[i] = w
             continue
         if total + 1 > best_total:

@@ -23,19 +23,18 @@ The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
 coefficients produced by the Cauchy construction d is exactly x_i - y_j,
 so the real and field matrices share the same parameters and the same
-generic rank profile. Decode solves from the first received coded rows
-that are independent over GF(P) on the unknown blocks, in arrival order.
-The plan's checker builds the real coefficients, supports and uncoded
-blocks of every task once, at the plan's first decode, so a decode does
-only the work that depends on what was received. When the plan is
-Cauchy-certified and the first rows, as many as there are unknown blocks,
-each hold every unknown block, the certificate says they are independent
-and decode takes them as they are; otherwise one GF(P) elimination both
-decides whether the rows determine every unknown block and picks them.
-The real square system on those rows is solved only when its condition
-number is at most 1e12; above that the decode is refused as numerically
-unsafe (DecodeFailure). Below that bound no residual is checked, so the
-error of a returned vector grows with the condition number.
+generic rank profile. The plan's checker tabulates the real coefficients,
+supports and uncoded blocks of every task when it is built, and picks the
+rows decode solves from with
+:meth:`~codedmv.core.DecodabilityChecker.solving_rows`, the rank case of
+its decodability rule: the first received coded rows that are independent
+over GF(P) on the unknown blocks, in arrival order, taken without
+elimination when the certificate vouches for them. Block products and
+received vectors must be finite. The real square system on those rows is
+solved only when its condition number is at most 1e12; above that the
+decode is refused as numerically unsafe (DecodeFailure). Below that bound
+no residual is checked, so the error of a returned vector grows with the
+condition number.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .core import AssignmentPlan, DecodabilityChecker, Uncoded
-from .field import pivots
 
 
 class NotDecodableError(ValueError):
@@ -434,7 +432,7 @@ def split_matrix(rows: int, delta: int):
 
 
 def _task_rows(plan: AssignmentPlan, pairs) -> list:
-    """Row i * ell + k of the plan's decode tables for each (worker i,
+    """Row i * ell + k of the plan checker's tables for each (worker i,
     position k) pair.
 
     Raises:
@@ -449,92 +447,90 @@ def _task_rows(plan: AssignmentPlan, pairs) -> list:
     return out
 
 
-def _solve_rows(checker: DecodabilityChecker, rows: list, unknown: list) -> list:
-    """Positions in ``rows`` of the coded rows the master solves from: the
-    first rows, in order, whose restrictions to the ``unknown`` blocks are
-    independent over GF(P), as :func:`~codedmv.field.pivots` finds them.
-    ``rows`` lists distinct tasks by their decode-table row.
-
-    On a certified plan whose first len(unknown) rows each hold every
-    unknown block, those rows are the answer without elimination: they
-    share a block, so they lie in one Cauchy component, and restricted to
-    the unknown blocks they form a square submatrix of it, which is
-    nonsingular. Every other case runs ``pivots``.
-    """
-    _, field, _, support = checker.decode_tables
-    u = len(unknown)
-    if checker.certified and len(rows) >= u and support[rows[:u]][:, unknown].all():
-        return list(range(u))
-    return pivots(field[rows][:, unknown].T)
-
-
 def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarray:
     """Master-side reconstruction of the full product vector.
 
     ``received`` is an iterable of (worker, position, product_vector). The
     plan's coefficients and the received vectors are the only inputs; the
-    matrix itself is never touched here.
+    matrix itself is never touched here. An uncoded product of block b has
+    block b's height, a coded one the first (tallest) block's.
 
     Received uncoded products fill the table of known blocks verbatim, and
     a coded task counts once, at its first occurrence; duplicates of either
-    must agree. The unknown blocks are solved from a square system: its
-    rows are the first received coded rows that are independent over GF(P)
-    when restricted to the unknown blocks, in arrival order (see
-    :func:`_solve_rows`), each with the known blocks' terms subtracted from
-    its right-hand side block by block, in block order. The solution
-    completes the table, and the result is its blocks in order, each cut
-    to its height.
+    must agree, nan included. The unknown blocks are solved from a square
+    system: its rows are the first received coded rows that are independent
+    over GF(P) when restricted to the unknown blocks, in arrival order (see
+    :meth:`~codedmv.core.DecodabilityChecker.solving_rows`), each with the
+    known blocks' terms subtracted from its right-hand side block by block,
+    in block order. The solution completes the table, and the result is its
+    blocks in order, each cut to its height.
 
     Raises:
         NotDecodableError: the equation set has rank below delta.
         DecodeFailure: the chosen real system has condition number above
             1e12 (or not finite).
-        ValueError: a task lies outside the plan, or duplicated products
-            disagree.
+        ValueError: a task lies outside the plan, a product has the wrong
+            shape or a non-finite entry, or duplicated products disagree.
     """
     delta = plan.params.delta
     ranges = split_matrix(nrows, delta)
     checker = plan.checker
-    blocks, _, real, support = checker.decode_tables
+    blocks, real, support = checker.blocks, checker.real, checker.support
+    # shapes[b] is block b's; a coded task, at b = -1, has the first's
+    shapes = [(len(r),) for r in ranges]
+    shapes.append(shapes[0])
     received = list(received)
     known = {}
     coded = {}
-    for j, (i, k, vec) in zip(_task_rows(plan, [(i, k) for i, k, _ in received]), received):
+    for j, (_, _, vec) in zip(_task_rows(plan, [(i, k) for i, k, _ in received]), received):
         vec = np.asarray(vec, dtype=float)
         b = blocks[j]
+        if vec.shape != shapes[b]:
+            raise ValueError(
+                f"the product of {_task_name(plan, j)} has shape {vec.shape}, "
+                f"expected {shapes[b]}"
+            )
         if b >= 0:
             prev = known.get(b)
-            if prev is not None and not np.array_equal(prev, vec):
+            if prev is not None and not np.array_equal(prev, vec, equal_nan=True):
                 raise ValueError(f"inconsistent duplicate products for block A_{b + 1}")
             known[b] = vec
         elif j not in coded:
             coded[j] = vec
-        elif not np.array_equal(coded[j], vec):
-            raise ValueError(
-                f"inconsistent duplicate products for the coded task at "
-                f"worker {i + 1}, position {k + 1}"
-            )
+        elif not np.array_equal(coded[j], vec, equal_nan=True):
+            raise ValueError(f"inconsistent duplicate products for {_task_name(plan, j)}")
+    # the known blocks' products in rows 0 .. delta - 1, 0 below their
+    # heights (the first block is the tallest), then the distinct coded
+    # vectors in arrival order
+    rows = list(coded)
+    table = np.zeros((delta + len(rows), len(ranges[0])))
+    for b, p in known.items():
+        table[b, : len(p)] = p
+    for r, j in enumerate(rows, delta):
+        table[r] = coded[j]
+    # checked once, before any arithmetic: nan and inf would only warn
+    # their way through to the result
+    if not np.isfinite(table).all():
+        bad = [f"block A_{b + 1}" for b in sorted(known) if not np.isfinite(known[b]).all()]
+        bad += [_task_name(plan, j) for j in rows if not np.isfinite(coded[j]).all()]
+        raise ValueError(f"non-finite products received for {', '.join(bad)}")
+    products, sent = table[:delta], table[delta:]
     unknown = [b for b in range(delta) if b not in known]
     if unknown:
         u = len(unknown)
-        rows = list(coded)
-        sel = [rows[r] for r in _solve_rows(checker, rows, unknown)]
-        if len(sel) < u:
-            raise NotDecodableError(
-                "received equations do not determine every block product"
-            )
+        picked = checker.solving_rows(rows, unknown)
+        if len(picked) < u:
+            raise NotDecodableError("received equations do not determine every block product")
+        sel = [rows[r] for r in picked]
         coeffs = real[sel]
         square = coeffs[:, unknown]
-        products = np.zeros((delta, len(ranges[0])))  # the first block is the tallest
-        for b, p in known.items():
-            products[b, : len(p)] = p
         # one running sum per row: its received vector, then -(c_b * A_b x)
         # for b = 0 .. delta - 1. x + -y is x - y bit for bit, and a block
         # that is unknown or off the row's support gives -0.0, which adds
         # nothing to any x, so the sum subtracts the known blocks' terms in
         # block order, as a loop over them would
         terms = np.zeros((u, delta + 1, products.shape[1]))
-        terms[:, 0] = [coded[j] for j in sel]
+        terms[:, 0] = sent[picked]
         np.multiply(coeffs[:, :, None], products, out=terms[:, 1:], where=support[sel][:, :, None])
         np.negative(terms[:, 1:], out=terms[:, 1:])
         rhs = np.add.accumulate(terms, axis=1)[:, -1]
@@ -543,6 +539,12 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
             raise DecodeFailure(cond)
         known.update(zip(unknown, np.linalg.solve(square, rhs)))
     return np.concatenate([known[b][: len(r)] for b, r in enumerate(ranges)])
+
+
+def _task_name(plan: AssignmentPlan, j: int) -> str:
+    """Task j = i * ell + k, named 1-based as messages name it."""
+    kind = "uncoded" if plan.checker.blocks[j] >= 0 else "coded"
+    return f"the {kind} task at worker {j // plan.ell + 1}, position {j % plan.ell + 1}"
 
 
 def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
@@ -557,7 +559,8 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
     pair the terms up.
 
     Raises:
-        ValueError: ``A`` is not 2-D, or a pair lies outside the plan.
+        ValueError: ``A`` is not 2-D, a block product is not finite, or a
+            pair lies outside the plan.
         NotDecodableError, DecodeFailure: as for ``decode_from_products``.
     """
     A = np.asarray(A, dtype=float)
@@ -565,17 +568,22 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
         raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
     x = np.asarray(x, dtype=float)
     ranges = split_matrix(A.shape[0], plan.params.delta)
-    prods = [A[r.start : r.stop] @ x for r in ranges]
+    # a non-finite product is refused below, so how it arose need not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        prods = [A[r.start : r.stop] @ x for r in ranges]
     # block b's product in row b, 0 below its height
     padded = np.zeros((len(prods), len(prods[0])))  # the first block is the tallest
     for b, prod in enumerate(prods):
         padded[b, : len(prod)] = prod
+    if not np.isfinite(padded).all():
+        bad = [f"A_{b + 1}" for b, prod in enumerate(prods) if not np.isfinite(prod).all()]
+        raise ValueError(f"non-finite block products: {', '.join(bad)}")
     pairs = list(dict.fromkeys((i, k) for i, k in received))
     rows = _task_rows(plan, pairs)
-    blocks, _, real, support = plan.checker.decode_tables
+    checker = plan.checker
+    blocks, real, support = checker.blocks, checker.real, checker.support
     coded = [j for j in rows if blocks[j] < 0]
-    # terms[t, 1 + b] = c_b * A_b x on task t's support and 0 elsewhere;
-    # ``where`` never forms 0 * A_b x, which is nan for an infinite product
+    # terms[t, 1 + b] = c_b * A_b x on task t's support and 0 elsewhere
     terms = np.zeros((len(coded), len(prods) + 1, padded.shape[1]))
     np.multiply(real[coded, :, None], padded, out=terms[:, 1:], where=support[coded, :, None])
     sums = dict(zip(coded, np.add.accumulate(terms, axis=1)[:, -1]))

@@ -13,7 +13,17 @@ import numpy as np
 
 import codedmv
 from codedmv import core, oracle, schemes, sim
-from codedmv.field import P, pivots, rank, real_coefficient
+from codedmv.field import P, inv, pivots, rank
+
+
+def real_coefficient(c):
+    """Real image of a field coefficient: 1 / d for d = c^-1 mod P.
+
+    Cauchy-built coefficients are stored as (x_i - y_j)^-1 with
+    0 < x_i - y_j < P, so d recovers the original integer difference and
+    the real matrix is the Cauchy matrix over the same parameters.
+    """
+    return 1.0 / inv(c)
 
 
 def random_uncoded_plan(n, ell, rng):
@@ -205,6 +215,34 @@ def count_evaluations(monkeypatch):
         return decodable(self, state)
 
     monkeypatch.setattr(core.DecodabilityChecker, "decodable", counted)
+    return calls
+
+
+def record_rank_cases(monkeypatch):
+    """The (mask, state) of every query :meth:`DecodabilityChecker.decide`
+    passes to its rank case from now on; ``state`` is copied to a tuple."""
+    seen = []
+    ranked = core.DecodabilityChecker._rank_decides
+
+    def recorded(self, mask, state):
+        seen.append((mask, tuple(state)))
+        return ranked(self, mask, state)
+
+    monkeypatch.setattr(core.DecodabilityChecker, "_rank_decides", recorded)
+    return seen
+
+
+def count_eliminations(monkeypatch):
+    """Count the GF(P) eliminations the checker runs from now on: the
+    ``field.pivots`` calls of ``DecodabilityChecker.solving_rows``, the
+    one place in the package that eliminates."""
+    calls = [0]
+
+    def counted(mat):
+        calls[0] += 1
+        return pivots(mat)
+
+    monkeypatch.setattr(core, "pivots", counted)
     return calls
 
 
@@ -429,6 +467,9 @@ def reference_decode(plan, A, x, received):
         raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
     x = np.asarray(x, dtype=float)
     prods = [A[r.start : r.stop] @ x for r in sim.split_matrix(A.shape[0], plan.params.delta)]
+    bad = [f"A_{b + 1}" for b, prod in enumerate(prods) if not np.isfinite(prod).all()]
+    if bad:
+        raise ValueError(f"non-finite block products: {', '.join(bad)}")
     vecs = []
     for i, k in dict.fromkeys((i, k) for i, k in received):
         if not 0 <= i < plan.n or not 0 <= k < plan.ell:
@@ -445,9 +486,10 @@ def reference_decode(plan, A, x, received):
 
 
 def reference_decode_from_products(plan, nrows, received):
-    """``sim.decode_from_products`` for distinct coded tasks, as
-    per-coefficient Python loops: ``field.pivots`` picks the rows in every
-    case, and each right-hand side subtracts one known block at a time."""
+    """``sim.decode_from_products`` for distinct coded tasks and finite
+    products of the right shapes, as per-coefficient Python loops:
+    ``field.pivots`` picks the rows in every case, and each right-hand side
+    subtracts one known block at a time."""
     ranges = sim.split_matrix(nrows, plan.params.delta)
     known, coded = {}, []
     for i, k, vec in received:

@@ -349,6 +349,27 @@ def test_decode_numerically_unsafe_exit_code(tmp_path, capsys):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("bad, state", [(np.inf, "3,3,0,0,0"), (np.nan, "3,3,3,3,3")],
+                         ids=["inf", "nan"])
+def test_decode_refuses_non_finite_products(tmp_path, capsys, bad, state):
+    # coded-bottom (5, 2, 1), rows 3-4 of 11 forming A_2: at 3,3,0,0,0
+    # an infinite A_2 came back as a result, and at 3,3,3,3,3 a nan one
+    # was reported as a disagreement between its two uncoded copies
+    plan = cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM)
+    (tmp_path / "plan.json").write_text(core.plan_to_json(plan))
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((11, 3))
+    a[3, 0] = bad
+    np.save(tmp_path / "a.npy", a)
+    np.save(tmp_path / "x.npy", rng.standard_normal(3))
+    code, stdout, err = run(capsys, "decode", "--plan", str(tmp_path / "plan.json"),
+                            "--matrix", str(tmp_path / "a.npy"),
+                            "--vector", str(tmp_path / "x.npy"), "--state", state)
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: non-finite block products: A_2\n"
+
+
 # ---------------------------------------------------------------------------
 # failures are error lines, never tracebacks
 

@@ -24,6 +24,7 @@ from support import (
     random_scheme_plan,
     random_uncoded_plan,
     rank_decodable,
+    record_rank_cases,
     reference_q,
     relabel_blocks,
     scheme_plan_up_to,
@@ -233,13 +234,20 @@ def test_threshold_matches_rank_only_scan_on_hand_plans(make):
     lambda: perturbed(cyclic_coded(5, 2, 1, Placement.CODED_TOP), np.random.default_rng(3)),
 ], ids=["singular", "twin-row", "zero-column", "perturbed"])
 def test_threshold_falls_back_to_decodable_where_the_count_cannot_decide(monkeypatch, make):
+    # the checker's rule takes the rank case for states the count leaves
+    # open: some besides the fully processed one, which goes to decodable
     plan = make()
     checker = core.DecodabilityChecker(plan)
     assert not (checker.certified and checker.count_complete)
     states = record_decodable(monkeypatch)
+    ranked = record_rank_cases(monkeypatch)
     rep = brute_force_q(plan)
-    assert states[0] == tuple([plan.ell] * plan.n)
-    assert len(states) > 1  # the full state, then at least one the count left open
+    full = tuple([plan.ell] * plan.n)
+    assert states == [full]
+    assert any(state != full for _, state in ranked)
+    for mask, state in ranked:
+        coded = sum(checker.prefix[i][w][1] for i, w in enumerate(state))
+        assert 0 < plan.params.delta - mask.bit_count() <= coded, state
     assert rep == reference_q(plan)
 
 

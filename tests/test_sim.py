@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from codedmv import core, oracle, sim
 from codedmv.core import Placement, is_decodable
-from codedmv.field import pivots, real_coefficient
+from codedmv.field import pivots
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 from codedmv.sim import (
     DecodeFailure,
@@ -31,12 +31,15 @@ from codedmv.sim import (
 
 from support import (
     arrival_events,
+    count_eliminations,
     count_evaluations,
     decode_outcome,
     perturbed,
     prefix_equations,
     random_scheme_plan,
     random_state,
+    real_coefficient,
+    record_rank_cases,
     reference_decodable,
     reference_decode,
     reference_decode_from_products,
@@ -390,19 +393,19 @@ def test_walk_at_n40_matches_reference():
 
 def test_walk_falls_back_to_rank_where_counting_cannot_decide(monkeypatch):
     # uncertified plans, and a certified one whose received rows miss an
-    # unknown block, reach the checker's rank path
+    # unknown block, reach the rank case of the checker's rule
     rng = np.random.default_rng(8)
     plans = [singular_plan(), twin_plan("row"), twin_plan("column"), zero_column_plan()]
     plans += [perturbed(TOP, rng) for _ in range(5)]
-    calls = count_evaluations(monkeypatch)
+    ranked = record_rank_cases(monkeypatch)
     for plan in plans:
-        calls[0] = 0
+        ranked.clear()
         for _ in range(30):
             events = arrival_events(plan, rng)
             assert_walk_stops_at_first_decodable_prefix(plan, events)
             cut = int(rng.integers(0, len(events) + 1))
             assert_walk_stops_at_first_decodable_prefix(plan, events[:cut])
-        assert calls[0] > 0, plan.params
+        assert ranked, plan.params
 
 
 def test_simulate_n40_plans_never_ask_the_checker(monkeypatch):
@@ -412,17 +415,18 @@ def test_simulate_n40_plans_never_ask_the_checker(monkeypatch):
              cyclic_uncoded(40, 3), mds_plan(40, 2, 40)]
     speed = ShiftedExponential(multipliers=(1.0,) * 32 + (0.2,) * 8)
     calls = count_evaluations(monkeypatch)
+    ranked = record_rank_cases(monkeypatch)
     rows, _ = run_experiment(plans, speed, Uniform(), 5, seed=3)
     assert all(r.decode_ok for r in rows)
-    assert calls[0] == 0
+    assert calls[0] == 0 and not ranked
 
 
 def test_uncertified_plan_asks_the_checker(monkeypatch):
     plan = perturbed(TOP, np.random.default_rng(4))
     assert not core.DecodabilityChecker(plan).certified
-    calls = count_evaluations(monkeypatch)
+    ranked = record_rank_cases(monkeypatch)
     assert_rows_match_reference([plan], ShiftedExponential(), Uniform(), 20, seed=6)
-    assert calls[0] > 0
+    assert ranked
 
 
 def test_experiment_pairs_draws_across_plans():
@@ -679,8 +683,8 @@ def test_task_products_shapes(monkeypatch):
 
 def received_rows(plan, received):
     """(rows, unknown) as ``decode_from_products`` sees a received pair
-    list: the distinct coded tasks' decode-table rows in arrival order and
-    the blocks no received uncoded task holds."""
+    list: the distinct coded tasks' table rows in arrival order and the
+    blocks no received uncoded task holds."""
     known, rows = set(), []
     for i, k in received:
         t = plan.workers[i][k]
@@ -713,7 +717,7 @@ def test_row_choice_equals_pivots_on_scheme_plans(seed):
     if rng.random() < 0.5:
         plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
     rows, unknown = received_rows(plan, random_pairs(plan, rng))
-    assert sim._solve_rows(plan.checker, rows, unknown) == pivot_rows(plan, rows, unknown)
+    assert plan.checker.solving_rows(rows, unknown) == pivot_rows(plan, rows, unknown)
 
 
 @pytest.mark.parametrize("make", [
@@ -724,19 +728,13 @@ def test_row_choice_equals_pivots_where_the_certificate_cannot_pick(make, monkey
     # coded row can miss an unknown block; the others are not certified.
     # Every ordered received set of up to four of the plan's tasks
     plan = make()
-    calls = [0]
-
-    def counted(mat):
-        calls[0] += 1
-        return pivots(mat)
-
-    monkeypatch.setattr(sim, "pivots", counted)
+    calls = count_eliminations(monkeypatch)
     pairs = [(i, k) for i in range(plan.n) for k in range(plan.ell)]
     for size in range(5):
         for picked in combinations(pairs, size):
             for received in (picked, picked[::-1]):
                 rows, unknown = received_rows(plan, received)
-                got = sim._solve_rows(plan.checker, rows, unknown)
+                got = plan.checker.solving_rows(rows, unknown)
                 assert got == pivot_rows(plan, rows, unknown)
     assert calls[0] > 0
 
@@ -744,13 +742,7 @@ def test_row_choice_equals_pivots_where_the_certificate_cannot_pick(make, monkey
 def test_decode_of_scheme_prefix_states_runs_no_elimination(monkeypatch):
     # on a certified, count-complete plan every received coded row holds
     # every unknown block, so a decodable prefix state never eliminates
-    calls = [0]
-
-    def counted(mat):
-        calls[0] += 1
-        return pivots(mat)
-
-    monkeypatch.setattr(sim, "pivots", counted)
+    calls = count_eliminations(monkeypatch)
     rng = np.random.default_rng(8)
     solved = 0
     for _ in range(60):
@@ -814,18 +806,68 @@ def test_decode_is_bit_identical_on_mds_refusals_and_short_blocks(n, outcomes):
 
 
 def test_decode_is_bit_identical_with_non_finite_products():
-    # block A_2 (rows 3-4 of 11) has an infinite product; workers 1 and 2
-    # deliver it uncoded, and their coded rows, the only ones received,
-    # miss it, so it must reach neither their vectors nor the solve
+    # block A_2 (rows 3-4 of 11) has an infinite or a nan product; even
+    # where workers 1 and 2 deliver it uncoded and no received coded row
+    # holds it, the decode refuses it rather than return it
     plan = BOTTOM
     rng = np.random.default_rng(10)
     a = rng.standard_normal((11, 3))
-    a[3, 0] = np.inf
     x = rng.standard_normal(3)
-    for state in ((3, 3, 0, 0, 0), (3, 3, 1, 0, 0), (3, 3, 0, 0, 1), (3, 3, 2, 2, 2)):
-        got = assert_decodes_like_reference(plan, a, x, state_received(plan, state))
-        y = np.frombuffer(got, dtype=float)
-        assert np.isinf(y[3]) and np.isfinite(np.delete(y, [3])).all()
+    for bad in (np.inf, np.nan):
+        a[3, 0] = bad
+        for state in ((3, 3, 0, 0, 0), (3, 3, 1, 0, 0), (3, 3, 0, 0, 1), (3, 3, 2, 2, 2)):
+            got = assert_decodes_like_reference(plan, a, x, state_received(plan, state))
+            assert got == (ValueError, "non-finite block products: A_2")
+
+
+def test_decode_refuses_a_nan_product_without_a_warning():
+    # inf * 0 inside A_1 x forms nan, which numpy warns about and the
+    # test settings turn into an error; the decode names the block instead
+    a = np.ones((11, 3))
+    a[0, 0] = np.inf
+    x = np.array([0.0, 1.0, 1.0])
+    got = decode_outcome(numeric_decode, BOTTOM, a, x, state_received(BOTTOM, (3,) * 5))
+    assert got == (ValueError, "non-finite block products: A_1")
+
+
+def test_decode_from_products_refuses_non_finite_products():
+    # a nan duplicate is no disagreement: the message names what is wrong
+    plan = BOTTOM
+    heights = [len(r) for r in split_matrix(11, plan.params.delta)]
+    rng = np.random.default_rng(12)
+    blocks = [rng.standard_normal(h) for h in heights]
+    blocks[1][0] = np.nan
+    full = [(i, k, blocks[t.block] if isinstance(t, core.Uncoded) else rng.standard_normal(3))
+            for i, k in state_received(plan, (3,) * 5) for t in [plan.workers[i][k]]]
+    with pytest.raises(ValueError, match=r"^non-finite products received for block A_2$"):
+        decode_from_products(plan, 11, full)
+    # worker 3's coded task (position 3) sends inf; A_1 and A_2 arrive
+    # uncoded from worker 1
+    blocks[1][0] = 1.0
+    coded = np.array([np.inf, 0.0, 0.0])
+    vecs = [(0, 0, blocks[0]), (0, 1, blocks[1]), (2, 2, coded)]
+    with pytest.raises(ValueError, match=r"^non-finite products received for "
+                                         r"the coded task at worker 3, position 3$"):
+        decode_from_products(plan, 11, vecs)
+
+
+@pytest.mark.parametrize("make, nrows, pair, length, expected", [
+    (lambda: cyclic_uncoded(3, 1), 6, (0, 0), 1, 2),
+    (lambda: cyclic_uncoded(3, 1), 6, (0, 0), 3, 2),
+    (lambda: cyclic_coded(3, 1, 1, Placement.CODED_BOTTOM), 7, (1, 0), 3, 2),
+    (lambda: cyclic_coded(3, 1, 1, Placement.CODED_BOTTOM), 7, (0, 1), 2, 3),
+], ids=["uncoded-short", "uncoded-long", "uncoded-tallest-height", "coded-short"])
+def test_decode_from_products_checks_every_shape(make, nrows, pair, length, expected):
+    # an uncoded product has its block's height and a coded one the
+    # tallest block's (7 rows over 3 blocks: 3, 2, 2); any other shape is
+    # refused, naming its task, never cut or padded
+    plan = make()
+    i, k = pair
+    kind = "uncoded" if isinstance(plan.workers[i][k], core.Uncoded) else "coded"
+    with pytest.raises(ValueError, match=rf"^the product of the {kind} task at worker {i + 1}, "
+                                         rf"position {k + 1} has shape \({length},\), "
+                                         rf"expected \({expected},\)$"):
+        decode_from_products(plan, nrows, [(i, k, np.ones(length))])
 
 
 def test_decode_from_products_is_bit_identical_on_signed_zeros():
