@@ -157,9 +157,6 @@ class Coded:
     def support(self) -> tuple:
         return tuple(b for b, _ in self.coeffs)
 
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
-
 
 Task = Union[Uncoded, Coded]
 

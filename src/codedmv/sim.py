@@ -24,10 +24,12 @@ The numeric path maps each field coefficient c to the real number
 coefficients produced by the Cauchy construction d is exactly x_i - y_j,
 so the real and field matrices share the same parameters and the same
 generic rank profile. The plan's checker tabulates the real coefficients,
-supports and uncoded blocks of every task when it is built, and picks the
-rows decode solves from with
-:meth:`~codedmv.core.DecodabilityChecker.solving_rows`, the rank case of
-its decodability rule: the first received coded rows that are independent
+supports and uncoded blocks of every task when it is built. Both decode
+entry points fill one table, known block products then distinct received
+coded vectors, and share one solve; :func:`numeric_decode` does not call
+:func:`decode_from_products`. The solve takes the rows that
+:meth:`~codedmv.core.DecodabilityChecker.solving_rows` picks, the rank
+case of the decodability rule: the first received coded rows independent
 over GF(P) on the unknown blocks, in arrival order, taken without
 elimination when the certificate vouches for them. Block products and
 received vectors must be finite. The real square system on those rows is
@@ -457,13 +459,7 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
 
     Received uncoded products fill the table of known blocks verbatim, and
     a coded task counts once, at its first occurrence; duplicates of either
-    must agree, nan included. The unknown blocks are solved from a square
-    system: its rows are the first received coded rows that are independent
-    over GF(P) when restricted to the unknown blocks, in arrival order (see
-    :meth:`~codedmv.core.DecodabilityChecker.solving_rows`), each with the
-    known blocks' terms subtracted from its right-hand side block by block,
-    in block order. The solution completes the table, and the result is its
-    blocks in order, each cut to its height.
+    must agree, nan included.
 
     Raises:
         NotDecodableError: the equation set has rank below delta.
@@ -474,11 +470,9 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
     """
     delta = plan.params.delta
     ranges = split_matrix(nrows, delta)
-    checker = plan.checker
-    blocks, real, support = checker.blocks, checker.real, checker.support
+    blocks = plan.checker.blocks
     # shapes[b] is block b's; a coded task, at b = -1, has the first's
-    shapes = [(len(r),) for r in ranges]
-    shapes.append(shapes[0])
+    shapes = [(len(r),) for r in [*ranges, ranges[0]]]
     received = list(received)
     known = {}
     coded = {}
@@ -499,46 +493,57 @@ def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarr
             coded[j] = vec
         elif not np.array_equal(coded[j], vec, equal_nan=True):
             raise ValueError(f"inconsistent duplicate products for {_task_name(plan, j)}")
-    # the known blocks' products in rows 0 .. delta - 1, 0 below their
-    # heights (the first block is the tallest), then the distinct coded
-    # vectors in arrival order
-    rows = list(coded)
-    table = np.zeros((delta + len(rows), len(ranges[0])))
-    for b, p in known.items():
-        table[b, : len(p)] = p
-    for r, j in enumerate(rows, delta):
-        table[r] = coded[j]
+    table = np.zeros((delta + len(coded), len(ranges[0])))
+    for r, p in [*known.items(), *enumerate(coded.values(), delta)]:
+        table[r, : len(p)] = p
+    return _solve(plan, ranges, table, known, list(coded))
+
+
+def _solve(plan: AssignmentPlan, ranges: list, table: np.ndarray, known, rows: list) -> np.ndarray:
+    """Solve ``table`` for the blocks not in ``known`` and return every
+    block cut to its height. Row b < delta holds block b's product, 0 below
+    its height; the rows of blocks not in ``known`` are zeroed, then solved.
+    Row delta + r holds the vector of coded task ``rows[r]``. Each
+    right-hand side subtracts the known blocks' terms in block order.
+
+    Raises:
+        ValueError: a product in ``table`` is not finite.
+        NotDecodableError, DecodeFailure: as for :func:`decode_from_products`.
+    """
+    delta = len(ranges)
+    checker = plan.checker
+    unknown = [b for b in range(delta) if b not in known]
+    table[unknown] = 0.0
+    products, sent = table[:delta], table[delta:]
     # checked once, before any arithmetic: nan and inf would only warn
     # their way through to the result
     if not np.isfinite(table).all():
-        bad = [f"block A_{b + 1}" for b in sorted(known) if not np.isfinite(known[b]).all()]
-        bad += [_task_name(plan, j) for j in rows if not np.isfinite(coded[j]).all()]
+        bad = [f"block A_{b + 1}" for b in sorted(known) if not np.isfinite(products[b]).all()]
+        bad += [_task_name(plan, j) for j, v in zip(rows, sent) if not np.isfinite(v).all()]
         raise ValueError(f"non-finite products received for {', '.join(bad)}")
-    products, sent = table[:delta], table[delta:]
-    unknown = [b for b in range(delta) if b not in known]
     if unknown:
-        u = len(unknown)
         picked = checker.solving_rows(rows, unknown)
-        if len(picked) < u:
+        if len(picked) < len(unknown):
             raise NotDecodableError("received equations do not determine every block product")
         sel = [rows[r] for r in picked]
-        coeffs = real[sel]
+        coeffs = checker.real[sel]
         square = coeffs[:, unknown]
         # one running sum per row: its received vector, then -(c_b * A_b x)
         # for b = 0 .. delta - 1. x + -y is x - y bit for bit, and a block
         # that is unknown or off the row's support gives -0.0, which adds
         # nothing to any x, so the sum subtracts the known blocks' terms in
         # block order, as a loop over them would
-        terms = np.zeros((u, delta + 1, products.shape[1]))
+        terms = np.zeros((len(sel), delta + 1, table.shape[1]))
         terms[:, 0] = sent[picked]
-        np.multiply(coeffs[:, :, None], products, out=terms[:, 1:], where=support[sel][:, :, None])
+        np.multiply(coeffs[:, :, None], products, out=terms[:, 1:],
+                    where=checker.support[sel, :, None])
         np.negative(terms[:, 1:], out=terms[:, 1:])
         rhs = np.add.accumulate(terms, axis=1)[:, -1]
         cond = float(np.linalg.cond(square))
         if not cond <= 1e12:
             raise DecodeFailure(cond)
-        known.update(zip(unknown, np.linalg.solve(square, rhs)))
-    return np.concatenate([known[b][: len(r)] for b, r in enumerate(ranges)])
+        table[unknown] = np.linalg.solve(square, rhs)
+    return np.concatenate([table[b, : len(r)] for b, r in enumerate(ranges)])
 
 
 def _task_name(plan: AssignmentPlan, j: int) -> str:
@@ -568,27 +573,24 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
         raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
     x = np.asarray(x, dtype=float)
     ranges = split_matrix(A.shape[0], plan.params.delta)
-    # a non-finite product is refused below, so how it arose need not warn
+    # block b's product in row b, 0 below its height (the first block is the
+    # tallest); a non-finite one is refused below, so how it arose need not warn
+    products = np.zeros((len(ranges), len(ranges[0])))
     with np.errstate(invalid="ignore", over="ignore"):
-        prods = [A[r.start : r.stop] @ x for r in ranges]
-    # block b's product in row b, 0 below its height
-    padded = np.zeros((len(prods), len(prods[0])))  # the first block is the tallest
-    for b, prod in enumerate(prods):
-        padded[b, : len(prod)] = prod
-    if not np.isfinite(padded).all():
-        bad = [f"A_{b + 1}" for b, prod in enumerate(prods) if not np.isfinite(prod).all()]
+        for b, r in enumerate(ranges):
+            products[b, : len(r)] = A[r.start : r.stop] @ x
+    if not np.isfinite(products).all():
+        bad = [f"A_{b + 1}" for b, p in enumerate(products) if not np.isfinite(p).all()]
         raise ValueError(f"non-finite block products: {', '.join(bad)}")
-    pairs = list(dict.fromkeys((i, k) for i, k in received))
-    rows = _task_rows(plan, pairs)
+    rows = _task_rows(plan, dict.fromkeys((i, k) for i, k in received))
     checker = plan.checker
     blocks, real, support = checker.blocks, checker.real, checker.support
     coded = [j for j in rows if blocks[j] < 0]
     # terms[t, 1 + b] = c_b * A_b x on task t's support and 0 elsewhere
-    terms = np.zeros((len(coded), len(prods) + 1, padded.shape[1]))
-    np.multiply(real[coded, :, None], padded, out=terms[:, 1:], where=support[coded, :, None])
-    sums = dict(zip(coded, np.add.accumulate(terms, axis=1)[:, -1]))
-    vecs = [(i, k, prods[blocks[j]] if blocks[j] >= 0 else sums[j]) for (i, k), j in zip(pairs, rows)]
-    return decode_from_products(plan, A.shape[0], vecs)
+    terms = np.zeros((len(coded), len(ranges) + 1, products.shape[1]))
+    np.multiply(real[coded, :, None], products, out=terms[:, 1:], where=support[coded, :, None])
+    table = np.concatenate([products, np.add.accumulate(terms, axis=1)[:, -1]])
+    return _solve(plan, ranges, table, {blocks[j] for j in rows if blocks[j] >= 0}, coded)
 
 
 def state_received(plan: AssignmentPlan, state: Sequence) -> list:

@@ -429,7 +429,7 @@ def rank_decodable(plan):
     delta = plan.params.delta
     tasks = [
         [t.block if isinstance(t, core.Uncoded) else
-         [t.coeff_map().get(b, 0) for b in range(delta)] for t in worker]
+         [dict(t.coeffs).get(b, 0) for b in range(delta)] for t in worker]
         for worker in plan.workers
     ]
 
@@ -454,14 +454,27 @@ def reference_decodable(delta, known, coded):
     unknown = [b for b in range(delta) if b not in known]
     if not unknown:
         return True
-    rows = [[t.coeff_map().get(b, 0) for b in unknown] for t in coded]
+    rows = [[dict(t.coeffs).get(b, 0) for b in unknown] for t in coded]
     return reference_rank(rows) == len(unknown)
 
 
 def reference_decode(plan, A, x, received):
-    """``sim.numeric_decode`` as per-coefficient Python loops: each coded
-    vector is built one coefficient at a time and handed, with the uncoded
-    products, to :func:`reference_decode_from_products`."""
+    """``sim.numeric_decode`` as per-coefficient Python loops: the vectors
+    of :func:`reference_products` handed to
+    :func:`reference_decode_from_products`."""
+    vecs = reference_products(plan, A, x, received)
+    return reference_decode_from_products(plan, len(A), vecs)
+
+
+def reference_products(plan, A, x, received):
+    """The (worker, position, vector) each distinct received pair would
+    transmit, in first-occurrence order: an uncoded task's block product,
+    or a coded task's vector built one coefficient at a time.
+
+    Raises:
+        ValueError: ``A`` is not 2-D, a block product is not finite, or a
+            pair lies outside the plan.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
@@ -482,7 +495,7 @@ def reference_decode(plan, A, x, received):
             for b, c in t.coeffs:
                 vec[: len(prods[b])] += real_coefficient(c) * prods[b]
         vecs.append((i, k, vec))
-    return reference_decode_from_products(plan, A.shape[0], vecs)
+    return vecs
 
 
 def reference_decode_from_products(plan, nrows, received):
@@ -501,7 +514,7 @@ def reference_decode_from_products(plan, nrows, received):
                 raise ValueError(f"inconsistent duplicate products for block A_{t.block + 1}")
             known[t.block] = vec
         else:
-            coded.append((t.coeff_map(), vec))
+            coded.append((dict(t.coeffs), vec))
     unknown = [b for b in range(plan.params.delta) if b not in known]
     if unknown:
         u = len(unknown)

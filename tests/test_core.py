@@ -87,7 +87,7 @@ def test_coded_task_validation():
         Coded(((2, 1), (0, 1)))  # unsorted
     t = Coded.from_map({3: 7, 1: 5})
     assert t.support == (1, 3)
-    assert t.coeff_map() == {1: 5, 3: 7}
+    assert dict(t.coeffs) == {1: 5, 3: 7}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def reference_tables(plan):
     blocks, field, real = [], [], []
     for tasks in plan.workers:
         for t in tasks:
-            cm = {} if isinstance(t, Uncoded) else t.coeff_map()
+            cm = {} if isinstance(t, Uncoded) else dict(t.coeffs)
             blocks.append(t.block if isinstance(t, Uncoded) else -1)
             field.append([cm[b] % core.P if b in cm else 0 for b in range(p.delta)])
             real.append([real_coefficient(cm[b]) if b in cm else 0.0 for b in range(p.delta)])

@@ -174,7 +174,7 @@ def test_mds_any_delta_rows_decode():
     plan = mds_plan(3, 2, 3)
     rows = [t for tasks in plan.workers for t in tasks]
     for subset in combinations(range(6), 3):
-        mat = [[rows[r].coeff_map().get(b, 0) for b in range(3)] for r in subset]
+        mat = [[dict(rows[r].coeffs).get(b, 0) for b in range(3)] for r in subset]
         assert rank(mat) == 3
 
 

@@ -43,6 +43,7 @@ from support import (
     reference_decodable,
     reference_decode,
     reference_decode_from_products,
+    reference_products,
     reference_trial,
     relabel_blocks,
     scheme_plan_up_to,
@@ -649,34 +650,6 @@ def test_decode_refuses_ill_conditioned_system():
     assert "numerically unsafe" in str(info.value)
 
 
-def test_task_products_shapes(monkeypatch):
-    # numeric_decode hands the master one vector per distinct received task,
-    # in first-occurrence order: an uncoded vector has its block's height, a
-    # coded one the tallest block's
-    plan = BOTTOM
-    a = np.arange(22.0).reshape(11, 2)
-    x = np.array([1.0, -1.0])
-    order = [(i, k) for i in reversed(range(plan.n)) for k in range(plan.ell)]
-    received = order[:4] + [order[2], order[0]] + order[4:] + [order[-1]]
-    seen = []
-    monkeypatch.setattr(sim, "decode_from_products",
-                        lambda plan, nrows, vecs: seen.extend(vecs))
-    numeric_decode(plan, a, x, received)
-    assert [(i, k) for i, k, _ in seen] == order
-    ranges = split_matrix(11, 5)
-    hmax = max(len(r) for r in ranges)
-    assert hmax > min(len(r) for r in ranges)
-    kinds = set()
-    for i, k, vec in seen:
-        t = plan.workers[i][k]
-        kinds.add(type(t))
-        if isinstance(t, core.Uncoded):
-            assert vec.shape == (len(ranges[t.block]),)
-        else:
-            assert vec.shape == (hmax,)
-    assert kinds == {core.Uncoded, core.Coded}
-
-
 # ---------------------------------------------------------------------------
 # row choice and bit-identity of the table-driven decode
 
@@ -697,7 +670,7 @@ def received_rows(plan, received):
 
 def pivot_rows(plan, rows, unknown):
     """The rows ``field.pivots`` picks, from the plan's coefficient maps."""
-    maps = [plan.workers[j // plan.ell][j % plan.ell].coeff_map() for j in rows]
+    maps = [dict(plan.workers[j // plan.ell][j % plan.ell].coeffs) for j in rows]
     field = np.array([[cm.get(b, 0) for b in unknown] for cm in maps], dtype=np.int64)
     return pivots(field.reshape(len(rows), len(unknown)).T)
 
@@ -781,6 +754,10 @@ def test_decode_is_bit_identical_to_the_per_coefficient_reference(seed):
     received = (state_received(plan, random_state(plan, rng)) if rng.random() < 0.5
                 else random_pairs(plan, rng))
     assert_decodes_like_reference(plan, a, x, received)
+    # the same vectors, received by the master
+    vecs = reference_products(plan, a, x, received)
+    assert decode_outcome(decode_from_products, plan, len(a), vecs) == decode_outcome(
+        reference_decode_from_products, plan, len(a), vecs)
 
 
 @pytest.mark.parametrize("n, outcomes", [
