@@ -140,9 +140,9 @@ class Coded:
         if blocks != sorted(set(blocks)):
             raise ValueError("coefficient blocks must be sorted and distinct")
         for b, c in self.coeffs:
-            if not isinstance(b, int) or b < 0:
+            if not isinstance(b, int) or isinstance(b, bool) or b < 0:
                 raise ValueError(f"bad block index {b!r} in coded task")
-            if not isinstance(c, int) or c % P == 0:
+            if not isinstance(c, int) or isinstance(c, bool) or c % P == 0:
                 raise ValueError(f"coefficient for block {b} must be nonzero mod P")
 
     @classmethod
@@ -300,12 +300,15 @@ class DecodabilityChecker:
     coded rows always decode. Any other state decodes when
     :meth:`solving_rows`, which picks the rows numeric decode solves from,
     finds as many independent received coded rows as unknown blocks.
-    :meth:`decodable` combines a state's n prefix pairs; callers that move
-    between states one task at a time, such as :meth:`first_decodable` and
-    the threshold search of :mod:`codedmv.oracle`, update the summary in
-    O(1) and pass it to :meth:`decide` directly. The checker keeps no
-    reference to the plan and remembers no answers; no method writes to its
-    tables, so one checker, ``plan.checker``, serves every caller of a plan.
+    :meth:`decodable` combines a state's n prefix pairs. The trial walk of
+    :mod:`codedmv.sim` and the threshold search of :mod:`codedmv.oracle`
+    raise one worker i from w to w + 1 tasks at a time and step the summary
+    in O(1) to ``mask | prefix[i][w + 1][0]`` and
+    ``coded + prefix[i][w + 1][1] - prefix[i][w][1]`` (a worker's mask only
+    grows along its prefix), which they pass to :meth:`decide`. The checker
+    keeps no reference to the plan and remembers no answers; no method
+    writes to its tables, so one checker, ``plan.checker``, serves every
+    caller of a plan.
     """
 
     def __init__(self, plan: AssignmentPlan):
@@ -329,11 +332,9 @@ class DecodabilityChecker:
                     row = [(b, inv(c)) for b, c in t.coeffs]
                     c_row, d_row = [0] * delta, [0] * delta
                     support = umask
-                    for b, c in t.coeffs:
-                        c_row[b] = c % P
+                    for (b, c), (_, d) in zip(t.coeffs, row):
+                        c_row[b], d_row[b] = c % P, d
                         support |= 1 << b
-                    for b, d in row:
-                        d_row[b] = d
                     entries.append(row)
                     coded_at.append(i * ell + k)
                     coeffs.append(c_row)
@@ -396,29 +397,6 @@ class DecodabilityChecker:
             mask |= u
             coded += c
         return self.decide(mask, coded, state)
-
-    def first_decodable(self, events: Sequence[int]):
-        """(j, state) for completion events walked from the zero state: j
-        indexes the first event after which the state decodes, or is None,
-        and state is the state after event j, or after every event.
-
-        ``events`` are flat worker-major indices i * ell + k, each worker's
-        in position order; each event's state goes to :meth:`decide` with
-        its summary updated in O(1).
-        """
-        ell, prefixes, decide = self.ell, self.prefix, self.decide
-        state = [0] * self.n
-        mask, coded = 0, 0
-        for j, e in enumerate(events):
-            i, k = divmod(e, ell)
-            state[i] = k + 1
-            prefix = prefixes[i]
-            u, c = prefix[k + 1]
-            mask |= u
-            coded += c - prefix[k][1]
-            if decide(mask, coded, state):
-                return j, tuple(state)
-        return None, tuple(state)
 
 
 def _cauchy_certified(entries: Sequence[Sequence[tuple]], delta: int) -> bool:

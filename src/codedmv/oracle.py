@@ -43,7 +43,7 @@ class BudgetExceededError(RuntimeError):
     exceed the budget, so it equals the budget.
     """
 
-    def __init__(self, message: str, budget: int, evaluations: int = 0):
+    def __init__(self, message: str, budget: int, evaluations: int):
         self.budget = budget
         self.evaluations = evaluations
         super().__init__(message)
@@ -126,13 +126,10 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
     cannot exceed the best total.
 
     Each evaluation is O(1). Every frame on the path carries the checker's
-    (uncoded mask, coded count) summary of its state and of its state
-    without its last nonzero worker k. A child that increments worker j
-    adds worker j's ``prefix`` pair to the second summary when j == k and
-    to the first when j > k (workers after k are still 0), and
-    :meth:`~codedmv.core.DecodabilityChecker.decide` decides it: by the
-    count alone, unless the plan is not both certified and count-complete
-    and the count cannot settle the state, which is then ranked.
+    (uncoded mask, coded count) summary of its state, a child takes the
+    checker's one-worker step from it (see
+    :class:`~codedmv.core.DecodabilityChecker`), and ``decide`` settles it
+    by the count, or ranks it where the count cannot decide.
 
     Raises:
         BudgetExceededError: the search needs more decodability
@@ -158,15 +155,14 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
         raise ValueError("plan cannot decode even with every task processed")
 
     # one frame per state on the path from the zero state: [next worker
-    # to increment, total, room, base mask, base coded, mask, coded], room
-    # = sum over j >= that worker of ell - state[j], so the child that
-    # increments it is bounded by total + room; (mask, coded) summarises
-    # the state and the base summarises it without its last nonzero
-    # worker; a loop, as paths of n*ell steps outgrow recursion
-    frames = [[0, 0, n * ell, 0, 0, 0, 0]]
+    # to increment, total, room, mask, coded], room = sum over j >= that
+    # worker of ell - state[j], so the child that increments it is bounded
+    # by total + room; (mask, coded) summarises the state; a loop, as
+    # paths of n*ell steps outgrow recursion
+    frames = [[0, 0, n * ell, 0, 0]]
     while frames:
         frame = frames[-1]
-        i, total, room, base_mask, base_coded, mask, coded = frame
+        i, total, room, mask, coded = frame
         if i == n or total + room <= best_total:
             frames.pop()  # the bound only shrinks as i grows
             if frames:
@@ -176,10 +172,8 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
         w = state[i]
         if w == ell:
             continue
-        if not w:  # i is past the last nonzero worker
-            base_mask, base_coded = mask, coded
         u, c = prefix[i][w + 1]
-        mask, coded = base_mask | u, base_coded + c
+        mask, coded = mask | u, coded + c - prefix[i][w][1]
         state[i] = w + 1
         charge()
         if decide(mask, coded, state):
@@ -187,7 +181,7 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
             continue
         if total + 1 > best_total:
             best_total, best = total + 1, tuple(state)
-        frames.append([i, total + 1, room - 1, base_mask, base_coded, mask, coded])
+        frames.append([i, total + 1, room - 1, mask, coded])
     return OracleReport(q_true=best_total + 1, worst_state=best)
 
 

@@ -12,10 +12,10 @@ of it. Per plan and batch, one masked multiply weights the raw durations
 (a task a halted worker never reaches stays at inf), one cumulative sum
 gives the completion times and one stable argsort over the worker-major
 flat task index orders the events. Ties in time therefore fall in
-(worker, position) order. Each trial then hands its own finite events to
-the plan's checker (:meth:`codedmv.core.DecodabilityChecker.first_decodable`),
-which keeps the state's summary up to date with O(1) work per event and
-ranks only where its count cannot decide. Memory per batch is
+(worker, position) order. Each trial then walks its own finite events
+(:func:`run_trial`): every event takes the plan checker's O(1) step of
+the state's summary, and the checker's rule ranks only where its count
+cannot decide. Memory per batch is
 O(batch * n * ell) for each distinct plan shape, whatever the trial
 count; nothing is remembered across trials.
 
@@ -26,8 +26,7 @@ so the real and field matrices share the same parameters and the same
 generic rank profile. The plan's checker tabulates the real coefficients,
 supports and uncoded blocks of every task when it is built. Both decode
 entry points fill one table, known block products then distinct received
-coded vectors, and share one solve; :func:`numeric_decode` does not call
-:func:`decode_from_products`. The solve takes the rows that
+coded vectors, and share one solve. The solve takes the rows that
 :meth:`~codedmv.core.DecodabilityChecker.solving_rows` picks, the rank
 case of the decodability rule: the first received coded rows independent
 over GF(P) on the unknown blocks, in arrival order, taken without
@@ -113,6 +112,9 @@ class HaltAfter:
     per_block: float = 1.0
 
     def __post_init__(self):
+        for v in (self.blocks, *self.stragglers):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"blocks and straggler indices must be integers, got {v!r}")
         if self.blocks < 0:
             raise ValueError("blocks must be >= 0")
         if not (math.isfinite(self.per_block) and self.per_block > 0):
@@ -214,16 +216,6 @@ class SparsityAware:
 CostModel = Union[Uniform, SparsityAware]
 
 
-def task_weight(cost: CostModel, task) -> float:
-    if isinstance(cost, Uniform):
-        return 1.0
-    if isinstance(cost, SparsityAware):
-        if isinstance(task, Uncoded):
-            return float(cost.nnz[task.block])
-        return float(sum(cost.nnz[b] for b in task.support))
-    raise TypeError(f"unknown cost model {cost!r}")
-
-
 # ---------------------------------------------------------------------------
 # trials
 
@@ -243,14 +235,20 @@ def task_weights(plan: AssignmentPlan, cost: CostModel) -> np.ndarray:
         ValueError: a sparsity-aware cost that does not list one nonzero
             count per block of the plan.
     """
-    if isinstance(cost, SparsityAware) and len(cost.nnz) != plan.params.delta:
+    if isinstance(cost, Uniform):
+        return np.ones((plan.n, plan.ell))
+    if not isinstance(cost, SparsityAware):
+        raise TypeError(f"unknown cost model {cost!r}")
+    nnz = cost.nnz
+    if len(nnz) != plan.params.delta:
         raise ValueError(
-            f"sparsity-aware cost lists {len(cost.nnz)} nonzero counts, "
+            f"sparsity-aware cost lists {len(nnz)} nonzero counts, "
             f"plan has delta = {plan.params.delta} blocks"
         )
-    return np.array(
-        [[task_weight(cost, t) for t in tasks] for tasks in plan.workers], dtype=float
-    )
+    return np.array([
+        [nnz[t.block] if isinstance(t, Uncoded) else sum(nnz[b] for b in t.support) for t in tasks]
+        for tasks in plan.workers
+    ], dtype=float)
 
 
 def run_trial(checker: DecodabilityChecker, times: np.ndarray, events: Sequence[int]) -> TrialResult:
@@ -260,18 +258,26 @@ def run_trial(checker: DecodabilityChecker, times: np.ndarray, events: Sequence[
     ``events`` lists the flat worker-major indices i * ell + k of its
     finite completions in the order they happen; each worker's tasks
     complete in position order. ``checker`` is the plan's
-    :class:`~codedmv.core.DecodabilityChecker`, whose
-    :meth:`~codedmv.core.DecodabilityChecker.first_decodable` walks the
-    events.
+    :class:`~codedmv.core.DecodabilityChecker`: each event takes the
+    checker's O(1) step of the state's summary, and
+    :meth:`~codedmv.core.DecodabilityChecker.decide` decides the state.
 
     The master decodes at the first event whose state is decodable. If even
     the final reachable state cannot decode, the result reports
     decode_ok = False with finish_time = inf.
     """
-    j, state = checker.first_decodable(events)
-    if j is None:
-        return TrialResult(math.inf, state, sum(state), False)
-    return TrialResult(float(times.flat[events[j]]), state, sum(state), True)
+    ell, prefixes, decide = checker.ell, checker.prefix, checker.decide
+    state = [0] * checker.n
+    mask, coded = 0, 0
+    for e in events:
+        i, k = divmod(e, ell)
+        state[i] = k + 1
+        prefix = prefixes[i]
+        u, c = prefix[k + 1]
+        mask, coded = mask | u, coded + c - prefix[k][1]
+        if decide(mask, coded, state):
+            return TrialResult(float(times.flat[e]), tuple(state), sum(state), True)
+    return TrialResult(math.inf, tuple(state), sum(state), False)
 
 
 def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):

@@ -311,7 +311,7 @@ def min_uncoded_coverage(plan, k, budget=oracle.DEFAULT_BUDGET):
         raise ValueError(f"need 1 <= k <= n, got k = {k}")
     if comb(n, k) > budget:
         raise oracle.BudgetExceededError(
-            f"coverage search needs {comb(n, k)} evaluations, budget is {budget}", budget
+            f"coverage search needs {comb(n, k)} evaluations, budget is {budget}", budget, 0
         )
     masks = []
     for tasks in plan.workers:

@@ -222,6 +222,24 @@ def test_simulate_writes_rows_and_summary(tmp_path, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"uncoded", "top"}
 
 
+def test_simulate_seed_overrides_the_config_seed(tmp_path, capsys):
+    # --seed S writes the bytes of the same config with "seed": S
+    cfg = write_sim_setup(tmp_path)
+
+    def simulate(name, *flags):
+        out = tmp_path / name
+        code, stdout, _ = run(capsys, "simulate", "--config", str(cfg), "--out", str(out), *flags)
+        assert code == 0
+        return stdout.replace(str(out), "rows.csv"), out.read_bytes()
+
+    overridden = simulate("a.csv", "--seed", "5")
+    assert simulate("b.csv") != overridden  # the config's seed, 17
+    doc = json.loads(cfg.read_text())
+    doc["seed"] = 5
+    cfg.write_text(json.dumps(doc))
+    assert simulate("c.csv") == overridden
+
+
 def test_simulate_zero_trials_usage_error(tmp_path, capsys):
     cfg = write_sim_setup(tmp_path, trials=0)
     code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out",

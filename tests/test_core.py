@@ -85,6 +85,11 @@ def test_coded_task_validation():
         Coded(((0, 0),))  # zero coefficient
     with pytest.raises(ValueError):
         Coded(((2, 1), (0, 1)))  # unsorted
+    # bools are not blocks or coefficients: plan_to_json would write the key
+    # "True", which plan_from_json refuses
+    for bad in (lambda: Uncoded(True), lambda: Coded(((True, 5),)), lambda: Coded(((0, True),))):
+        with pytest.raises(ValueError):
+            bad()
     t = Coded.from_map({3: 7, 1: 5})
     assert t.support == (1, 3)
     assert dict(t.coeffs) == {1: 5, 3: 7}

@@ -25,7 +25,7 @@ from codedmv.sim import (
     rows_to_csv,
     split_matrix,
     state_received,
-    task_weight,
+    task_weights,
     trial_seed,
 )
 
@@ -161,6 +161,12 @@ def test_speed_model_validation():
         lambda: HaltAfter(stragglers=(0,), blocks=-1),
         lambda: HaltAfter(stragglers=(0,), per_block=math.nan),
         lambda: HaltAfter(stragglers=(0,), per_block=math.inf),
+        # not integers: each would die later in numpy or halt the wrong
+        # worker (True is worker 1)
+        lambda: HaltAfter(stragglers=(0,), blocks=1.5),
+        lambda: HaltAfter(stragglers=(0,), blocks=True),
+        lambda: HaltAfter(stragglers=(0.5,)),
+        lambda: HaltAfter(stragglers=(True,)),
         lambda: raw_durations(HaltAfter(stragglers=(9,)), [(3, 2)], [0]),
         lambda: raw_durations(ShiftedExponential(multipliers=(1.0, 1.0)), [(2, 2), (3, 1)], [0]),
     ]
@@ -173,12 +179,11 @@ def test_speed_model_validation():
 def test_task_weights():
     nnz = (10, 20, 30, 40, 50)
     cost = SparsityAware(nnz=nnz)
-    uncoded_task = BOTTOM.workers[0][0]
-    coded_task = BOTTOM.workers[0][2]
-    assert task_weight(Uniform(), coded_task) == 1.0
-    assert task_weight(cost, uncoded_task) == 10.0
+    # worker 1's first task is uncoded A_1, its last the coded row
+    assert task_weights(BOTTOM, Uniform())[0, 2] == 1.0
+    assert task_weights(BOTTOM, cost)[0, 0] == 10.0
     # support of worker 1's coded row is blocks {2, 3, 4}
-    assert task_weight(cost, coded_task) == 30 + 40 + 50
+    assert task_weights(BOTTOM, cost)[0, 2] == 30 + 40 + 50
 
 
 # ---------------------------------------------------------------------------
