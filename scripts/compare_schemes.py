@@ -3,10 +3,13 @@
 
 Runs the cyclic uncoded, coded-at-bottom and coded-at-top plans through the
 same random worker speeds and reports finish-time statistics plus pairwise
-win rates (a win is finishing no later on the shared draw).
+win rates (a win is finishing no later on the shared draw). A value the
+speed model or the experiment refuses ends the script with one ``error:``
+line and exit code 1.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -59,4 +62,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as e:
+        sys.exit(f"error: {e}")

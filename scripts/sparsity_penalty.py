@@ -5,10 +5,13 @@ Under a sparsity-aware cost model a coded task pays for the union of the
 nonzeros of every block it combines, so the dense baseline (every task
 combines all blocks) slows down while a mostly-uncoded cyclic plan keeps
 processing cheap single blocks. Sweeps the per-block nonzero count and
-reports mean finish times for both.
+reports mean finish times for both. A value the cost model or the
+experiment refuses ends the script with one ``error:`` line and exit
+code 1.
 """
 
 import argparse
+import sys
 
 from codedmv import sim
 from codedmv.core import Placement
@@ -25,9 +28,9 @@ def main():
 
     plans = [mds_plan(5, 3, 5), cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM)]
     ids = ["mds", "coded-bottom"]
+    costs = {nnz: sim.SparsityAware(nnz=(nnz,) * 5) for nnz in args.nnz}
     print("nnz_per_block,mds_mean,coded_bottom_mean,ratio")
-    for nnz in args.nnz:
-        cost = sim.SparsityAware(nnz=tuple([nnz] * 5))
+    for nnz, cost in costs.items():
         _, summaries = sim.run_experiment(
             plans, sim.ShiftedExponential(), cost, args.trials, args.seed, plan_ids=ids
         )
@@ -37,4 +40,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as e:
+        sys.exit(f"error: {e}")

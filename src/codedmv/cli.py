@@ -6,6 +6,9 @@ unwritable --out included), 2 verification mismatch or a decode refused as
 numerically unsafe, 3 search budget exceeded. ``main`` alone maps a failure
 to its exit code and prints it as one ``error:`` line, never a traceback.
 Identical flags and inputs always produce byte-identical output files.
+``simulate`` builds each speed and cost model by the ``kind`` its config
+entry names, from the entry's other keys, and leaves every check of their
+values to the models and ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .core import (
     Placement,
     SystemParams,
     Uncoded,
-    check_state,
     plan_from_dict,
     plan_to_json,
     validate_plan,
@@ -264,62 +266,24 @@ def _cmd_verify(args) -> int:
 # simulate
 
 
-def _speed_from_config(doc) -> sim.SpeedModel:
-    kind = doc.get("kind")
-    if kind == "shifted-exponential":
-        mult = doc.get("multipliers")
-        return sim.ShiftedExponential(
-            shift=_json_number(doc.get("shift", 1.0), "shift"),
-            rate=_json_number(doc.get("rate", 1.0), "rate"),
-            multipliers=None if mult is None else tuple(
-                _json_number(v, "every multiplier") for v in mult
-            ),
-        )
-    if kind == "deterministic":
-        per = doc.get("per_block", 1.0)
-        if isinstance(per, list):
-            return sim.Deterministic(
-                per_block=tuple(_json_number(v, "every per_block time") for v in per)
-            )
-        return sim.Deterministic(per_block=_json_number(per, "per_block"))
-    if kind == "halt-after":
-        return sim.HaltAfter(
-            stragglers=tuple(_json_int(v, "every straggler") for v in doc.get("stragglers", ())),
-            blocks=_config_int(doc, "blocks", 0),
-            per_block=_json_number(doc.get("per_block", 1.0), "per_block"),
-        )
-    raise UsageError(f"unknown speed model kind {kind!r}")
+_SPEEDS = {
+    "shifted-exponential": sim.ShiftedExponential,
+    "deterministic": sim.Deterministic,
+    "halt-after": sim.HaltAfter,
+}
+_COSTS = {"uniform": sim.Uniform, "sparsity-aware": sim.SparsityAware}
 
 
-def _cost_from_config(doc) -> sim.CostModel:
-    kind = doc.get("kind", "uniform")
-    if kind == "uniform":
-        return sim.Uniform()
-    if kind == "sparsity-aware":
-        return sim.SparsityAware(nnz=tuple(_json_int(v, "every nnz count") for v in doc["nnz"]))
-    raise UsageError(f"unknown cost model kind {kind!r}")
-
-
-def _json_int(value, what: str) -> int:
-    """A config value that must be a JSON integer (true and false are not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{what} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _json_number(value, what: str) -> float:
-    """A config value that must be a JSON number (strings and true and
-    false are not); the speed models reject non-finite values."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{what} must be a number, got {json.dumps(value)}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal too large for a float
-        raise UsageError(f"{what} must be a finite number, got {value}")
-
-
-def _config_int(cfg: dict, key: str, default: int) -> int:
-    return _json_int(cfg.get(key, default), key)
+def _model(doc: dict, models: dict, what: str, kind=None):
+    """The class of ``models`` that the entry's ``kind`` (default ``kind``)
+    names, called with its other keys as keywords, lists as tuples; an
+    unknown key is a TypeError, and the model checks its own values."""
+    kind = doc.get("kind", kind)
+    if kind not in models:
+        raise UsageError(f"unknown {what} model kind {kind!r}")
+    return models[kind](**{
+        key: tuple(v) if isinstance(v, list) else v for key, v in doc.items() if key != "kind"
+    })
 
 
 def _experiment_from_config(cfg, base: Path, seed_override):
@@ -341,20 +305,17 @@ def _experiment_from_config(cfg, base: Path, seed_override):
             raise UsageError(f"plan entry {entry!r} needs a path or an inline plan")
     if not plans:
         raise UsageError("config lists no plans")
-    trials = _config_int(cfg, "trials", 0)
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    seed = seed_override if seed_override is not None else _config_int(cfg, "seed", 0)
-    speed = _speed_from_config(cfg.get("speed", {"kind": "shifted-exponential"}))
-    cost = _cost_from_config(cfg.get("cost", {"kind": "uniform"}))
-    return plans, speed, cost, trials, seed, ids
+    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
+    speed = _model(cfg.get("speed", {"kind": "shifted-exponential"}), _SPEEDS, "speed")
+    cost = _model(cfg.get("cost", {}), _COSTS, "cost", "uniform")
+    return plans, speed, cost, cfg.get("trials", 0), seed, ids
 
 
 def _cmd_simulate(args) -> int:
     cfg = _read_json(args.config, "config")
     try:
         experiment = _experiment_from_config(cfg, Path(args.config).parent, args.seed)
-    except (AttributeError, KeyError, TypeError) as e:  # a value of the wrong shape
+    except (AttributeError, KeyError, TypeError) as e:  # a wrong shape, or an unknown key
         raise UsageError(f"malformed config {args.config}: {type(e).__name__}: {e}")
     rows, summaries = sim.run_experiment(*experiment)
     print(sim.summaries_to_csv(summaries), end="")
@@ -403,7 +364,6 @@ def _cmd_decode(args) -> int:
         state = tuple(int(v) for v in args.state.split(","))
     except ValueError:
         raise UsageError(f"state must be comma-separated integers, got {args.state!r}")
-    check_state(plan, state)
     y = sim.numeric_decode(plan, A, x, sim.state_received(plan, state))
     text = "\n".join(repr(float(v)) for v in y) + "\n"
     if args.out:

@@ -29,6 +29,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -257,13 +258,28 @@ def validate_plan(plan: AssignmentPlan) -> list:
     return out
 
 
-def check_state(plan: AssignmentPlan, state: Sequence) -> StateVector:
-    """Validate a state against a plan; returns it as a tuple.
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool.
 
     Raises:
-        ValueError: wrong length, negative entries, or entries above ell.
+        ValueError: anything else; a float is refused, never truncated.
     """
-    w = tuple(int(v) for v in state)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def check_state(plan: AssignmentPlan, state: Sequence) -> StateVector:
+    """Validate a state against a plan; returns it as a tuple of ints.
+
+    Raises:
+        ValueError: wrong length, an entry that is not an integer (see
+            :func:`_integer`), negative entries, or entries above ell.
+    """
+    w = tuple(_integer(v, f"state[{i}]") for i, v in enumerate(state))
     if len(w) != plan.n:
         raise ValueError(f"state has {len(w)} entries, plan has n = {plan.n} workers")
     for i, v in enumerate(w):

@@ -25,13 +25,13 @@ from .core import AssignmentPlan, Coded, Placement, SystemParams, Uncoded
 from .field import P, inv
 
 
-def cauchy(m: int, k: int, seed: int = 0) -> tuple:
+def cauchy(m: int, k: int) -> tuple:
     """Deterministic m x k Cauchy matrix over GF(P), as a tuple of m rows
-    of k residues: entry (i, j) is (x_i - y_j)^-1 with y_j = seed + j and
-    x_i = seed + k + i.
+    of k residues: entry (i, j) is (x_i - y_j)^-1 with y_j = j and
+    x_i = k + i.
 
-    The m + k parameters are consecutive integers reduced into the field,
-    hence pairwise distinct as long as m + k < P.
+    The m + k parameters are the integers 0 .. m + k - 1, hence pairwise
+    distinct residues as long as m + k < P.
 
     Raises:
         ValueError: m + k >= P, or non-positive dimensions.
@@ -40,9 +40,7 @@ def cauchy(m: int, k: int, seed: int = 0) -> tuple:
         raise ValueError("cauchy needs m >= 1 and k >= 1")
     if m + k >= P:
         raise ValueError(f"m + k = {m + k} must stay below the field size {P}")
-    y = tuple((seed + j) % P for j in range(k))
-    x = tuple((seed + k + i) % P for i in range(m))
-    return tuple(tuple(inv(x[i] - y[j]) for j in range(k)) for i in range(m))
+    return tuple(tuple(inv(k + i - j) for j in range(k)) for i in range(m))
 
 
 def cyclic_uncoded(n: int, r: int) -> AssignmentPlan:
@@ -89,7 +87,7 @@ def cyclic_coded(n: int, r_u: int, ell_c: int, placement: Placement) -> Assignme
     params = SystemParams(
         n=n, delta=n, ell_u=r_u, ell_c=ell_c, r_u=r_u, placement=placement
     )
-    mat = cauchy(n * ell_c, n, 0)
+    mat = cauchy(n * ell_c, n)
     bottom = placement is Placement.CODED_BOTTOM
     workers = []
     for i in range(n):
@@ -118,7 +116,7 @@ def mds_plan(n: int, ell: int, delta: int) -> AssignmentPlan:
     params = SystemParams(
         n=n, delta=delta, ell_u=0, ell_c=ell, r_u=0, placement=Placement.FULLY_CODED
     )
-    mat = cauchy(n * ell, delta, 0)
+    mat = cauchy(n * ell, delta)
     workers = tuple(
         tuple(_coded_task(mat[i * ell + j], frozenset()) for j in range(ell))
         for i in range(n)

@@ -17,7 +17,11 @@ flat task index orders the events. Ties in time therefore fall in
 the state's summary, and the checker's rule ranks only where its count
 cannot decide. Memory per batch is
 O(batch * n * ell) for each distinct plan shape, whatever the trial
-count; nothing is remembered across trials.
+count; nothing is remembered across trials. The speed and cost models
+check their fields when made, and :func:`run_experiment` its ``trials``
+and ``seed``: a count, index or seed must be an integer (Python or
+numpy), a time, rate or multiplier a finite real number; a bool, a
+string or an integer too large for a float is a ValueError.
 
 The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
@@ -41,12 +45,13 @@ condition number.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import AssignmentPlan, DecodabilityChecker, Uncoded
+from .core import AssignmentPlan, DecodabilityChecker, Uncoded, _integer, check_state
 
 
 class NotDecodableError(ValueError):
@@ -68,6 +73,22 @@ class DecodeFailure(RuntimeError):
 # speed models
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float: a finite real number, never a bool.
+
+    Raises:
+        ValueError: anything else, an integer too large for a float included.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:
+            raise ValueError(f"{what} must be a finite number, got one too large for a float") from None
+        if math.isfinite(out):
+            return out
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ShiftedExponential:
     """Per-task duration shift + Exp(rate * multiplier_i); multipliers > 1
@@ -78,14 +99,14 @@ class ShiftedExponential:
     multipliers: tuple | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.shift) and self.shift >= 0):
-            raise ValueError(f"shift must be a finite number >= 0, got {self.shift}")
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be a finite number > 0, got {self.rate}")
+        if not _number(self.shift, "shift") >= 0:
+            raise ValueError(f"shift must be >= 0, got {self.shift}")
+        if not _number(self.rate, "rate") > 0:
+            raise ValueError(f"rate must be > 0, got {self.rate}")
         if self.multipliers is not None and not all(
-            math.isfinite(m) and m > 0 for m in self.multipliers
+            _number(m, "every multiplier") > 0 for m in self.multipliers
         ):
-            raise ValueError(f"multipliers must be finite and positive, got {self.multipliers}")
+            raise ValueError(f"multipliers must be positive, got {self.multipliers}")
 
 
 @dataclass(frozen=True)
@@ -95,11 +116,9 @@ class Deterministic:
     per_block: Union[float, tuple] = 1.0
 
     def __post_init__(self):
-        values = (
-            (self.per_block,) if isinstance(self.per_block, (int, float)) else self.per_block
-        )
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            raise ValueError(f"per-block times must be finite and positive, got {self.per_block}")
+        values = self.per_block if np.ndim(self.per_block) else (self.per_block,)
+        if not all(_number(v, "per_block") > 0 for v in values):
+            raise ValueError(f"per-block times must be positive, got {self.per_block}")
 
 
 @dataclass(frozen=True)
@@ -107,18 +126,17 @@ class HaltAfter:
     """Workers in ``stragglers`` stop after ``blocks`` completed tasks; every
     completed task takes ``per_block`` seconds."""
 
-    stragglers: tuple
+    stragglers: tuple = ()
     blocks: int = 0
     per_block: float = 1.0
 
     def __post_init__(self):
-        for v in (self.blocks, *self.stragglers):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"blocks and straggler indices must be integers, got {v!r}")
-        if self.blocks < 0:
+        for v in self.stragglers:
+            _integer(v, "every straggler")
+        if _integer(self.blocks, "blocks") < 0:
             raise ValueError("blocks must be >= 0")
-        if not (math.isfinite(self.per_block) and self.per_block > 0):
-            raise ValueError(f"per_block must be finite and positive, got {self.per_block}")
+        if not _number(self.per_block, "per_block") > 0:
+            raise ValueError(f"per_block must be positive, got {self.per_block}")
 
 
 SpeedModel = Union[ShiftedExponential, Deterministic, HaltAfter]
@@ -172,18 +190,17 @@ def raw_durations(speed: SpeedModel, shapes: Iterable[tuple], seeds: Sequence[in
 def _fixed_durations(speed: SpeedModel, n: int, ell: int) -> np.ndarray:
     """The (n, ell) durations of a deterministic or halt-after model."""
     if isinstance(speed, Deterministic):
-        if isinstance(speed.per_block, (int, float)):
-            per = np.full(n, float(speed.per_block))
-        else:
-            per = np.asarray(speed.per_block, dtype=float)
-            if per.shape != (n,):
-                raise ValueError(f"need {n} per-block times, got {per.shape}")
+        per = np.asarray(speed.per_block, dtype=float)
+        if per.ndim == 0:
+            per = np.full(n, per)
+        elif per.shape != (n,):
+            raise ValueError(f"need {n} per-block times, got {per.shape}")
         return np.repeat(per[:, None], ell, axis=1)
     if isinstance(speed, HaltAfter):
         bad = [i for i in speed.stragglers if not 0 <= i < n]
         if bad:
             raise ValueError(f"straggler index {bad[0]} outside [0, {n})")
-        one = np.full((n, ell), speed.per_block)
+        one = np.full((n, ell), float(speed.per_block))
         for i in speed.stragglers:
             one[i, min(speed.blocks, ell) :] = np.inf
         return one
@@ -209,8 +226,11 @@ class SparsityAware:
     nnz: tuple
 
     def __post_init__(self):
-        if any(v < 0 for v in self.nnz):
+        counts = [_integer(v, "every nonzero count") for v in self.nnz]
+        if any(v < 0 for v in counts):
             raise ValueError("nonzero counts must be non-negative")
+        # bounds every task's weight, which task_weights makes a float
+        _number(sum(counts), "the total nonzero count")
 
 
 CostModel = Union[Uniform, SparsityAware]
@@ -348,12 +368,14 @@ def run_experiment(
     ``plan.checker``, which remembers no answers.
 
     Raises:
-        ValueError: trials < 1; plan_ids that do not match plans, or that
+        ValueError: trials or seed not an integer (a bool is not), trials
+            < 1 or seed < 0; plan_ids that do not match plans, or that
             repeat an id or hold one that is not a str free of ``,``, ``"``,
             CR and LF (the CSV writers do not quote); or a speed or cost
             model that does not fit a plan (see :func:`raw_durations` and
             :func:`task_weights`).
     """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if plan_ids is None:
@@ -600,8 +622,10 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
 
 
 def state_received(plan: AssignmentPlan, state: Sequence) -> list:
-    """(worker, position) pairs a prefix state corresponds to."""
-    out = []
-    for i, w in enumerate(state):
-        out.extend((i, k) for k in range(int(w)))
-    return out
+    """(worker, position) pairs a prefix state corresponds to.
+
+    Raises:
+        ValueError: a state that does not fit the plan (see
+            :func:`~codedmv.core.check_state`).
+    """
+    return [(i, k) for i, w in enumerate(check_state(plan, state)) for k in range(w)]

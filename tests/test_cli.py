@@ -240,6 +240,23 @@ def test_simulate_seed_overrides_the_config_seed(tmp_path, capsys):
     assert simulate("c.csv") == overridden
 
 
+def test_simulate_cost_without_kind_is_uniform(tmp_path, capsys):
+    cfg = write_sim_setup(tmp_path, trials=20)
+    config = json.loads(cfg.read_text())
+    outputs = []
+    for cost in ({"kind": "uniform"}, {}, None):
+        if cost is None:
+            del config["cost"]
+        else:
+            config["cost"] = cost
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "rows.csv"
+        code, stdout, _ = run(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        outputs.append((stdout, out.read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_simulate_zero_trials_usage_error(tmp_path, capsys):
     cfg = write_sim_setup(tmp_path, trials=0)
     code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out",
@@ -587,6 +604,7 @@ HALT_AFTER = ("speed", {"kind": "halt-after", "stragglers": [0], "blocks": 1})
 SPARSITY = ("cost", {"kind": "sparsity-aware"})
 SHIFTED = ("speed", {"kind": "shifted-exponential"})
 DETERMINISTIC = ("speed", {"kind": "deterministic"})
+NO_COST_KIND = ("cost", {})  # uniform, which takes no nonzero counts
 
 
 @pytest.mark.parametrize("setup", [_undecodable_plan, _budget_zero, _budget_negative,
@@ -615,6 +633,8 @@ DETERMINISTIC = ("speed", {"kind": "deterministic"})
                                    _config_value("per_block", float("inf"), DETERMINISTIC),
                                    _config_value("per_block", [1, 2, False, 1, 1],
                                                  DETERMINISTIC),
+                                   _config_value("multiplier", [1, 1, 1, 0.2, 0.2], SHIFTED),
+                                   _config_value("nnz", [1, 2, 3, 4, 5], NO_COST_KIND),
                                    *(_out_in_missing_dir(command) for command in
                                      ("design", "bounds", "verify", "simulate", "decode")),
                                    *(_verify_bad_plan(name) for name in BAD_PLANS),

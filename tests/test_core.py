@@ -241,6 +241,22 @@ def test_fig3_worst_case_misses_a5():
 def test_decodable_rejects_invalid_state():
     with pytest.raises(ValueError):
         is_decodable(FIG3, (1, 1))
+    # refused, never truncated: (2.9, 2.9, 0) would be answered as (2, 2, 0)
+    top = schemes.cyclic_coded(3, 2, 1, Placement.CODED_TOP)
+    for state in [(2.9, 2.9, 0), (2.0, 2, 2), (True, 1, 1), (np.True_, 1, 1), ("2", 2, 2),
+                  (-1, 3, 3), (4, 0, 0)]:
+        with pytest.raises(ValueError):
+            core.check_state(top, state)
+            pytest.fail(f"state {state} was accepted")
+        with pytest.raises(ValueError):
+            is_decodable(top, state)
+
+
+def test_check_state_takes_python_and_numpy_integers():
+    top = schemes.cyclic_coded(3, 2, 1, Placement.CODED_TOP)
+    state = core.check_state(top, np.array([3, 2, 0]))
+    assert state == (3, 2, 0) and all(type(v) is int for v in state)
+    assert core.check_state(top, (np.int8(1), 2**0, np.uint64(3))) == (1, 1, 3)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -34,18 +34,18 @@ def det3(m):
 
 def test_cauchy_smallest_case():
     # x_0 = 1, y_0 = 0: the single entry is 1 / (1 - 0)
-    assert cauchy(1, 1, 0) == ((1,),)
+    assert cauchy(1, 1) == ((1,),)
 
 
 def test_cauchy_2x2_invertible_by_determinant():
-    m = cauchy(2, 2, 0)
+    m = cauchy(2, 2)
     assert all(m[i][j] != 0 for i in range(2) for j in range(2))
     assert det2(m) != 0
 
 
 def test_cauchy_parameters_distinct_and_disjoint():
-    # entry (i, j) is the inverse of (seed + k + i) - (seed + j) = k + i - j
-    m = cauchy(6, 4, 123)
+    # entry (i, j) is the inverse of x_i - y_j = (k + i) - j
+    m = cauchy(6, 4)
     assert len(m) == 6 and all(len(row) == 4 for row in m)
     for i in range(6):
         for j in range(4):
@@ -55,7 +55,7 @@ def test_cauchy_parameters_distinct_and_disjoint():
 
 
 def test_cauchy_random_3x3_submatrices_invertible():
-    m = cauchy(5, 5, 0)
+    m = cauchy(5, 5)
     rng = np.random.default_rng(0)
     for _ in range(200):
         rows = sorted(rng.choice(5, size=3, replace=False))
@@ -66,7 +66,7 @@ def test_cauchy_random_3x3_submatrices_invertible():
 
 def test_cauchy_rejects_field_overflow():
     with pytest.raises(ValueError):
-        cauchy(P // 2 + 1, P // 2 + 1, 0)
+        cauchy(P // 2 + 1, P // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_cyclic_uncoded_rejects_bad_replication():
 
 def test_cyclic_coded_bottom_structure():
     plan = cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM)
-    mat = cauchy(5, 5, 0)
+    mat = cauchy(5, 5)
     for i, tasks in enumerate(plan.workers):
         assert [t.block for t in tasks[:2]] == [i % 5, (i + 1) % 5]
         coded = tasks[2]
@@ -142,7 +142,7 @@ def test_cyclic_coded_degenerates_to_uncoded():
 
 def test_cyclic_coded_multi_row_consumption_order():
     plan = cyclic_coded(4, 1, 2, Placement.CODED_BOTTOM)
-    mat = cauchy(8, 4, 0)
+    mat = cauchy(8, 4)
     for i, tasks in enumerate(plan.workers):
         for j, coded in enumerate(tasks[1:]):
             for b, c in coded.coeffs:

@@ -26,6 +26,22 @@ def test_script_runs_and_prints_csv_header(script, args, header):
     assert proc.stdout.splitlines()[0] == header
 
 
+@pytest.mark.parametrize("script, args, message", [
+    ("compare_schemes.py", ["--trials", "5", "--shift", "nan"],
+     "error: shift must be a finite number, got nan"),
+    ("compare_schemes.py", ["--trials", "5", "--straggler-slowdown", "-0.5"],
+     "error: multipliers must be positive, got (1.0, 1.0, 1.0, -0.5, -0.5)"),
+    ("compare_schemes.py", ["--trials", "0"], "error: trials must be >= 1"),
+    ("sparsity_penalty.py", ["--trials", "5", "--nnz", "1", "-2"],
+     "error: nonzero counts must be non-negative"),
+], ids=["shift-nan", "negative-slowdown", "zero-trials", "negative-nnz"])
+def test_script_refuses_a_bad_value_with_one_error_line(script, args, message):
+    proc = run_python([str(SCRIPTS / script), *args])
+    assert proc.returncode == 1
+    assert proc.stderr == message + "\n"
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # bench_pairs.py, on made-up run records (no benchmark runs)
 

@@ -54,6 +54,7 @@ from support import (
 )
 
 UNCODED = cyclic_uncoded(5, 3)
+FIG1 = cyclic_uncoded(3, 2)
 BOTTOM = cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM)
 TOP = cyclic_coded(5, 2, 1, Placement.CODED_TOP)
 
@@ -169,11 +170,43 @@ def test_speed_model_validation():
         lambda: HaltAfter(stragglers=(True,)),
         lambda: raw_durations(HaltAfter(stragglers=(9,)), [(3, 2)], [0]),
         lambda: raw_durations(ShiftedExponential(multipliers=(1.0, 1.0)), [(2, 2), (3, 1)], [0]),
+        # a bool is not a number, a string is not one either, and an
+        # integer too large for a float is refused, not overflowed
+        lambda: ShiftedExponential(shift=True),
+        lambda: ShiftedExponential(rate=True),
+        lambda: ShiftedExponential(multipliers=(1.0, False)),
+        lambda: Deterministic(per_block=True),
+        lambda: Deterministic(per_block=(1.0, True)),
+        lambda: HaltAfter(per_block=True),
+        lambda: ShiftedExponential(shift="2"),
+        lambda: Deterministic(per_block="2"),
+        lambda: ShiftedExponential(shift=10**400),
+        lambda: Deterministic(per_block=10**400),
+        lambda: SparsityAware(nnz=(True, 2, 1)),
+        lambda: SparsityAware(nnz=(1, 2.5, 1)),
+        lambda: SparsityAware(nnz=(10**400, 1)),
+        lambda: run_experiment([UNCODED], Deterministic(), Uniform(), True, seed=0),
+        lambda: run_experiment([UNCODED], Deterministic(), Uniform(), 2, seed=True),
+        lambda: run_experiment([UNCODED], Deterministic(), Uniform(), 2, seed=1.5),
     ]
     for j, make in enumerate(invalid):
         with pytest.raises(ValueError):
             make()
             pytest.fail(f"case {j} was accepted")
+
+
+@pytest.mark.parametrize("speed", [
+    lambda per: Deterministic(per_block=per),
+    lambda per: Deterministic(per_block=(per, 1.0, per, 3.0, 1.0)),
+    lambda per: HaltAfter(stragglers=(0, 3), blocks=1, per_block=per),
+], ids=["deterministic", "deterministic-per-worker", "halt-after"])
+def test_integer_times_simulate_like_floats(speed):
+    plans = [UNCODED, BOTTOM, TOP]
+    cost = SparsityAware(nnz=(3, 1, 4, 1, 5))
+    as_int = run_experiment(plans, speed(2), cost, 70, seed=3)
+    as_float = run_experiment(plans, speed(2.0), cost, 70, seed=3)
+    assert rows_to_csv(as_int[0]) == rows_to_csv(as_float[0])
+    assert sim.summaries_to_csv(as_int[1]) == sim.summaries_to_csv(as_float[1])
 
 
 def test_task_weights():
@@ -549,6 +582,15 @@ def test_decode_refuses_undecodable_state():
     x = np.array([1.0, 2.0])
     with pytest.raises(NotDecodableError):
         numeric_decode(plan, a, x, state_received(plan, (2, 0, 0)))
+
+
+def test_state_received_checks_the_state():
+    # a negative count is refused, never read as 0
+    assert state_received(FIG1, (np.int64(1), 0, 2)) == [(0, 0), (2, 0), (2, 1)]
+    for state in [(-1, 2, 2), (3, 0, 0), (1.5, 0, 0), (True, 0, 0), (1, 1)]:
+        with pytest.raises(ValueError):
+            state_received(FIG1, state)
+            pytest.fail(f"state {state} was accepted")
 
 
 def test_decode_rejects_out_of_range_tasks():
