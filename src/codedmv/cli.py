@@ -24,6 +24,7 @@ from . import bounds as bounds_mod
 from . import oracle as oracle_mod
 from . import schemes, sim
 from .core import (
+    _DECIMALS,
     AssignmentPlan,
     Placement,
     SystemParams,
@@ -287,13 +288,16 @@ def _model(doc: dict, models: dict, what: str, kind=None):
 
 
 def _experiment_from_config(cfg, base: Path, seed_override):
-    """run_experiment's (plans, speed, cost, trials, seed, plan_ids)."""
+    """run_experiment's (plans, speed, cost, trials, seed, plan_ids); an
+    unknown key of the config or of a plan entry is a TypeError."""
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
+    _known_keys(cfg, ("plans", "speed", "cost", "trials", "seed"), "config")
     plans, ids = [], []
     for entry in cfg.get("plans", []):
         if isinstance(entry, str):
             entry = {"path": entry}
+        _known_keys(entry, ("id", "path", "plan"), "plan entry")
         if "path" in entry:
             path = Path(entry["path"])
             plans.append(_load_plan(str(base / path)))  # an absolute path replaces base
@@ -309,6 +313,12 @@ def _experiment_from_config(cfg, base: Path, seed_override):
     speed = _model(cfg.get("speed", {"kind": "shifted-exponential"}), _SPEEDS, "speed")
     cost = _model(cfg.get("cost", {}), _COSTS, "cost", "uniform")
     return plans, speed, cost, cfg.get("trials", 0), seed, ids
+
+
+def _known_keys(doc: dict, keys: tuple, what: str):
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise TypeError(f"unknown {what} key {unknown[0]!r}; known keys are {', '.join(keys)}")
 
 
 def _cmd_simulate(args) -> int:
@@ -360,10 +370,12 @@ def _cmd_decode(args) -> int:
     plan = _load_plan(args.plan)
     A = _load_matrix(args.matrix)
     x = _load_vector(args.vector)
-    try:
-        state = tuple(int(v) for v in args.state.split(","))
-    except ValueError:
-        raise UsageError(f"state must be comma-separated integers, got {args.state!r}")
+    if not _DECIMALS.fullmatch(args.state):
+        raise UsageError(
+            f"state must be comma-separated counts such as 2,1,0, with no sign, space or "
+            f"leading zero, got {args.state!r}"
+        )
+    state = tuple(int(v) for v in args.state.split(","))
     y = sim.numeric_decode(plan, A, x, sim.state_received(plan, state))
     text = "\n".join(repr(float(v)) for v in y) + "\n"
     if args.out:

@@ -297,9 +297,12 @@ class DecodabilityChecker:
     int64 array of the coded coefficients, and ``support``, its nonzero
     mask; ``real``, the numbers numeric decode uses in their place, 1 / d
     for d = c^-1 mod P (see :mod:`codedmv.sim`); both arrays are 0 off each
-    support and on uncoded tasks. ``prefix[i][w]`` is the (uncoded block
-    mask, coded row count) summary of worker i's first w tasks; a state's
-    summary ORs the masks and adds the counts of one pair per worker.
+    support and on uncoded tasks. ``coded_tasks`` lists the coded tasks in
+    task order, and row b of ``holders``, a (delta, max(1, most copies of
+    a block)) array, the tasks holding block b uncoded, padded with the
+    sentinel n * ell. ``prefix[i][w]`` is the (uncoded block mask, coded
+    row count) summary of worker i's first w tasks; a state's summary ORs
+    the masks and adds the counts of one pair per worker.
 
     The same pass decides two facts. ``certified`` (see
     :func:`_cauchy_certified`): values x_r per coded row r and y_j per block
@@ -309,11 +312,16 @@ class DecodabilityChecker:
     each coded task's support, ORed with the blocks its worker holds
     uncoded above it, covers every block; tasks arrive in prefix order, so
     every received coded row then holds every unknown block.
+    ``count_exact`` is both facts together (every plan
+    :mod:`codedmv.schemes` builds has it, an uncoded plan trivially): a
+    state then decodes exactly when its coded rows plus its known blocks
+    number at least delta, a count that :mod:`codedmv.sim` takes for a
+    whole batch of trials at once.
 
     :meth:`decide` is the rule. A state with fewer coded rows than unknown
     blocks never decodes and one with no unknown block always does; on a
-    plan with both facts (every plan :mod:`codedmv.schemes` builds), enough
-    coded rows always decode. Any other state decodes when
+    ``count_exact`` plan, enough coded rows always decode. Any other state
+    decodes when
     :meth:`solving_rows`, which picks the rows numeric decode solves from,
     finds as many independent received coded rows as unknown blocks.
     :meth:`decodable` combines a state's n prefix pairs. The trial walk of
@@ -333,6 +341,7 @@ class DecodabilityChecker:
         self.n, self.ell, self.delta = n, ell, delta
         every_block = (1 << delta) - 1
         blocks = [-1] * (n * ell)
+        holders = [[] for _ in range(delta)]
         prefixes = []
         entries = []  # per coded task, in task order: its (block, c^-1) pairs
         coded_at, coeffs, inverses = [], [], []  # per coded task: its index, c and c^-1 by block
@@ -344,6 +353,7 @@ class DecodabilityChecker:
                 if isinstance(t, Uncoded):
                     umask |= 1 << t.block
                     blocks[i * ell + k] = t.block
+                    holders[t.block].append(i * ell + k)
                 else:
                     row = [(b, inv(c)) for b, c in t.coeffs]
                     c_row, d_row = [0] * delta, [0] * delta
@@ -361,6 +371,9 @@ class DecodabilityChecker:
             prefixes.append(tuple(prefix))
         self.prefix = tuple(prefixes)
         self.blocks = tuple(blocks)
+        self.coded_tasks = np.array(coded_at, dtype=np.intp)
+        width = max(1, *map(len, holders))
+        self.holders = np.array([h + [n * ell] * (width - len(h)) for h in holders], dtype=np.intp)
         self.field = np.zeros((n * ell, delta), dtype=np.int64)
         self.field[coded_at] = np.array(coeffs, dtype=np.int64).reshape(-1, delta)
         self.support = self.field != 0
@@ -368,7 +381,7 @@ class DecodabilityChecker:
         inverse[coded_at] = np.array(inverses, dtype=float).reshape(-1, delta)
         self.real = np.divide(1.0, inverse, out=np.zeros_like(inverse), where=self.support)
         self.certified = _cauchy_certified(entries, delta)
-        self._count_is_exact = self.certified and self.count_complete
+        self.count_exact = self.certified and self.count_complete
 
     def decide(self, mask: int, coded: int, state: Sequence[int]) -> bool:
         """Decodability of ``state``, whose summary is uncoded mask ``mask``
@@ -376,7 +389,7 @@ class DecodabilityChecker:
         missing = self.delta - mask.bit_count()
         if coded < missing:
             return False
-        if missing == 0 or self._count_is_exact:
+        if missing == 0 or self.count_exact:
             return True
         return self._rank_decides(mask, state)
 
@@ -484,9 +497,10 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     return plan.checker.decodable(w)
 
 
-# the keys of a coefficient map, joined by commas: each the decimal of a
-# block as plan_to_dict writes it, so no two keys can name one block
-_BLOCK_KEYS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+# comma-separated canonical decimals, each 0 or digits with no leading
+# zero: the keys of a coefficient map, as plan_to_dict writes the blocks (so
+# no two keys can name one block), and the counts of ``decode --state``
+_DECIMALS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
 
 
 def plan_to_dict(plan: AssignmentPlan) -> dict:
@@ -538,7 +552,7 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
                 tasks.append(Uncoded(t["u"]))
             elif "c" in t:
                 coeffs = t["c"]
-                if coeffs and not _BLOCK_KEYS.fullmatch(",".join(coeffs)):
+                if coeffs and not _DECIMALS.fullmatch(",".join(coeffs)):
                     raise ValueError(
                         f"coefficient keys {list(coeffs)} must be block numbers such as "
                         "'0' or '12', with no sign, space or leading zero"

@@ -12,16 +12,25 @@ of it. Per plan and batch, one masked multiply weights the raw durations
 (a task a halted worker never reaches stays at inf), one cumulative sum
 gives the completion times and one stable argsort over the worker-major
 flat task index orders the events. Ties in time therefore fall in
-(worker, position) order. Each trial then walks its own finite events
-(:func:`run_trial`): every event takes the plan checker's O(1) step of
-the state's summary, and the checker's rule ranks only where its count
-cannot decide. Memory per batch is
-O(batch * n * ell) for each distinct plan shape, whatever the trial
-count; nothing is remembered across trials. The speed and cost models
-check their fields when made, and :func:`run_experiment` its ``trials``
-and ``seed``: a count, index or seed must be an integer (Python or
-numpy), a time, rate or multiplier a finite real number; a bool, a
-string or an integer too large for a float is a ValueError.
+(worker, position) order. Inverting that order gives each task's place
+among its trial's events. On a plan whose checker is ``count_exact``
+(every plan :mod:`codedmv.schemes` builds, designed or relabelled), a
+state decodes exactly when its coded rows plus its known blocks number at
+least delta. Each coded task adds one at its place and each block one at
+the place of its first uncoded copy (one ``min`` over the checker's holder
+table), so the decoding event is the delta-th smallest of those places,
+taken for the whole batch by one ``np.partition``; a trial whose decoding
+event lies past its finite events fails. Any other plan walks each trial's
+finite events (:func:`run_trial`): every event takes the plan checker's
+O(1) step of the state's summary, and the checker's rule ranks only where
+its count cannot decide. Both give the same finish time, blocks processed
+and final state. Memory per batch is O(batch * n * ell) for each distinct
+plan shape, whatever the trial count; nothing is remembered across
+trials. The speed and cost models check their fields when made, and
+:func:`run_experiment` its ``trials`` and ``seed``: a count, index or
+seed must be an integer (Python or numpy), a time, rate or multiplier a
+finite real number; a bool, a string or an integer too large for a
+float is a ValueError.
 
 The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
@@ -301,22 +310,54 @@ def run_trial(checker: DecodabilityChecker, times: np.ndarray, events: Sequence[
 
 
 def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):
-    """Yield one :func:`run_trial` result per slice of ``dur``, a batch of
-    :func:`raw_durations` of the plan's shape, in seed order, for the plan
-    whose :func:`task_weights` are ``weights``; the batch shares one pass
-    of array operations (see the module docstring)."""
+    """The trials of ``dur``, a batch of :func:`raw_durations` of the
+    plan's shape, for the plan whose checker is ``checker`` and whose
+    :func:`task_weights` are ``weights``. Returns, in seed order, what
+    :func:`run_trial` would report for each trial, as arrays: finish times,
+    blocks processed, decode_ok and the (batch, n) final states.
+
+    The batch shares one pass of array operations (see the module
+    docstring). On a plan whose checker is ``count_exact`` each trial's
+    decoding event is the delta-th smallest place among its coded tasks
+    and its blocks' first uncoded copies, taken for the whole batch at
+    once; any other plan walks each trial with :func:`run_trial`.
+    """
     batch, n, ell = dur.shape
+    tasks = n * ell
     # a task never completed stays at inf; masking never forms inf * 0
     times = np.full(dur.shape, np.inf)
     np.multiply(dur, weights, out=times, where=~np.isinf(dur))
     np.cumsum(times, axis=2, out=times)
     # stable: equal times keep the worker-major (worker, position) order,
     # and the infinite times of unreachable tasks sort last
-    flat = times.reshape(batch, n * ell)
+    flat = times.reshape(batch, tasks)
     order = np.argsort(flat, axis=1, kind="stable")
-    counts = np.isfinite(flat).sum(axis=1).tolist()
-    for j, count in enumerate(counts):
-        yield run_trial(checker, times[j], order[j, :count].tolist())
+    counts = np.isfinite(flat).sum(axis=1)
+    # pos[j, t]: the place of task t in trial j's events; column n * ell,
+    # the sentinel that pads the holder table, never happens
+    rows = np.arange(batch)
+    pos = np.empty((batch, tasks + 1), dtype=np.intp)
+    pos[:, tasks] = tasks
+    pos[rows[:, None], order] = np.arange(tasks)
+    if checker.count_exact:
+        # coded rows plus known blocks reach delta at the decoding event:
+        # a coded task adds one at its place and a block one at its first
+        # copy's, so the delta-th smallest of those places is that event
+        gains = np.concatenate(
+            [pos[:, checker.coded_tasks], pos[:, checker.holders].min(axis=2)], axis=1
+        )
+        at = np.partition(gains, checker.delta - 1, axis=1)[:, checker.delta - 1]
+        ok = at < counts
+        last = np.where(ok, at, counts - 1)
+    else:
+        walked = [run_trial(checker, times[j], order[j, :c].tolist())
+                  for j, c in enumerate(counts.tolist())]
+        ok = np.array([r.decode_ok for r in walked], dtype=bool)
+        last = np.array([r.blocks_processed_total for r in walked], dtype=np.intp) - 1
+    # each event raises one worker by one task, in position order
+    finish = np.where(ok, flat[rows, order[rows, last]], np.inf)
+    states = (pos[:, :tasks].reshape(batch, n, ell) <= last[:, None, None]).sum(axis=2)
+    return finish, last + 1, ok, states
 
 
 @dataclass(frozen=True)
@@ -361,10 +402,11 @@ def run_experiment(
     Summary statistics are over successful trials (inf when none succeed).
     The trial seeds run in batches of ``_BATCH``: one :func:`raw_durations`
     call per batch draws every plan's durations from one generator per
-    seed, then each plan runs the batch (see :func:`_trials`). A trial's
-    row goes straight to its plan-major place in the result as soon as it
-    is walked, so only one batch of durations and completion times is
-    alive at a time. Each plan's trials share its memoised checker,
+    seed, then each plan decides the batch (see :func:`_trials`): by
+    counting on a ``count_exact`` plan, by :func:`run_trial`'s walk on any
+    other. A batch's rows go straight to their plan-major places in the
+    result, so only one batch of durations and completion times is alive
+    at a time. Each plan's trials share its memoised checker,
     ``plan.checker``, which remembers no answers.
 
     Raises:
@@ -394,14 +436,9 @@ def run_experiment(
     for lo in range(0, trials, _BATCH):
         durs = raw_durations(speed, [w.shape for w in weights], seeds[lo : lo + _BATCH])
         for p, (pid, checker, w) in enumerate(zip(plan_ids, checkers, weights)):
-            for t, res in enumerate(_trials(checker, w, durs[w.shape]), lo):
-                rows[p * trials + t] = TrialRow(
-                    plan_id=pid,
-                    trial=t,
-                    finish_time=res.finish_time,
-                    blocks_total=res.blocks_processed_total,
-                    decode_ok=res.decode_ok,
-                )
+            finish, total, ok, _ = _trials(checker, w, durs[w.shape])
+            for t, row in enumerate(zip(finish.tolist(), total.tolist(), ok.tolist()), lo):
+                rows[p * trials + t] = TrialRow(pid, t, *row)
     summaries = []
     for p, pid in enumerate(plan_ids):
         finishes = np.array(

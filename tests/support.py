@@ -255,20 +255,27 @@ def dominated_state(state, rng):
     return tuple(int(rng.integers(0, v + 1)) for v in state)
 
 
+def trials(plan, speed, cost, seeds):
+    """The trials of ``seeds`` through the batched simulator, as one batch,
+    each as the ``sim.TrialResult`` that ``sim.run_trial`` would report."""
+    dur = sim.raw_durations(speed, [(plan.n, plan.ell)], seeds)[plan.n, plan.ell]
+    finish, total, ok, states = sim._trials(plan.checker, sim.task_weights(plan, cost), dur)
+    return [sim.TrialResult(f, tuple(w), b, o)
+            for f, w, b, o in zip(finish.tolist(), states.tolist(), total.tolist(), ok.tolist())]
+
+
 def trial(plan, speed, cost, seed):
-    """One trial of a plan through the batched simulator (a batch of one
-    seed) and its incremental walk."""
-    checker = core.DecodabilityChecker(plan)
-    dur = sim.raw_durations(speed, [(plan.n, plan.ell)], [seed])[plan.n, plan.ell]
-    return next(sim._trials(checker, sim.task_weights(plan, cost), dur))
+    """One trial of a plan through the batched simulator, a batch of one
+    seed."""
+    return trials(plan, speed, cost, [seed])[0]
 
 
-def reference_trial(plan, speed, cost, seed):
-    """One trial by the per-trial loop the batched simulator replaced.
+def _reference_events(plan, speed, cost, seed):
+    """One trial's (n, ell) completion times and its finite completions as
+    sorted (time, worker, position) tuples, by the per-trial loop the
+    batched simulator replaced.
 
-    Each worker's weighted durations are summed in Python floats, every
-    finite completion becomes a (time, worker, position) tuple, the tuples
-    are sorted, and the events are walked with :func:`rank_decodable`.
+    Each worker's weighted durations are summed in Python floats.
     Shifted-exponential durations come from a generator of the plan's own,
     ``default_rng(seed).exponential(size=(n, ell))``, not from the stream
     ``sim.raw_durations`` shares between plans; deterministic and
@@ -282,20 +289,36 @@ def reference_trial(plan, speed, cost, seed):
     else:
         dur = sim.raw_durations(speed, [(n, ell)], [seed])[n, ell][0].tolist()
     weights = sim.task_weights(plan, cost).tolist()
+    times = np.full((n, ell), math.inf)
     events = []
     for i in range(n):
         t = 0.0
         for k in range(ell):
             t = math.inf if math.isinf(dur[i][k]) else t + dur[i][k] * weights[i][k]
             if math.isfinite(t):
+                times[i, k] = t
                 events.append((t, i, k))
+    return times, sorted(events)
+
+
+def reference_trial(plan, speed, cost, seed):
+    """One trial by the per-trial loop the batched simulator replaced: the
+    events of :func:`_reference_events` walked with :func:`rank_decodable`."""
+    _, events = _reference_events(plan, speed, cost, seed)
     decodable = rank_decodable(plan)
-    state = [0] * n
-    for t, i, k in sorted(events):
+    state = [0] * plan.n
+    for t, i, k in events:
         state[i] = k + 1
         if decodable(tuple(state)):
             return sim.TrialResult(t, tuple(state), sum(state), True)
     return sim.TrialResult(math.inf, tuple(state), sum(state), False)
+
+
+def walked_trial(plan, speed, cost, seed):
+    """One trial walked event by event by ``sim.run_trial``, on the events
+    of :func:`_reference_events`."""
+    times, events = _reference_events(plan, speed, cost, seed)
+    return sim.run_trial(plan.checker, times, [i * plan.ell + k for _, i, k in events])
 
 
 def min_uncoded_coverage(plan, k, budget=oracle.DEFAULT_BUDGET):

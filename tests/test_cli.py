@@ -352,6 +352,16 @@ def test_decode_refuses_insufficient_state(tmp_path, capsys):
     assert "determine" in err
 
 
+def test_decode_state_takes_canonical_decimal_counts(tmp_path, capsys):
+    # the setup BAD_STATES spoil decodes from the canonical 2,2,2 and 0,2,2
+    for state in ("2,2,2", "0,2,2"):
+        argv, _ = _decode_npy_matrix(tmp_path, np.ones((6, 2)), state)
+        assert run(capsys, *argv) == (0, "2.0\n" * 6, "")
+    argv, _ = _decode_npy_matrix(tmp_path, np.ones((6, 2)), "+2,2,2")
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: state must be comma-separated counts")
+
+
 def test_decode_matrix_market_input(tmp_path, capsys):
     import scipy.sparse
     from scipy.io import mmwrite
@@ -430,13 +440,13 @@ def _budget_negative(tmp_path):
     return _verify_with_budget(tmp_path, "-3")
 
 
-def _decode_npy_matrix(tmp_path, matrix):
+def _decode_npy_matrix(tmp_path, matrix, state="2,2,2"):
     (tmp_path / "plan.json").write_text(core.plan_to_json(cyclic_uncoded(3, 2)))
     np.save(tmp_path / "a.npy", matrix)
     np.save(tmp_path / "x.npy", np.ones(2))
     return ["decode", "--plan", str(tmp_path / "plan.json"),
             "--matrix", str(tmp_path / "a.npy"), "--vector", str(tmp_path / "x.npy"),
-            "--state", "2,2,2"], {}
+            "--state", state], {}
 
 
 def _matrix_1d_npy(tmp_path):
@@ -445,6 +455,19 @@ def _matrix_1d_npy(tmp_path):
 
 def _matrix_3d_npy(tmp_path):
     return _decode_npy_matrix(tmp_path, np.ones((6, 2, 2)))
+
+
+def _decode_state(state):
+    # each would otherwise read as 2,2,2, which decodes
+    def setup(tmp_path):
+        return _decode_npy_matrix(tmp_path, np.ones((6, 2)), state)
+
+    setup.__name__ = f"_decode_state_{ascii(state)}"
+    return setup
+
+
+BAD_STATES = [_decode_state(state) for state in
+              ("0_2,2,2", "+2,2,2", " 2,2,2", "2,2,2 ", "02,2,2", "\uff12,2,2")]
 
 
 def _config_not_an_object(tmp_path):
@@ -635,6 +658,11 @@ NO_COST_KIND = ("cost", {})  # uniform, which takes no nonzero counts
                                                  DETERMINISTIC),
                                    _config_value("multiplier", [1, 1, 1, 0.2, 0.2], SHIFTED),
                                    _config_value("nnz", [1, 2, 3, 4, 5], NO_COST_KIND),
+                                   # unknown keys of the config and of a plan entry
+                                   _config_value("Seed", 5),
+                                   _plan_entries("unknown_key", [{"id": "top", "path": "top.json",
+                                                                  "name": "top"}]),
+                                   *BAD_STATES,
                                    *(_out_in_missing_dir(command) for command in
                                      ("design", "bounds", "verify", "simulate", "decode")),
                                    *(_verify_bad_plan(name) for name in BAD_PLANS),

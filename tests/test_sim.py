@@ -49,7 +49,9 @@ from support import (
     scheme_plan_up_to,
     singular_plan,
     trial,
+    trials,
     twin_plan,
+    walked_trial,
     zero_column_plan,
 )
 
@@ -383,6 +385,98 @@ def test_trial_breaks_time_ties_by_worker_then_position():
                 ref = reference_trial(plan, speed, cost, seed)
                 assert got == ref, (plan.params, speed, cost)
                 assert repr(got.finish_time) == repr(ref.finish_time)
+
+
+# ---------------------------------------------------------------------------
+# the batched count against the walk
+
+
+def assert_batch_matches_walk(plan, speed, cost, seeds):
+    """Every field of each trial of one batch of ``seeds``, decided by the
+    count, against ``run_trial``'s walk of the same trial."""
+    assert plan.checker.count_exact, plan.params
+    got = trials(plan, speed, cost, seeds)
+    want = [walked_trial(plan, speed, cost, s) for s in seeds]
+    assert got == want, (plan.params, speed, cost)
+    assert [repr(g.finish_time) for g in got] == [repr(w.finish_time) for w in want]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_batched_count_matches_the_walk(seed, relabel, model):
+    # every scheme family up to n = 12, as designed or relabelled, under a
+    # straggling speed model or one of the tie models
+    rng = np.random.default_rng(seed)
+    plan = scheme_plan_up_to(12, rng)
+    if relabel:
+        plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    models = tie_models(plan) + [(
+        ShiftedExponential(multipliers=tuple(rng.choice([1.0, 0.2, 0.05], size=plan.n))),
+        Uniform(),
+    )]
+    speed, cost = models[model]
+    assert_batch_matches_walk(plan, speed, cost, [int(v) for v in rng.integers(0, 2**63, 5)])
+
+
+def test_batched_count_matches_the_walk_under_ties():
+    # ties across and within workers, halted workers and zero-cost blocks
+    rng = np.random.default_rng(22)
+    plans = [UNCODED, BOTTOM, TOP, FIG1, mds_plan(5, 2, 5)]
+    plans += [random_scheme_plan(rng) for _ in range(30)]
+    for plan in plans:
+        for speed, cost in tie_models(plan):
+            assert_batch_matches_walk(plan, speed, cost, [0, 3, 8])
+
+
+@pytest.mark.parametrize("size", [1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1])
+def test_batched_count_matches_the_walk_at_batch_sizes(size):
+    speed = ShiftedExponential(multipliers=(1.0, 1.0, 1.0, 0.2, 0.2))
+    cost = SparsityAware(nnz=(0, 4, 0, 2, 7))
+    seeds = [trial_seed(12, t) for t in range(size)]
+    for plan in (UNCODED, BOTTOM, TOP, mds_plan(5, 2, 5)):
+        assert_batch_matches_walk(plan, speed, cost, seeds)
+
+
+def count_walks(monkeypatch):
+    """Count ``sim.run_trial`` calls from now on."""
+    calls = [0]
+    run_trial = sim.run_trial
+
+    def counted(*args):
+        calls[0] += 1
+        return run_trial(*args)
+
+    monkeypatch.setattr(sim, "run_trial", counted)
+    return calls
+
+
+def test_count_exact_plans_are_never_walked(monkeypatch):
+    # the n = 5 quartet and the n = 40 quartet, as designed and relabelled
+    rng = np.random.default_rng(19)
+    quartets = [
+        ([TOP, BOTTOM, UNCODED, mds_plan(5, 2, 5)],
+         ShiftedExponential(multipliers=(1.0, 1.0, 1.0, 0.2, 0.2)), SparsityAware((3, 1, 4, 1, 5))),
+        ([cyclic_coded(40, 2, 1, Placement.CODED_TOP), cyclic_coded(40, 2, 1, Placement.CODED_BOTTOM),
+          cyclic_uncoded(40, 3), mds_plan(40, 2, 40)],
+         ShiftedExponential(multipliers=(1.0,) * 32 + (0.5,) * 8), Uniform()),
+    ]
+    walks = count_walks(monkeypatch)
+    for plans, speed, cost in quartets:
+        plans += [relabel_blocks(p, rng.permutation(p.params.delta)) for p in plans]
+        assert all(p.checker.count_exact for p in plans)
+        run_experiment(plans, speed, cost, sim._BATCH + 3, seed=5)
+    assert walks[0] == 0
+
+
+def test_plans_the_count_cannot_decide_are_walked(monkeypatch):
+    # an uncertified plan, and a certified one that is not count-complete
+    plans = [perturbed(TOP, np.random.default_rng(19)), zero_column_plan()]
+    walks = count_walks(monkeypatch)
+    for plan in plans:
+        assert not plan.checker.count_exact
+        walks[0] = 0
+        assert_rows_match_reference([plan], ShiftedExponential(), Uniform(), sim._BATCH + 3, seed=9)
+        assert walks[0] == sim._BATCH + 3
 
 
 # ---------------------------------------------------------------------------
