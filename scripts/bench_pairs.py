@@ -9,8 +9,12 @@ metric: each side's median, quartiles and IQR, and the number of pairs in
 which the change read lower. Quartiles are ``statistics.quantiles(n=4)``
 (exclusive method). Per workload, ``failures`` totals each side's failed
 and attempted operations and lists the seeds at which the change failed a
-larger share than the parent. Every run's record (correct, attempted,
-failed and the metrics) is kept under ``runs``.
+larger share than the parent; ``incorrect`` lists, per side, the seeds
+whose run was not correct (a digest or reference replay did not match).
+Every run's record (correct, attempted, failed and the metrics) is kept
+under ``runs``. After each workload, stdout gets one line per end-to-end
+metric (parent -> change median, the parent's IQR, and the pairs the
+change read lower) and one line naming those seeds.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload simulate-n5-decode --seeds 501-510 --out BENCH_8.json
@@ -80,6 +84,10 @@ def summarise(runs: dict, metrics: list) -> dict:
         c["seed"] for p, c in zip(runs["parent"], runs["change"])
         if c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
     ]
+    # a run that is not correct says nothing about speed
+    out["incorrect"] = {
+        side: [r["seed"] for r in runs[side] if not r["correct"]] for side in ("parent", "change")
+    }
     for m in metrics:
         parent = [r["metrics"][m["name"]] for r in runs["parent"]]
         change = [r["metrics"][m["name"]] for r in runs["change"]]
@@ -91,6 +99,30 @@ def summarise(runs: dict, metrics: list) -> dict:
             "change_lower": sum(c < p for p, c in zip(parent, change)),
         }
     return out
+
+
+def closing_lines(workload: str, summary: dict, metrics: list) -> list:
+    """The lines printed after a workload: one per end-to-end metric, then
+    the seeds at which a run was not correct or the change failed a larger
+    share of its operations."""
+    lines = []
+    for m in metrics:
+        entry = summary[m["name"]]
+        lines.append(
+            f"{workload} {m['name']}: {entry['parent']['median']:.4g} -> "
+            f"{entry['change']['median']:.4g} {m['unit']} (parent IQR "
+            f"{entry['parent']['iqr']:.4g}), change lower in "
+            f"{entry['change_lower']}/{summary['pairs']} pairs"
+        )
+    failures = summary["failures"]
+    flagged = [f"{side} not correct at seeds {', '.join(map(str, seeds))}"
+               for side, seeds in summary["incorrect"].items() if seeds]
+    if failures["change_failed_more"]:
+        seeds = ", ".join(map(str, failures["change_failed_more"]))
+        flagged.append(f"change failed a larger share at seeds {seeds}")
+    lines.append(f"{workload} checks: "
+                 + ("; ".join(flagged) or "every run correct, no larger failed share"))
+    return lines
 
 
 def write_doc(path: Path, doc: dict):
@@ -130,8 +162,10 @@ def main():
                 runs[side].append(record)
                 print(workload, seed, side, runs[side][-1]["metrics"]["pass_probes"],
                       file=sys.stderr, flush=True)
-        doc[workload] = {**summarise(runs, spec["end_to_end"]), "runs": runs}
+        summary = summarise(runs, spec["end_to_end"])
+        doc[workload] = {**summary, "runs": runs}
         write_doc(args.out, doc)
+        print("\n".join(closing_lines(workload, summary, spec["end_to_end"])), flush=True)
 
 
 if __name__ == "__main__":

@@ -298,6 +298,9 @@ def _experiment_from_config(cfg, base: Path, seed_override):
         if isinstance(entry, str):
             entry = {"path": entry}
         _known_keys(entry, ("id", "path", "plan"), "plan entry")
+        if "path" in entry and "plan" in entry:
+            raise UsageError(f"plan entry {entry.get('id', entry['path'])!r} names both a path "
+                             "and an inline plan; give one")
         if "path" in entry:
             path = Path(entry["path"])
             plans.append(_load_plan(str(base / path)))  # an absolute path replaces base

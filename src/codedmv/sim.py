@@ -4,16 +4,21 @@ Worker i's k-th task completes at the cumulative sum of its per-task
 durations, each duration being a raw speed draw scaled by the cost weight
 of that task; the master stops at the first completion after which the
 plan can decode. Trials run in batches of ``_BATCH`` seeds, and every plan
-of an experiment runs each batch before the next batch is drawn. Per
-batch, each trial seed builds one generator for the whole experiment: its
-standard-exponential stream is drawn once, as wide as the largest n * ell
-of the plans, and a plan of shape (n, ell) reads the first n * ell values
-of it. Per plan and batch, one masked multiply weights the raw durations
-(a task a halted worker never reaches stays at inf), one cumulative sum
-gives the completion times and one stable argsort over the worker-major
-flat task index orders the events. Ties in time therefore fall in
-(worker, position) order. Inverting that order gives each task's place
-among its trial's events. On a plan whose checker is ``count_exact``
+of an experiment runs each batch before the next batch is drawn. Trial t's
+seed is the first word of ``SeedSequence((seed, t))``, and its durations
+come from the stream of ``default_rng`` of that seed, bit for bit; yet no
+trial builds either. SeedSequence's hash and PCG64's seeding are fixed
+integer steps, so :mod:`codedmv.seeding` takes them on uint32 arrays:
+once for every trial seed of the experiment, once per batch for the
+generators' states. One generator per batch is then set to each seed's
+state in turn. Each seed's standard-exponential stream is drawn once, as
+wide as the largest n * ell of the plans, and a plan of shape (n, ell)
+reads the first n * ell values of it. Per plan and batch, one masked
+multiply weights the raw durations (a task a halted worker never reaches
+stays at inf), one cumulative sum gives the completion times and one
+stable argsort over the worker-major flat task index orders the events.
+Ties in time therefore fall in (worker, position) order. Inverting that
+order gives each task's place among its trial's events. On a plan whose checker is ``count_exact``
 (every plan :mod:`codedmv.schemes` builds, designed or relabelled), a
 state decodes exactly when its coded rows plus its known blocks number at
 least delta. Each coded task adds one at its place and each block one at
@@ -61,6 +66,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .core import AssignmentPlan, DecodabilityChecker, Uncoded, _integer, check_state
+from .seeding import pcg64_states, trial_seeds
 
 
 class NotDecodableError(ValueError):
@@ -159,9 +165,12 @@ def raw_durations(speed: SpeedModel, shapes: Iterable[tuple], seeds: Sequence[in
     seeds: {(n, ell): (len(seeds), n, ell) array} for every (n, ell) in
     ``shapes``; inf marks tasks a halted worker never completes.
 
-    Shifted-exponential speeds build one generator per seed and draw its
-    standard-exponential stream once, as wide as the largest n * ell in
-    ``shapes``. Slice j of shape (n, ell) holds the first n * ell values of
+    Shifted-exponential speeds draw each seed's standard-exponential stream
+    once, as wide as the largest n * ell in ``shapes``, from one generator
+    per batch set to the seed's PCG64 state (see
+    :func:`~codedmv.seeding.pcg64_states`): bit for bit the values of
+    ``default_rng(seed).exponential``, whose scale of 1.0 multiplies
+    exactly. Slice j of shape (n, ell) holds the first n * ell values of
     seed j's stream in worker-major order, scaled by 1 / (rate * multiplier)
     per worker and shifted; a generator fills its output sequentially, so
     those values equal a draw of size (n, ell) from the same seed, whatever
@@ -171,7 +180,8 @@ def raw_durations(speed: SpeedModel, shapes: Iterable[tuple], seeds: Sequence[in
 
     Raises:
         ValueError: multipliers or per-worker times that do not list one
-            value per worker of a shape, or a straggler index outside it.
+            value per worker of a shape, a straggler index outside it, or
+            a seed that is not a non-negative integer.
     """
     shapes = list(dict.fromkeys(shapes))
     if not isinstance(speed, ShiftedExponential):
@@ -186,8 +196,14 @@ def raw_durations(speed: SpeedModel, shapes: Iterable[tuple], seeds: Sequence[in
             raise ValueError(f"need {n} multipliers, got {mult.shape}")
         scales[n, ell] = (speed.rate * mult)[:, None]
     stream = np.empty((len(seeds), max((n * ell for n, ell in shapes), default=0)))
-    for j, s in enumerate(seeds):
-        stream[j] = np.random.default_rng(s).exponential(size=stream.shape[1])
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).standard_exponential
+    # a new generator buffers no uint32, so only the 128-bit words change
+    doc = bits.state
+    for j, (state, inc) in enumerate(pcg64_states(seeds)):
+        doc["state"] = {"state": state, "inc": inc}
+        bits.state = doc
+        draw(out=stream[j])
     out = {}
     for (n, ell), scale in scales.items():
         dur = stream[:, : n * ell].reshape(len(seeds), n, ell) / scale
@@ -380,12 +396,16 @@ class PlanSummary:
 
 
 def trial_seed(seed: int, trial: int) -> int:
-    """Per-trial seed; deliberately independent of the plan so all plans in
-    one experiment read the same generator stream (see
-    :func:`raw_durations`)."""
-    if seed < 0 or trial < 0:
-        raise ValueError("seed and trial index must be non-negative")
-    return int(np.random.SeedSequence((seed, trial)).generate_state(1)[0])
+    """Per-trial seed, ``SeedSequence((seed, trial)).generate_state(1)[0]``;
+    deliberately independent of the plan so all plans in one experiment
+    read the same generator stream (see :func:`raw_durations`). The
+    one-trial case of the batch :func:`run_experiment` seeds.
+
+    Raises:
+        ValueError: seed or trial not an integer, or negative.
+    """
+    trial = _integer(trial, "trial index")
+    return trial_seeds(seed, range(trial, trial + 1))[0]
 
 
 def run_experiment(
@@ -400,13 +420,14 @@ def run_experiment(
 
     Returns (rows, summaries); row order is plan-major, trial-minor.
     Summary statistics are over successful trials (inf when none succeed).
-    The trial seeds run in batches of ``_BATCH``: one :func:`raw_durations`
-    call per batch draws every plan's durations from one generator per
-    seed, then each plan decides the batch (see :func:`_trials`): by
-    counting on a ``count_exact`` plan, by :func:`run_trial`'s walk on any
-    other. A batch's rows go straight to their plan-major places in the
-    result, so only one batch of durations and completion times is alive
-    at a time. Each plan's trials share its memoised checker,
+    Every trial seed comes from one batched SeedSequence (see
+    :func:`trial_seed`), and the seeds run in batches of ``_BATCH``: one
+    :func:`raw_durations` call per batch draws every plan's durations from
+    one stream per seed, then each plan decides the batch (see
+    :func:`_trials`): by counting on a ``count_exact`` plan, by
+    :func:`run_trial`'s walk on any other. A batch's rows go straight to
+    their plan-major places in the result, so only one batch of durations
+    and completion times is alive at a time. Each plan's trials share its memoised checker,
     ``plan.checker``, which remembers no answers.
 
     Raises:
@@ -429,7 +450,7 @@ def run_experiment(
             raise ValueError(f"plan id {pid!r} is not a string free of ',', '\"', CR and LF")
         if pid in plan_ids[:i]:
             raise ValueError(f"plan id {pid!r} is repeated")
-    seeds = [trial_seed(seed, t) for t in range(trials)]
+    seeds = trial_seeds(seed, range(trials))
     checkers = [plan.checker for plan in plans]
     weights = [task_weights(plan, cost) for plan in plans]
     rows = [None] * (len(plans) * trials)

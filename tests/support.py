@@ -270,6 +270,12 @@ def trial(plan, speed, cost, seed):
     return trials(plan, speed, cost, [seed])[0]
 
 
+def reference_seed(seed, trial):
+    """A trial's seed straight from numpy, independent of ``sim``:
+    ``SeedSequence((seed, trial))``'s first word."""
+    return int(np.random.SeedSequence((seed, trial)).generate_state(1)[0])
+
+
 def _reference_events(plan, speed, cost, seed):
     """One trial's (n, ell) completion times and its finite completions as
     sorted (time, worker, position) tuples, by the per-trial loop the

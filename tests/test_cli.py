@@ -662,6 +662,10 @@ NO_COST_KIND = ("cost", {})  # uniform, which takes no nonzero counts
                                    _config_value("Seed", 5),
                                    _plan_entries("unknown_key", [{"id": "top", "path": "top.json",
                                                                   "name": "top"}]),
+                                   # a path and an inline plan in one entry
+                                   _plan_entries("path_and_plan", [{
+                                       "id": "top", "path": "top.json",
+                                       "plan": core.plan_to_dict(mds_plan(5, 2, 5))}]),
                                    *BAD_STATES,
                                    *(_out_in_missing_dir(command) for command in
                                      ("design", "bounds", "verify", "simulate", "decode")),

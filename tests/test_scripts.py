@@ -154,3 +154,71 @@ def test_bench_pairs_keeps_runs_when_a_run_fails(tmp_path, monkeypatch):
     runs = json.loads((tmp_path / "bench.json").read_text())["simulate-n5-decode"]["runs"]
     assert [r["seed"] for r in runs["parent"]] == [1]
     assert [r["seed"] for r in runs["change"]] == [1]
+
+
+def test_bench_pairs_summarise_lists_incorrect_runs():
+    def run(seed, correct):
+        return {"seed": seed, "correct": correct, "attempted": 4, "failed": 0, "metrics": {}}
+
+    runs = {"parent": [run(1, True), run(2, False), run(3, True)],
+            "change": [run(1, False), run(2, True), run(3, False)]}
+    assert _bench_pairs().summarise(runs, [])["incorrect"] == {"parent": [2], "change": [1, 3]}
+
+
+def _closing_runs(parent_correct=True):
+    def run(seed, value, failed, correct=True):
+        return {"seed": seed, "correct": correct, "attempted": 10, "failed": failed,
+                "metrics": {"pass_probes": value, "setup_s": 0.5}}
+
+    return {"parent": [run(1, 6.0, 1), run(2, 7.0, 1, parent_correct), run(3, 6.5, 1)],
+            "change": [run(1, 5.0, 1), run(2, 7.5, 2), run(3, 5.5, 1)]}
+
+
+METRICS = [{"name": "pass_probes", "unit": "probes", "better": "lower", "bound": 0.25},
+           {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def test_bench_pairs_closing_lines():
+    bench = _bench_pairs()
+    summary = bench.summarise(_closing_runs(parent_correct=False), METRICS)
+    assert bench.closing_lines("simulate-n5-decode", summary, METRICS) == [
+        "simulate-n5-decode pass_probes: 6.5 -> 5.5 probes (parent IQR 1), "
+        "change lower in 2/3 pairs",
+        "simulate-n5-decode setup_s: 0.5 -> 0.5 s (parent IQR 0), change lower in 0/3 pairs",
+        "simulate-n5-decode checks: parent not correct at seeds 2; "
+        "change failed a larger share at seeds 2",
+    ]
+
+
+def test_bench_pairs_closing_lines_when_every_run_is_clean():
+    bench = _bench_pairs()
+    runs = _closing_runs()
+    runs["change"][1]["failed"] = 1
+    summary = bench.summarise(runs, METRICS[:1])
+    assert bench.closing_lines("w", summary, METRICS[:1])[-1] == (
+        "w checks: every run correct, no larger failed share")
+
+
+def test_bench_pairs_prints_the_closing_lines(tmp_path, monkeypatch, capsys):
+    bench = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": METRICS}))
+    runs = _closing_runs()
+
+    def run_once(root, workload, seed, seconds):
+        return runs[root.name][seed - 1]
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--workload", "simulate-n40",
+        "--seeds", "1-3", "--out", str(tmp_path / "bench.json")])
+    bench.main()
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("simulate-n40 pass_probes: 6.5 -> 5.5 probes")
+    assert out[-1] == "simulate-n40 checks: change failed a larger share at seeds 2"
+    assert len(out) == 3
+    doc = json.loads((tmp_path / "bench.json").read_text())["simulate-n40"]
+    assert doc["incorrect"] == {"parent": [], "change": []}

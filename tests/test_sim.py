@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedmv import core, oracle, sim
+from codedmv import core, oracle, seeding, sim
 from codedmv.core import Placement, is_decodable
 from codedmv.field import pivots
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
@@ -44,6 +44,7 @@ from support import (
     reference_decode,
     reference_decode_from_products,
     reference_products,
+    reference_seed,
     reference_trial,
     relabel_blocks,
     scheme_plan_up_to,
@@ -148,6 +149,47 @@ def test_raw_durations_batch_pins_the_single_seed_stream():
     assert raw_durations(speed, [(3, 5)], [])[3, 5].shape == (0, 3, 5)
 
 
+# ---------------------------------------------------------------------------
+# seeding: numpy's SeedSequence and default_rng streams, bit for bit
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**96, 2**128 - 1, 2**128, 2**200]
+BATCH_SIZES = [1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_seeds_are_seed_sequence_words(seed):
+    # single trials, trial indices of one to three words, and batches on
+    # each side of a _BATCH boundary and of the two-word trial indices
+    for t in [0, 1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1, 2**32 - 1, 2**32, 2**64]:
+        assert trial_seed(seed, t) == reference_seed(seed, t)
+    for size in BATCH_SIZES:
+        for lo in (0, sim._BATCH - 1, 2**32 - size // 2 - 1):
+            span = range(lo, lo + size)
+            assert seeding.trial_seeds(seed, span) == [reference_seed(seed, t) for t in span]
+
+
+@pytest.mark.parametrize("size", BATCH_SIZES)
+def test_raw_durations_rows_are_default_rng_draws(size):
+    # every width of entropy, interleaved, so that each group keeps its rows
+    seeds = [SEEDS[j % len(SEEDS)] + j // len(SEEDS) for j in range(size)]
+    batch = raw_durations(ShiftedExponential(shift=0.0), [(7, 3), (2, 2)], seeds)
+    for shape in [(7, 3), (2, 2)]:
+        for row, s in zip(batch[shape], seeds, strict=True):
+            assert np.array_equal(row, np.random.default_rng(s).exponential(size=shape)), s
+
+
+@given(st.integers(0, 2**200), st.integers(0, 2**40), st.integers(1, sim._BATCH + 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_seeding_matches_numpy(seed, lo, size):
+    span = range(lo, lo + size)
+    seeds = seeding.trial_seeds(seed, span)
+    assert seeds == [reference_seed(seed, t) for t in span]
+    drawn = seeds[:-1] + [seed]
+    got = raw_durations(ShiftedExponential(shift=0.0), [(4, 3)], drawn)[4, 3]
+    for row, s in zip(got, drawn, strict=True):
+        assert np.array_equal(row, np.random.default_rng(s).exponential(size=(4, 3))), s
+
+
 def test_speed_model_validation():
     invalid = [
         lambda: ShiftedExponential(rate=0.0),
@@ -190,6 +232,14 @@ def test_speed_model_validation():
         lambda: run_experiment([UNCODED], Deterministic(), Uniform(), True, seed=0),
         lambda: run_experiment([UNCODED], Deterministic(), Uniform(), 2, seed=True),
         lambda: run_experiment([UNCODED], Deterministic(), Uniform(), 2, seed=1.5),
+        # seeds and trial indices are non-negative integers
+        lambda: run_experiment([UNCODED], ShiftedExponential(), Uniform(), 2, seed=-1),
+        lambda: trial_seed(-1, 0),
+        lambda: trial_seed(0, -1),
+        lambda: trial_seed(0, 1.5),
+        lambda: seeding.trial_seeds(-1, range(3)),
+        lambda: raw_durations(ShiftedExponential(), [(2, 2)], [3, -1]),
+        lambda: raw_durations(ShiftedExponential(), [(2, 2)], [3, 0.5]),
     ]
     for j, make in enumerate(invalid):
         with pytest.raises(ValueError):
@@ -305,7 +355,7 @@ def assert_rows_match_reference(plans, speed, cost, trials, seed):
     ]
     for row in rows:
         plan = plans[int(row.plan_id.removeprefix("plan_"))]
-        ref = reference_trial(plan, speed, cost, trial_seed(seed, row.trial))
+        ref = reference_trial(plan, speed, cost, reference_seed(seed, row.trial))
         assert repr(row.finish_time) == repr(ref.finish_time)
         assert row.blocks_total == ref.blocks_processed_total
         assert row.decode_ok == ref.decode_ok
@@ -344,20 +394,43 @@ def test_experiment_shares_one_stream_across_mixed_shapes(trials):
     assert_rows_match_reference(mixed_n, ShiftedExponential(shift=0.5), Uniform(), trials, seed=2)
 
 
-def test_experiment_builds_one_generator_per_trial(monkeypatch):
-    built = [0]
-    default_rng = np.random.default_rng
+@pytest.mark.parametrize("seed", [2**96, 2**200])
+def test_experiment_rows_match_reference_at_wide_seeds(seed):
+    # a seed of four or more words makes the trial entropy longer than the pool
+    assert_rows_match_reference([TOP, mds_plan(5, 2, 5)], ShiftedExponential(), Uniform(),
+                                sim._BATCH + 1, seed=seed)
 
-    def counted(seed):
-        built[0] += 1
-        return default_rng(seed)
 
-    monkeypatch.setattr(sim.np.random, "default_rng", counted)
+def test_experiment_reads_one_shared_stream_per_trial(monkeypatch):
+    # one raw_durations call per batch draws every plan's durations, from
+    # one generator per batch; no trial builds a SeedSequence or a
+    # default_rng of its own
+    trials = 2 * sim._BATCH + 6
+    want = [reference_seed(1, t) for t in range(trials)]
+    built = {"SeedSequence": 0, "default_rng": 0, "PCG64": 0}
+    for name in built:
+        def counted(*args, _make=getattr(np.random, name), _name=name):
+            built[_name] += 1
+            return _make(*args)
+
+        monkeypatch.setattr(sim.np.random, name, counted)
+    drawn = []
+    raw = sim.raw_durations
+
+    def recorded(speed, shapes, seeds):
+        drawn.append((sorted(set(shapes)), list(seeds)))
+        return raw(speed, shapes, seeds)
+
+    monkeypatch.setattr(sim, "raw_durations", recorded)
     for plans in ([TOP], [TOP, BOTTOM, UNCODED, mds_plan(5, 2, 5)],
                   [cyclic_uncoded(3, 2), cyclic_coded(7, 2, 2, Placement.CODED_TOP)]):
-        built[0] = 0
-        run_experiment(plans, ShiftedExponential(), Uniform(), sim._BATCH + 6, seed=1)
-        assert built[0] == sim._BATCH + 6
+        drawn.clear()
+        built.update(dict.fromkeys(built, 0))
+        run_experiment(plans, ShiftedExponential(), Uniform(), trials, seed=1)
+        shapes = sorted({(p.n, p.ell) for p in plans})
+        assert [s for s, _ in drawn] == [shapes] * 3
+        assert [t for _, seeds in drawn for t in seeds] == want
+        assert built == {"SeedSequence": 0, "default_rng": 0, "PCG64": 3}
 
 
 def tie_models(plan):
