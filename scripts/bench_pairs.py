@@ -28,11 +28,14 @@ new workloads are merged into it and a workload measured again replaces
 its old entry. A run that exits non-zero stops the script with exit 1: it
 names the side, seed, exit code and the tail of the run's stderr, and the
 workload's entry in ``--out`` holds only the ``runs`` measured before it.
+Each run starts in a session of its own; SIGTERM or SIGINT kills that
+run's process group, so no pass outlives the script, and exits 1.
 """
 
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -51,14 +54,24 @@ def stale_bytecode(roots: list) -> list:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One run's record; a non-zero exit raises CalledProcessError."""
-    proc = subprocess.run(
+    """One run's record; a non-zero exit raises CalledProcessError. The run
+    leads a process group of its own, killed whole if the wait is cut
+    short (see :func:`stop`)."""
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}, start_new_session=True,
     )
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, stdout, stderr)
+    doc = json.loads(stdout.strip().splitlines()[-1])
     return {
         "seed": seed,
         "correct": doc["correct"],
@@ -125,6 +138,12 @@ def closing_lines(workload: str, summary: dict, metrics: list) -> list:
     return lines
 
 
+def stop(signum, frame):
+    """SIGTERM and SIGINT handler: exit 1, which kills the running run's
+    process group on the way out."""
+    sys.exit(f"error: stopped by {signal.Signals(signum).name}")
+
+
 def write_doc(path: Path, doc: dict):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -169,4 +188,6 @@ def main():
 
 
 if __name__ == "__main__":
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, stop)
     main()

@@ -11,8 +11,6 @@ line and exit code 1.
 import argparse
 import sys
 
-import numpy as np
-
 from codedmv import sim
 from codedmv.core import Placement
 from codedmv.schemes import cyclic_coded, cyclic_uncoded
@@ -45,10 +43,7 @@ def main():
     )
     print(sim.summaries_to_csv(summaries), end="")
 
-    finish = {
-        pid: np.array([r.finish_time for r in rows if r.plan_id == pid])
-        for pid in plans
-    }
+    finish = dict(zip(rows.plan_ids, rows.finish))
     pairs = [("coded-top", "uncoded"), ("coded-top", "coded-bottom"),
              ("coded-bottom", "uncoded")]
     for a, b in pairs:

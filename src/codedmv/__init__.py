@@ -38,12 +38,9 @@ from .sim import (
     NotDecodableError,
     ShiftedExponential,
     SparsityAware,
-    TrialResult,
     Uniform,
     numeric_decode,
     run_experiment,
-    run_trial,
-    split_matrix,
 )
 
 __version__ = "0.1.0"

@@ -28,14 +28,14 @@ taken for the whole batch by one ``np.partition``; a trial whose decoding
 event lies past its finite events fails. Any other plan walks each trial's
 finite events (:func:`run_trial`): every event takes the plan checker's
 O(1) step of the state's summary, and the checker's rule ranks only where
-its count cannot decide. Both give the same finish time, blocks processed
-and final state. Memory per batch is O(batch * n * ell) for each distinct
-plan shape, whatever the trial count; nothing is remembered across
-trials. The speed and cost models check their fields when made, and
-:func:`run_experiment` its ``trials`` and ``seed``: a count, index or
-seed must be an integer (Python or numpy), a time, rate or multiplier a
-finite real number; a bool, a string or an integer too large for a
-float is a ValueError.
+its count cannot decide. Both give the place of the decoding event, from
+which one tail takes finish time, blocks processed and final state.
+Memory per batch is O(batch * n * ell) for each distinct plan shape; an
+experiment keeps three (plans, trials) columns of results. The speed and
+cost models check their fields when made, and :func:`run_experiment` its
+``trials`` and ``seed``: a count, index or seed must be an integer
+(Python or numpy), a time, rate or multiplier a finite real number; a
+bool, a string or an integer too large for a float is a ValueError.
 
 The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
@@ -60,8 +60,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -265,14 +266,6 @@ CostModel = Union[Uniform, SparsityAware]
 # trials
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    finish_time: float
-    final_state: tuple
-    blocks_processed_total: int
-    decode_ok: bool
-
-
 def task_weights(plan: AssignmentPlan, cost: CostModel) -> np.ndarray:
     """(n, ell) cost weights of the plan's tasks, worker-major.
 
@@ -296,47 +289,43 @@ def task_weights(plan: AssignmentPlan, cost: CostModel) -> np.ndarray:
     ], dtype=float)
 
 
-def run_trial(checker: DecodabilityChecker, times: np.ndarray, events: Sequence[int]) -> TrialResult:
-    """Walk one simulated job's completion events.
+def run_trial(checker: DecodabilityChecker, events: Sequence[int]) -> int:
+    """The place in ``events`` of the first event after which the plan
+    decodes, or ``len(events)`` if none does.
 
-    ``times`` is the trial's (n, ell) array of completion times and
-    ``events`` lists the flat worker-major indices i * ell + k of its
-    finite completions in the order they happen; each worker's tasks
-    complete in position order. ``checker`` is the plan's
+    ``events`` lists the flat worker-major indices i * ell + k of one
+    trial's finite completions in the order they happen; each worker's
+    tasks complete in position order. ``checker`` is the plan's
     :class:`~codedmv.core.DecodabilityChecker`: each event takes the
     checker's O(1) step of the state's summary, and
     :meth:`~codedmv.core.DecodabilityChecker.decide` decides the state.
-
-    The master decodes at the first event whose state is decodable. If even
-    the final reachable state cannot decode, the result reports
-    decode_ok = False with finish_time = inf.
     """
     ell, prefixes, decide = checker.ell, checker.prefix, checker.decide
     state = [0] * checker.n
     mask, coded = 0, 0
-    for e in events:
+    for j, e in enumerate(events):
         i, k = divmod(e, ell)
         state[i] = k + 1
         prefix = prefixes[i]
         u, c = prefix[k + 1]
         mask, coded = mask | u, coded + c - prefix[k][1]
         if decide(mask, coded, state):
-            return TrialResult(float(times.flat[e]), tuple(state), sum(state), True)
-    return TrialResult(math.inf, tuple(state), sum(state), False)
+            return j
+    return len(events)
 
 
 def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):
     """The trials of ``dur``, a batch of :func:`raw_durations` of the
     plan's shape, for the plan whose checker is ``checker`` and whose
-    :func:`task_weights` are ``weights``. Returns, in seed order, what
-    :func:`run_trial` would report for each trial, as arrays: finish times,
-    blocks processed, decode_ok and the (batch, n) final states.
+    :func:`task_weights` are ``weights``. Returns, in seed order, arrays of
+    finish times (inf where the plan never decodes), blocks processed,
+    decode_ok and the (batch, n) final states.
 
     The batch shares one pass of array operations (see the module
-    docstring). On a plan whose checker is ``count_exact`` each trial's
-    decoding event is the delta-th smallest place among its coded tasks
-    and its blocks' first uncoded copies, taken for the whole batch at
-    once; any other plan walks each trial with :func:`run_trial`.
+    docstring). Each trial's decoding place is, on a plan whose checker is
+    ``count_exact``, the delta-th smallest place among its coded tasks and
+    its blocks' first uncoded copies, taken for the whole batch at once;
+    on any other plan, :func:`run_trial`'s walk of the trial.
     """
     batch, n, ell = dur.shape
     tasks = n * ell
@@ -363,13 +352,11 @@ def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):
             [pos[:, checker.coded_tasks], pos[:, checker.holders].min(axis=2)], axis=1
         )
         at = np.partition(gains, checker.delta - 1, axis=1)[:, checker.delta - 1]
-        ok = at < counts
-        last = np.where(ok, at, counts - 1)
     else:
-        walked = [run_trial(checker, times[j], order[j, :c].tolist())
-                  for j, c in enumerate(counts.tolist())]
-        ok = np.array([r.decode_ok for r in walked], dtype=bool)
-        last = np.array([r.blocks_processed_total for r in walked], dtype=np.intp) - 1
+        at = np.array([run_trial(checker, order[j, :c].tolist())
+                       for j, c in enumerate(counts.tolist())], dtype=np.intp)
+    ok = at < counts
+    last = np.where(ok, at, counts - 1)
     # each event raises one worker by one task, in position order
     finish = np.where(ok, flat[rows, order[rows, last]], np.inf)
     states = (pos[:, :tasks].reshape(batch, n, ell) <= last[:, None, None]).sum(axis=2)
@@ -395,17 +382,24 @@ class PlanSummary:
     failure_rate: float
 
 
-def trial_seed(seed: int, trial: int) -> int:
-    """Per-trial seed, ``SeedSequence((seed, trial)).generate_state(1)[0]``;
-    deliberately independent of the plan so all plans in one experiment
-    read the same generator stream (see :func:`raw_durations`). The
-    one-trial case of the batch :func:`run_experiment` seeds.
+@dataclass(frozen=True, eq=False)
+class Trials(Sequence):
+    """An experiment's trials: per plan of ``plan_ids``, one row of each
+    (plans, trials) column. Read as a sequence, each trial is a
+    :class:`TrialRow`, in plan-major, trial-minor order."""
 
-    Raises:
-        ValueError: seed or trial not an integer, or negative.
-    """
-    trial = _integer(trial, "trial index")
-    return trial_seeds(seed, range(trial, trial + 1))[0]
+    plan_ids: tuple
+    finish: np.ndarray  # inf where the plan never decodes
+    blocks: np.ndarray
+    ok: np.ndarray
+
+    def __len__(self):
+        return self.finish.size
+
+    def __getitem__(self, r):
+        p, t = divmod(range(len(self))[r], self.finish.shape[1])
+        return TrialRow(self.plan_ids[p], t, float(self.finish[p, t]),
+                        int(self.blocks[p, t]), bool(self.ok[p, t]))
 
 
 def run_experiment(
@@ -418,16 +412,15 @@ def run_experiment(
 ):
     """Paired trials over several plans.
 
-    Returns (rows, summaries); row order is plan-major, trial-minor.
-    Summary statistics are over successful trials (inf when none succeed).
-    Every trial seed comes from one batched SeedSequence (see
-    :func:`trial_seed`), and the seeds run in batches of ``_BATCH``: one
-    :func:`raw_durations` call per batch draws every plan's durations from
-    one stream per seed, then each plan decides the batch (see
-    :func:`_trials`): by counting on a ``count_exact`` plan, by
-    :func:`run_trial`'s walk on any other. A batch's rows go straight to
-    their plan-major places in the result, so only one batch of durations
-    and completion times is alive at a time. Each plan's trials share its memoised checker,
+    Returns (:class:`Trials`, summaries). Summary statistics are over
+    successful trials (inf when none succeed). Trial t's seed is the first
+    word of ``SeedSequence((seed, t))`` whatever the plan, so every plan
+    reads the same durations (see :func:`~codedmv.seeding.trial_seeds`).
+    The seeds run in batches of ``_BATCH``: one :func:`raw_durations` call
+    per batch draws every plan's durations from one stream per seed, then
+    each plan decides the batch (see :func:`_trials`) into its slice of the
+    columns, so only one batch of durations and completion times is alive
+    at a time. Each plan's trials share its memoised checker,
     ``plan.checker``, which remembers no answers.
 
     Raises:
@@ -453,18 +446,16 @@ def run_experiment(
     seeds = trial_seeds(seed, range(trials))
     checkers = [plan.checker for plan in plans]
     weights = [task_weights(plan, cost) for plan in plans]
-    rows = [None] * (len(plans) * trials)
+    shape = (len(plans), trials)
+    finish, blocks, ok = np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool)
     for lo in range(0, trials, _BATCH):
         durs = raw_durations(speed, [w.shape for w in weights], seeds[lo : lo + _BATCH])
-        for p, (pid, checker, w) in enumerate(zip(plan_ids, checkers, weights)):
-            finish, total, ok, _ = _trials(checker, w, durs[w.shape])
-            for t, row in enumerate(zip(finish.tolist(), total.tolist(), ok.tolist()), lo):
-                rows[p * trials + t] = TrialRow(pid, t, *row)
+        cut = slice(lo, lo + _BATCH)
+        for p, (checker, w) in enumerate(zip(checkers, weights)):
+            finish[p, cut], blocks[p, cut], ok[p, cut], _ = _trials(checker, w, durs[w.shape])
     summaries = []
-    for p, pid in enumerate(plan_ids):
-        finishes = np.array(
-            [r.finish_time for r in rows[p * trials : (p + 1) * trials] if r.decode_ok]
-        )
+    for pid, f, o in zip(plan_ids, finish, ok):
+        finishes = f[o]
         # numpy warns on the statistics of an empty array
         stats = (
             (finishes.mean(), np.median(finishes), np.percentile(finishes, 95))
@@ -473,14 +464,14 @@ def run_experiment(
         summaries.append(PlanSummary(
             pid, trials, *(float(v) for v in stats), (trials - finishes.size) / trials
         ))
-    return rows, summaries
+    return Trials(tuple(plan_ids), finish, blocks, ok), summaries
 
 
-def rows_to_csv(rows: Iterable[TrialRow]) -> str:
+def rows_to_csv(rows: Trials) -> str:
     lines = ["plan_id,trial,finish_time,blocks_total,decode_ok"]
-    for r in rows:
-        ok = "true" if r.decode_ok else "false"
-        lines.append(f"{r.plan_id},{r.trial},{r.finish_time!r},{r.blocks_total},{ok}")
+    columns = rows.finish.tolist(), rows.blocks.tolist(), np.where(rows.ok, "true", "false").tolist()
+    for pid, *plan in zip(rows.plan_ids, *columns):
+        lines += [f"{pid},{t},{f!r},{b},{o}" for t, (f, b, o) in enumerate(zip(*plan))]
     return "\n".join(lines) + "\n"
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -255,12 +256,23 @@ def dominated_state(state, rng):
     return tuple(int(rng.integers(0, v + 1)) for v in state)
 
 
+@dataclass(frozen=True)
+class TrialResult:
+    """One simulated trial: when and in which state the master decodes, or
+    inf and the final reachable state when it never does."""
+
+    finish_time: float
+    final_state: tuple
+    blocks_processed_total: int
+    decode_ok: bool
+
+
 def trials(plan, speed, cost, seeds):
     """The trials of ``seeds`` through the batched simulator, as one batch,
-    each as the ``sim.TrialResult`` that ``sim.run_trial`` would report."""
+    each as a :class:`TrialResult`."""
     dur = sim.raw_durations(speed, [(plan.n, plan.ell)], seeds)[plan.n, plan.ell]
     finish, total, ok, states = sim._trials(plan.checker, sim.task_weights(plan, cost), dur)
-    return [sim.TrialResult(f, tuple(w), b, o)
+    return [TrialResult(f, tuple(w), b, o)
             for f, w, b, o in zip(finish.tolist(), states.tolist(), total.tolist(), ok.tolist())]
 
 
@@ -277,9 +289,8 @@ def reference_seed(seed, trial):
 
 
 def _reference_events(plan, speed, cost, seed):
-    """One trial's (n, ell) completion times and its finite completions as
-    sorted (time, worker, position) tuples, by the per-trial loop the
-    batched simulator replaced.
+    """One trial's finite completions as sorted (time, worker, position)
+    tuples, by the per-trial loop the batched simulator replaced.
 
     Each worker's weighted durations are summed in Python floats.
     Shifted-exponential durations come from a generator of the plan's own,
@@ -295,36 +306,50 @@ def _reference_events(plan, speed, cost, seed):
     else:
         dur = sim.raw_durations(speed, [(n, ell)], [seed])[n, ell][0].tolist()
     weights = sim.task_weights(plan, cost).tolist()
-    times = np.full((n, ell), math.inf)
     events = []
     for i in range(n):
         t = 0.0
         for k in range(ell):
             t = math.inf if math.isinf(dur[i][k]) else t + dur[i][k] * weights[i][k]
             if math.isfinite(t):
-                times[i, k] = t
                 events.append((t, i, k))
-    return times, sorted(events)
+    return sorted(events)
 
 
 def reference_trial(plan, speed, cost, seed):
     """One trial by the per-trial loop the batched simulator replaced: the
     events of :func:`_reference_events` walked with :func:`rank_decodable`."""
-    _, events = _reference_events(plan, speed, cost, seed)
+    events = _reference_events(plan, speed, cost, seed)
     decodable = rank_decodable(plan)
     state = [0] * plan.n
     for t, i, k in events:
         state[i] = k + 1
         if decodable(tuple(state)):
-            return sim.TrialResult(t, tuple(state), sum(state), True)
-    return sim.TrialResult(math.inf, tuple(state), sum(state), False)
+            return TrialResult(t, tuple(state), sum(state), True)
+    return TrialResult(math.inf, tuple(state), sum(state), False)
 
 
 def walked_trial(plan, speed, cost, seed):
     """One trial walked event by event by ``sim.run_trial``, on the events
-    of :func:`_reference_events`."""
-    times, events = _reference_events(plan, speed, cost, seed)
-    return sim.run_trial(plan.checker, times, [i * plan.ell + k for _, i, k in events])
+    of :func:`_reference_events`: the master decodes after the event at the
+    place the walk returns, or never if that place is past the last one."""
+    events = _reference_events(plan, speed, cost, seed)
+    at = sim.run_trial(plan.checker, [i * plan.ell + k for _, i, k in events])
+    state = [0] * plan.n
+    for _, i, k in events[: at + 1]:
+        state[i] = k + 1
+    if at < len(events):
+        return TrialResult(events[at][0], tuple(state), at + 1, True)
+    return TrialResult(math.inf, tuple(state), len(events), False)
+
+
+def reference_rows_csv(rows):
+    """The rows CSV written one :class:`~codedmv.sim.TrialRow` at a time."""
+    lines = ["plan_id,trial,finish_time,blocks_total,decode_ok"]
+    for r in rows:
+        ok = "true" if r.decode_ok else "false"
+        lines.append(f"{r.plan_id},{r.trial},{r.finish_time!r},{r.blocks_total},{ok}")
+    return "\n".join(lines) + "\n"
 
 
 def min_uncoded_coverage(plan, k, budget=oracle.DEFAULT_BUDGET):

@@ -3,7 +3,12 @@ benchmark pair summary."""
 
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -222,3 +227,56 @@ def test_bench_pairs_prints_the_closing_lines(tmp_path, monkeypatch, capsys):
     assert len(out) == 3
     doc = json.loads((tmp_path / "bench.json").read_text())["simulate-n40"]
     assert doc["incorrect"] == {"parent": [], "change": []}
+
+
+def _alive(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_bench_pairs_kills_the_run_and_its_child_when_stopped(tmp_path):
+    # a checkout whose run starts one sleeping child of its own, as
+    # perfbench/run.py starts its passes
+    pids = tmp_path / "pids"
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    (tmp_path / "perfbench" / "run.py").write_text(textwrap.dedent(f"""
+        import os, subprocess, sys, time
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        with open({str(pids) + ".part"!r}, "w") as fh:
+            fh.write(f"{{os.getpid()}} {{child.pid}}")
+        os.replace({str(pids) + ".part"!r}, {str(pids)!r})
+        time.sleep(60)
+    """))
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "bench_pairs.py"), "--parent", str(tmp_path),
+         "--change", str(tmp_path), "--workload", "simulate-n40", "--seeds", "1-2",
+         "--out", str(tmp_path / "bench.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    started = []
+    try:
+        deadline = time.monotonic() + 30
+        while not pids.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
+            time.sleep(0.05)
+        started = [int(v) for v in pids.read_text().split()]
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 1
+        assert err == "error: stopped by SIGTERM\n"
+        deadline = time.monotonic() + 10
+        while any(map(_alive, started)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, started))
+        assert not (tmp_path / "bench.json").exists()
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, started):
+            os.kill(pid, signal.SIGKILL)

@@ -26,7 +26,6 @@ from codedmv.sim import (
     split_matrix,
     state_received,
     task_weights,
-    trial_seed,
 )
 
 from support import (
@@ -44,6 +43,7 @@ from support import (
     reference_decode,
     reference_decode_from_products,
     reference_products,
+    reference_rows_csv,
     reference_seed,
     reference_trial,
     relabel_blocks,
@@ -135,7 +135,7 @@ def test_raw_durations_batch_pins_the_single_seed_stream():
     # that shape, whatever the other shapes of the batch are
     speed = ShiftedExponential(shift=0.5, rate=3.0, multipliers=(1.0, 0.2, 2.5))
     mult = np.asarray(speed.multipliers)
-    seeds = [trial_seed(4, t) for t in range(sim._BATCH + 3)]
+    seeds = seeding.trial_seeds(4, range(sim._BATCH + 3))
     shapes = [(3, 5), (3, 2), (3, 7), (3, 5)]
     batch = raw_durations(speed, shapes, seeds)
     assert sorted(batch) == [(3, 2), (3, 5), (3, 7)]
@@ -161,7 +161,7 @@ def test_trial_seeds_are_seed_sequence_words(seed):
     # single trials, trial indices of one to three words, and batches on
     # each side of a _BATCH boundary and of the two-word trial indices
     for t in [0, 1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1, 2**32 - 1, 2**32, 2**64]:
-        assert trial_seed(seed, t) == reference_seed(seed, t)
+        assert seeding.trial_seeds(seed, range(t, t + 1)) == [reference_seed(seed, t)]
     for size in BATCH_SIZES:
         for lo in (0, sim._BATCH - 1, 2**32 - size // 2 - 1):
             span = range(lo, lo + size)
@@ -234,9 +234,10 @@ def test_speed_model_validation():
         lambda: run_experiment([UNCODED], Deterministic(), Uniform(), 2, seed=1.5),
         # seeds and trial indices are non-negative integers
         lambda: run_experiment([UNCODED], ShiftedExponential(), Uniform(), 2, seed=-1),
-        lambda: trial_seed(-1, 0),
-        lambda: trial_seed(0, -1),
-        lambda: trial_seed(0, 1.5),
+        lambda: seeding.trial_seeds(-1, range(0, 1)),
+        lambda: seeding.trial_seeds(0, range(-1, 0)),
+        # a range holds no 1.5, so a non-integer goes in as the seed
+        lambda: seeding.trial_seeds(1.5, range(0, 1)),
         lambda: seeding.trial_seeds(-1, range(3)),
         lambda: raw_durations(ShiftedExponential(), [(2, 2)], [3, -1]),
         lambda: raw_durations(ShiftedExponential(), [(2, 2)], [3, 0.5]),
@@ -505,7 +506,7 @@ def test_batched_count_matches_the_walk_under_ties():
 def test_batched_count_matches_the_walk_at_batch_sizes(size):
     speed = ShiftedExponential(multipliers=(1.0, 1.0, 1.0, 0.2, 0.2))
     cost = SparsityAware(nnz=(0, 4, 0, 2, 7))
-    seeds = [trial_seed(12, t) for t in range(size)]
+    seeds = seeding.trial_seeds(12, range(size))
     for plan in (UNCODED, BOTTOM, TOP, mds_plan(5, 2, 5)):
         assert_batch_matches_walk(plan, speed, cost, seeds)
 
@@ -557,20 +558,18 @@ def test_plans_the_count_cannot_decide_are_walked(monkeypatch):
 
 
 def assert_walk_stops_at_first_decodable_prefix(plan, events):
-    """``run_trial`` over ``events``, event j completing at time j, against
-    the first prefix of ``events`` that ``reference_decodable`` accepts."""
-    times = np.full((plan.n, plan.ell), np.inf)
-    for j, e in enumerate(events):
-        times[divmod(e, plan.ell)] = float(j)
-    got = sim.run_trial(core.DecodabilityChecker(plan), times, events)
+    """``run_trial``'s place over ``events`` against the last event of the
+    first prefix that ``reference_decodable`` accepts, or ``len(events)``
+    when none does."""
+    got = sim.run_trial(core.DecodabilityChecker(plan), events)
     state = [0] * plan.n
     for j, e in enumerate(events):
         i, k = divmod(e, plan.ell)
         state[i] = k + 1
         if reference_decodable(plan.params.delta, *prefix_equations(plan, state)):
-            assert got == sim.TrialResult(float(j), tuple(state), j + 1, True), plan.params
+            assert got == j, plan.params
             return
-    assert got == sim.TrialResult(math.inf, tuple(state), len(events), False), plan.params
+    assert got == len(events), plan.params
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
@@ -689,6 +688,37 @@ def test_experiment_sparse_blocks_hurt_dense_mds():
 def test_experiment_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_experiment([UNCODED], ShiftedExponential(), Uniform(), 0, seed=0)
+
+
+@pytest.mark.parametrize("trials", [sim._BATCH - 1, sim._BATCH + 1])
+def test_rows_csv_writes_the_row_view(trials):
+    # failed halt-after trials (inf, false), deterministic ties with
+    # zero-cost blocks, and an uncertified plan that is walked
+    cases = [
+        ([UNCODED, TOP], HaltAfter(stragglers=(2, 3, 4), blocks=0), Uniform()),
+        ([UNCODED, BOTTOM, TOP], Deterministic((1.0, 2.0, 1.0, 2.0, 1.0)),
+         SparsityAware(nnz=(0, 4, 0, 2, 7))),
+        ([perturbed(TOP, np.random.default_rng(4)), TOP], ShiftedExponential(), Uniform()),
+    ]
+    texts = []
+    for plans, speed, cost in cases:
+        rows, _ = run_experiment(plans, speed, cost, trials, seed=2)
+        listed = list(rows)
+        texts.append(rows_to_csv(rows))
+        assert texts[-1] == reference_rows_csv(listed)
+        assert len(rows) == len(listed) == len(plans) * trials
+        assert [(r.plan_id, r.trial) for r in listed] == [
+            (f"plan_{p}", t) for p in range(len(plans)) for t in range(trials)
+        ]
+        assert rows[-1] == listed[-1] and rows[-len(rows)] == listed[0]
+        assert {type(v) for r in listed for v in (r.finish_time, r.blocks_total, r.decode_ok)} \
+            == {float, int, bool}
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        with pytest.raises(IndexError):
+            rows[-len(rows) - 1]
+    # uncoded fails every halted trial, in its final state (3, 3, 0, 0, 0)
+    assert "\nplan_0,0,inf,6,false\n" in texts[0]
 
 
 def test_rows_csv_shape():
