@@ -29,6 +29,7 @@ from .core import (
     Placement,
     SystemParams,
     Uncoded,
+    _known_keys,
     plan_from_dict,
     plan_to_json,
     validate_plan,
@@ -316,12 +317,6 @@ def _experiment_from_config(cfg, base: Path, seed_override):
     speed = _model(cfg.get("speed", {"kind": "shifted-exponential"}), _SPEEDS, "speed")
     cost = _model(cfg.get("cost", {}), _COSTS, "cost", "uniform")
     return plans, speed, cost, cfg.get("trials", 0), seed, ids
-
-
-def _known_keys(doc: dict, keys: tuple, what: str):
-    unknown = [key for key in doc if key not in keys]
-    if unknown:
-        raise TypeError(f"unknown {what} key {unknown[0]!r}; known keys are {', '.join(keys)}")
 
 
 def _cmd_simulate(args) -> int:

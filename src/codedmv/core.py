@@ -272,6 +272,14 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _known_keys(doc: Mapping, keys: tuple, what: str):
+    """Refuse a key of ``doc`` outside ``keys`` with a TypeError, as a
+    keyword call would; ``what`` names the document in the message."""
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise TypeError(f"unknown {what} key {unknown[0]!r}; known keys are {', '.join(keys)}")
+
+
 def check_state(plan: AssignmentPlan, state: Sequence) -> StateVector:
     """Validate a state against a plan; returns it as a tuple of ints.
 
@@ -531,23 +539,31 @@ def plan_to_dict(plan: AssignmentPlan) -> dict:
 def plan_from_dict(doc: Mapping) -> AssignmentPlan:
     """Inverse of :func:`plan_to_dict`.
 
-    Nothing is coerced: the ``params`` counts and every ``u`` block must be
-    integers (not bools), a coefficient a decimal string or an integer, and
-    a coefficient key the canonical decimal of a block, as
+    Nothing is coerced or ignored: the document, its ``params`` and each
+    task hold only the keys :func:`plan_to_dict` writes, and a task exactly
+    one of ``u`` and ``c``; the ``params`` counts and every ``u`` block
+    must be integers (not bools), a coefficient a decimal string or an
+    integer, and a coefficient key the canonical decimal of a block, as
     :func:`plan_to_dict` writes it (``"1"``, never ``"01"``, ``" 1"`` or
     ``"+1"``), so no two keys can name one block.
 
     Raises:
         ValueError / KeyError: a wrong value or a missing field.
-        AttributeError / TypeError: a document of the wrong shape.
+        AttributeError / TypeError: a document of the wrong shape, or an
+            unknown key.
     """
+    _known_keys(doc, ("params", "workers"), "plan")
     pd = doc["params"]
+    _known_keys(pd, ("n", "delta", "ell_u", "ell_c", "r_u", "placement"), "params")
     counts = {k: pd[k] for k in ("n", "delta", "ell_u", "ell_c", "r_u")}
     params = SystemParams(**counts, placement=Placement(pd["placement"]))
     workers = []
     for row in doc["workers"]:
         tasks = []
         for t in row:
+            _known_keys(t, ("u", "c"), "task")
+            if "u" in t and "c" in t:
+                raise ValueError(f"task {t!r} names both u and c; give one")
             if "u" in t:
                 tasks.append(Uncoded(t["u"]))
             elif "c" in t:

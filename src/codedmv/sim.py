@@ -42,18 +42,19 @@ The numeric path maps each field coefficient c to the real number
 coefficients produced by the Cauchy construction d is exactly x_i - y_j,
 so the real and field matrices share the same parameters and the same
 generic rank profile. The plan's checker tabulates the real coefficients,
-supports and uncoded blocks of every task when it is built. Both decode
-entry points fill one table, known block products then distinct received
-coded vectors, and share one solve. The solve takes the rows that
+supports and uncoded blocks of every task when it is built. The one
+decode, :func:`numeric_decode`, models the master: it computes the block
+products, builds the vectors the received tasks transmit from them, and
+solves from those alone. It solves from the rows that
 :meth:`~codedmv.core.DecodabilityChecker.solving_rows` picks, the rank
 case of the decodability rule: the first received coded rows independent
 over GF(P) on the unknown blocks, in arrival order, taken without
-elimination when the certificate vouches for them. Block products and
-received vectors must be finite. The real square system on those rows is
-solved only when its condition number is at most 1e12; above that the
-decode is refused as numerically unsafe (DecodeFailure). Below that bound
-no residual is checked, so the error of a returned vector grows with the
-condition number.
+elimination when the certificate vouches for them. Block products,
+right-hand sides and solved blocks must be finite. The real square system
+on those rows is solved only when its condition number is at most 1e12;
+above that the decode is refused as numerically unsafe (DecodeFailure).
+Below that bound no residual is checked, so the error of a returned
+vector grows with the condition number.
 """
 
 from __future__ import annotations
@@ -510,164 +511,92 @@ def split_matrix(rows: int, delta: int):
     return out
 
 
-def _task_rows(plan: AssignmentPlan, pairs) -> list:
-    """Row i * ell + k of the plan checker's tables for each (worker i,
-    position k) pair.
-
-    Raises:
-        ValueError: a pair lies outside the plan.
-    """
-    n, ell = plan.n, plan.ell
-    out = []
-    for i, k in pairs:
-        if not 0 <= i < n or not 0 <= k < ell:
-            raise ValueError(f"received task ({i}, {k}) outside the plan")
-        out.append(i * ell + k)
-    return out
-
-
-def decode_from_products(plan: AssignmentPlan, nrows: int, received) -> np.ndarray:
-    """Master-side reconstruction of the full product vector.
-
-    ``received`` is an iterable of (worker, position, product_vector). The
-    plan's coefficients and the received vectors are the only inputs; the
-    matrix itself is never touched here. An uncoded product of block b has
-    block b's height, a coded one the first (tallest) block's.
-
-    Received uncoded products fill the table of known blocks verbatim, and
-    a coded task counts once, at its first occurrence; duplicates of either
-    must agree, nan included.
-
-    Raises:
-        NotDecodableError: the equation set has rank below delta.
-        DecodeFailure: the chosen real system has condition number above
-            1e12 (or not finite).
-        ValueError: a task lies outside the plan, a product has the wrong
-            shape or a non-finite entry, or duplicated products disagree.
-    """
-    delta = plan.params.delta
-    ranges = split_matrix(nrows, delta)
-    blocks = plan.checker.blocks
-    # shapes[b] is block b's; a coded task, at b = -1, has the first's
-    shapes = [(len(r),) for r in [*ranges, ranges[0]]]
-    received = list(received)
-    known = {}
-    coded = {}
-    for j, (_, _, vec) in zip(_task_rows(plan, [(i, k) for i, k, _ in received]), received):
-        vec = np.asarray(vec, dtype=float)
-        b = blocks[j]
-        if vec.shape != shapes[b]:
-            raise ValueError(
-                f"the product of {_task_name(plan, j)} has shape {vec.shape}, "
-                f"expected {shapes[b]}"
-            )
-        if b >= 0:
-            prev = known.get(b)
-            if prev is not None and not np.array_equal(prev, vec, equal_nan=True):
-                raise ValueError(f"inconsistent duplicate products for block A_{b + 1}")
-            known[b] = vec
-        elif j not in coded:
-            coded[j] = vec
-        elif not np.array_equal(coded[j], vec, equal_nan=True):
-            raise ValueError(f"inconsistent duplicate products for {_task_name(plan, j)}")
-    table = np.zeros((delta + len(coded), len(ranges[0])))
-    for r, p in [*known.items(), *enumerate(coded.values(), delta)]:
-        table[r, : len(p)] = p
-    return _solve(plan, ranges, table, known, list(coded))
-
-
-def _solve(plan: AssignmentPlan, ranges: list, table: np.ndarray, known, rows: list) -> np.ndarray:
-    """Solve ``table`` for the blocks not in ``known`` and return every
-    block cut to its height. Row b < delta holds block b's product, 0 below
-    its height; the rows of blocks not in ``known`` are zeroed, then solved.
-    Row delta + r holds the vector of coded task ``rows[r]``. Each
-    right-hand side subtracts the known blocks' terms in block order.
-
-    Raises:
-        ValueError: a product in ``table`` is not finite.
-        NotDecodableError, DecodeFailure: as for :func:`decode_from_products`.
-    """
-    delta = len(ranges)
-    checker = plan.checker
-    unknown = [b for b in range(delta) if b not in known]
-    table[unknown] = 0.0
-    products, sent = table[:delta], table[delta:]
-    # checked once, before any arithmetic: nan and inf would only warn
-    # their way through to the result
-    if not np.isfinite(table).all():
-        bad = [f"block A_{b + 1}" for b in sorted(known) if not np.isfinite(products[b]).all()]
-        bad += [_task_name(plan, j) for j, v in zip(rows, sent) if not np.isfinite(v).all()]
-        raise ValueError(f"non-finite products received for {', '.join(bad)}")
-    if unknown:
-        picked = checker.solving_rows(rows, unknown)
-        if len(picked) < len(unknown):
-            raise NotDecodableError("received equations do not determine every block product")
-        sel = [rows[r] for r in picked]
-        coeffs = checker.real[sel]
-        square = coeffs[:, unknown]
-        # one running sum per row: its received vector, then -(c_b * A_b x)
-        # for b = 0 .. delta - 1. x + -y is x - y bit for bit, and a block
-        # that is unknown or off the row's support gives -0.0, which adds
-        # nothing to any x, so the sum subtracts the known blocks' terms in
-        # block order, as a loop over them would
-        terms = np.zeros((len(sel), delta + 1, table.shape[1]))
-        terms[:, 0] = sent[picked]
-        np.multiply(coeffs[:, :, None], products, out=terms[:, 1:],
-                    where=checker.support[sel, :, None])
-        np.negative(terms[:, 1:], out=terms[:, 1:])
-        rhs = np.add.accumulate(terms, axis=1)[:, -1]
-        cond = float(np.linalg.cond(square))
-        if not cond <= 1e12:
-            raise DecodeFailure(cond)
-        table[unknown] = np.linalg.solve(square, rhs)
-    return np.concatenate([table[b, : len(r)] for b, r in enumerate(ranges)])
-
-
-def _task_name(plan: AssignmentPlan, j: int) -> str:
-    """Task j = i * ell + k, named 1-based as messages name it."""
-    kind = "uncoded" if plan.checker.blocks[j] >= 0 else "coded"
-    return f"the {kind} task at worker {j // plan.ell + 1}, position {j % plan.ell + 1}"
-
-
 def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
-    """End-to-end check: compute each block product A_b @ x once, build the
-    vector each received task would transmit from them, then reconstruct
-    A @ x from those vectors alone.
+    """End-to-end decode: compute each block product A_b @ x once, build the
+    vector each received coded task transmits from them, then rebuild A @ x
+    from the received tasks' products alone.
 
     ``received`` is an iterable of (worker, position) pairs; a repeated
-    pair counts once, at its first occurrence. The coded vectors come from
-    one running sum per task over the blocks in order, starting at 0:
+    pair counts once, at its first occurrence. Received uncoded products
+    are copied. The other blocks are solved from the received coded rows
+    that :meth:`~codedmv.core.DecodabilityChecker.solving_rows` picks. A
+    picked row's right-hand side is one running sum from 0: c_b * A_b x
+    over the row's support in block order, which is the vector it
+    transmits, then minus the known blocks' terms in block order.
     ``np.add.accumulate`` adds in that order, where ``np.add.reduce`` may
     pair the terms up.
 
     Raises:
-        ValueError: ``A`` is not 2-D, a block product is not finite, or a
-            pair lies outside the plan.
-        NotDecodableError, DecodeFailure: as for ``decode_from_products``.
+        ValueError: ``A`` is not 2-D, ``x`` is not 1-D with one entry per
+            column of ``A``, a pair lies outside the plan, or a block
+            product, right-hand side or solved block is not finite.
+        NotDecodableError: the received tasks do not determine every block.
+        DecodeFailure: the chosen real system has condition number above
+            1e12 (or not finite).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
     x = np.asarray(x, dtype=float)
-    ranges = split_matrix(A.shape[0], plan.params.delta)
+    if x.shape != A.shape[1:]:
+        raise ValueError(
+            f"vector must be 1-D with one entry per matrix column: got shape {x.shape}, "
+            f"expected ({A.shape[1]},)"
+        )
+    delta = plan.params.delta
+    ranges = split_matrix(A.shape[0], delta)
     # block b's product in row b, 0 below its height (the first block is the
-    # tallest); a non-finite one is refused below, so how it arose need not warn
-    products = np.zeros((len(ranges), len(ranges[0])))
+    # tallest); a non-finite value is refused below, so how it arose need
+    # not warn
+    products = np.zeros((delta, len(ranges[0])))
     with np.errstate(invalid="ignore", over="ignore"):
         for b, r in enumerate(ranges):
             products[b, : len(r)] = A[r.start : r.stop] @ x
     if not np.isfinite(products).all():
         bad = [f"A_{b + 1}" for b, p in enumerate(products) if not np.isfinite(p).all()]
         raise ValueError(f"non-finite block products: {', '.join(bad)}")
-    rows = _task_rows(plan, dict.fromkeys((i, k) for i, k in received))
     checker = plan.checker
-    blocks, real, support = checker.blocks, checker.real, checker.support
-    coded = [j for j in rows if blocks[j] < 0]
-    # terms[t, 1 + b] = c_b * A_b x on task t's support and 0 elsewhere
-    terms = np.zeros((len(coded), len(ranges) + 1, products.shape[1]))
-    np.multiply(real[coded, :, None], products, out=terms[:, 1:], where=support[coded, :, None])
-    table = np.concatenate([products, np.add.accumulate(terms, axis=1)[:, -1]])
-    return _solve(plan, ranges, table, {blocks[j] for j in rows if blocks[j] >= 0}, coded)
+    n, ell, blocks = plan.n, plan.ell, checker.blocks
+    known = np.zeros(delta, dtype=bool)
+    coded = []
+    for i, k in dict.fromkeys((i, k) for i, k in received):
+        if not 0 <= i < n or not 0 <= k < ell:
+            raise ValueError(f"received task ({i}, {k}) outside the plan")
+        j = i * ell + k
+        if blocks[j] >= 0:
+            known[blocks[j]] = True
+        else:
+            coded.append(j)
+    unknown = np.flatnonzero(~known).tolist()
+    if unknown:
+        picked = checker.solving_rows(coded, unknown)
+        if len(picked) < len(unknown):
+            raise NotDecodableError("received equations do not determine every block product")
+        sel = [coded[r] for r in picked]
+        coeffs = checker.real[sel]
+        # per picked row, the running sum's terms: 0, then c_b * A_b x for
+        # b = 0 .. delta - 1 on its support, then -(c_b * A_b x) for each
+        # known b, 0 elsewhere. x + -y is x - y bit for bit, and a sum that
+        # starts at 0.0 never reaches -0.0, so a 0 term changes nothing:
+        # the sum is the transmitted vector less the known blocks' terms in
+        # block order, as a loop over them would form it
+        terms = np.zeros((len(sel), 2 * delta + 1, products.shape[1]))
+        sent = terms[:, 1 : delta + 1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.multiply(coeffs[:, :, None], products, out=sent, where=checker.support[sel, :, None])
+            np.negative(sent, out=terms[:, delta + 1 :], where=known[:, None])
+            rhs = np.add.accumulate(terms, axis=1)[:, -1]
+        names = ", ".join(f"A_{b + 1}" for b in unknown)
+        if not np.isfinite(rhs).all():
+            raise ValueError(f"solving for {names} overflows: a right-hand side is not finite")
+        square = coeffs[:, unknown]
+        cond = float(np.linalg.cond(square))
+        if not cond <= 1e12:
+            raise DecodeFailure(cond)
+        products[unknown] = np.linalg.solve(square, rhs)
+        if not np.isfinite(products).all():
+            raise ValueError(f"solving for {names} overflows: the solution is not finite")
+    return np.concatenate([products[b, : len(r)] for b, r in enumerate(ranges)])
 
 
 def state_received(plan: AssignmentPlan, state: Sequence) -> list:

@@ -514,10 +514,45 @@ def reference_decodable(delta, known, coded):
 
 def reference_decode(plan, A, x, received):
     """``sim.numeric_decode`` as per-coefficient Python loops: the vectors
-    of :func:`reference_products` handed to
-    :func:`reference_decode_from_products`."""
-    vecs = reference_products(plan, A, x, received)
-    return reference_decode_from_products(plan, len(A), vecs)
+    of :func:`reference_products`, then ``field.pivots`` picks the rows in
+    every case, and each right-hand side subtracts one known block at a
+    time."""
+    ranges = sim.split_matrix(len(A), plan.params.delta)
+    known, coded = {}, []
+    for i, k, vec in reference_products(plan, A, x, received):
+        t = plan.workers[i][k]
+        if isinstance(t, core.Uncoded):
+            known[t.block] = vec
+        else:
+            coded.append((dict(t.coeffs), vec))
+    unknown = [b for b in range(plan.params.delta) if b not in known]
+    if unknown:
+        u = len(unknown)
+        field_rows = np.array(
+            [[cm.get(b, 0) for b in unknown] for cm, _ in coded], dtype=np.int64
+        ).reshape(len(coded), u)
+        sel = pivots(field_rows.T)
+        if len(sel) < u:
+            raise sim.NotDecodableError(
+                "received equations do not determine every block product"
+            )
+        square = np.zeros((u, u))
+        rhs = np.zeros((u, len(ranges[0])))
+        for r, ridx in enumerate(sel):
+            cm, vec = coded[ridx]
+            rhs[r] = vec
+            for b, c in cm.items():
+                if b in known:
+                    p = known[b]
+                    rhs[r, : len(p)] -= real_coefficient(c) * p
+            for j, b in enumerate(unknown):
+                if b in cm:
+                    square[r, j] = real_coefficient(cm[b])
+        cond = float(np.linalg.cond(square))
+        if not cond <= 1e12:
+            raise sim.DecodeFailure(cond)
+        known.update(zip(unknown, np.linalg.solve(square, rhs)))
+    return np.concatenate([known[b][: len(r)] for b, r in enumerate(ranges)])
 
 
 def reference_products(plan, A, x, received):
@@ -550,53 +585,6 @@ def reference_products(plan, A, x, received):
                 vec[: len(prods[b])] += real_coefficient(c) * prods[b]
         vecs.append((i, k, vec))
     return vecs
-
-
-def reference_decode_from_products(plan, nrows, received):
-    """``sim.decode_from_products`` for distinct coded tasks and finite
-    products of the right shapes, as per-coefficient Python loops:
-    ``field.pivots`` picks the rows in every case, and each right-hand side
-    subtracts one known block at a time."""
-    ranges = sim.split_matrix(nrows, plan.params.delta)
-    known, coded = {}, []
-    for i, k, vec in received:
-        t = plan.workers[i][k]
-        vec = np.asarray(vec, dtype=float)
-        if isinstance(t, core.Uncoded):
-            prev = known.get(t.block)
-            if prev is not None and not np.array_equal(prev, vec):
-                raise ValueError(f"inconsistent duplicate products for block A_{t.block + 1}")
-            known[t.block] = vec
-        else:
-            coded.append((dict(t.coeffs), vec))
-    unknown = [b for b in range(plan.params.delta) if b not in known]
-    if unknown:
-        u = len(unknown)
-        field_rows = np.array(
-            [[cm.get(b, 0) for b in unknown] for cm, _ in coded], dtype=np.int64
-        ).reshape(len(coded), u)
-        sel = pivots(field_rows.T)
-        if len(sel) < u:
-            raise sim.NotDecodableError(
-                "received equations do not determine every block product"
-            )
-        square = np.zeros((u, u))
-        rhs = np.zeros((u, len(ranges[0])))
-        for r, ridx in enumerate(sel):
-            cm, vec = coded[ridx]
-            rhs[r] = vec
-            for b, c in cm.items():
-                if b in known:
-                    p = known[b]
-                    rhs[r, : len(p)] -= real_coefficient(c) * p
-            for j, b in enumerate(unknown):
-                if b in cm:
-                    square[r, j] = real_coefficient(cm[b])
-        cond = float(np.linalg.cond(square))
-        if not cond <= 1e12:
-            raise sim.DecodeFailure(cond)
-        known.update(zip(unknown, np.linalg.solve(square, rhs)))
-    return np.concatenate([known[b][: len(r)] for b, r in enumerate(ranges)])
 
 
 def decode_outcome(decode, *args):

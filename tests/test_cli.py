@@ -415,6 +415,21 @@ def test_decode_refuses_non_finite_products(tmp_path, capsys, bad, state):
     assert err == "error: non-finite block products: A_2\n"
 
 
+def test_decode_refuses_a_right_hand_side_that_overflows(tmp_path, capsys):
+    # every block product of coded-top (5, 2, 1) is finite, but at
+    # 3,2,0,3,0 the right-hand side that solves A_3 overflows: -inf was
+    # printed with exit 0, after a RuntimeWarning on stderr
+    (tmp_path / "plan.json").write_text(
+        core.plan_to_json(cyclic_coded(5, 2, 1, Placement.CODED_TOP)))
+    np.savetxt(tmp_path / "a.csv", [9e307, -3e307, -1.6e308, 9e307, -1.6e308], delimiter=",")
+    np.savetxt(tmp_path / "x.csv", [1.0], delimiter=",")
+    code, stdout, err = run(capsys, "decode", "--plan", str(tmp_path / "plan.json"),
+                            "--matrix", str(tmp_path / "a.csv"),
+                            "--vector", str(tmp_path / "x.csv"), "--state", "3,2,0,3,0")
+    assert (code, stdout) == (1, "")
+    assert err == "error: solving for A_3 overflows: a right-hand side is not finite\n"
+
+
 # ---------------------------------------------------------------------------
 # failures are error lines, never tracebacks
 
@@ -455,6 +470,10 @@ def _matrix_1d_npy(tmp_path):
 
 def _matrix_3d_npy(tmp_path):
     return _decode_npy_matrix(tmp_path, np.ones((6, 2, 2)))
+
+
+def _matrix_with_three_columns(tmp_path):
+    return _decode_npy_matrix(tmp_path, np.ones((6, 3)))  # the vector has 2 entries
 
 
 def _decode_state(state):
@@ -580,6 +599,11 @@ BAD_PLANS = {
     "key_space": _rename_coefficient_key("2", " 2"),
     "key_plus": _rename_coefficient_key("1", "+1"),
     "key_underscore": _rename_coefficient_key("1", "0_1"),
+    # keys that used to be ignored, or read as an uncoded task
+    "top_level_unknown_key": lambda doc: {**doc, "name": "fig2"},
+    "params_unknown_key": _set_param("ell", 2),
+    "task_unknown_key": _set_task(0, 0, {"u": 0, "note": "A_1"}),
+    "task_u_and_c": _set_task(0, 0, {"u": 0, "c": {"1": "3"}}),
 }
 
 
@@ -631,7 +655,7 @@ NO_COST_KIND = ("cost", {})  # uniform, which takes no nonzero counts
 
 
 @pytest.mark.parametrize("setup", [_undecodable_plan, _budget_zero, _budget_negative,
-                                   _matrix_1d_npy, _matrix_3d_npy,
+                                   _matrix_1d_npy, _matrix_3d_npy, _matrix_with_three_columns,
                                    _config_not_an_object, _config_entry_malformed,
                                    _nnz_shorter_than_delta,
                                    _config_value("trials", 2.7), _config_value("trials", True),

@@ -541,6 +541,21 @@ def test_plan_from_dict_refuses_non_canonical_block_keys(key):
     assert plan_from_dict(doc) == FIG2
 
 
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda doc: doc.update(name="fig2"), TypeError, "unknown plan key 'name'"),
+    (lambda doc: doc["params"].update(ell=2), TypeError, "unknown params key 'ell'"),
+    (lambda doc: doc["workers"][0][0].update(note="A_1"), TypeError, "unknown task key 'note'"),
+    (lambda doc: doc["workers"][0][0].update(c={"1": "3"}), ValueError, "names both u and c"),
+], ids=["plan", "params", "task", "u-and-c"])
+def test_plan_from_dict_refuses_unknown_keys(edit, error, message):
+    # an extra key was ignored, and a task naming both u and c read as
+    # uncoded
+    doc = plan_to_dict(FIG2)
+    edit(doc)
+    with pytest.raises(error, match=message):
+        plan_from_dict(doc)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_json_round_trip_random(seed):

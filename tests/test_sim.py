@@ -18,7 +18,6 @@ from codedmv.sim import (
     ShiftedExponential,
     SparsityAware,
     Uniform,
-    decode_from_products,
     numeric_decode,
     raw_durations,
     run_experiment,
@@ -41,8 +40,6 @@ from support import (
     record_rank_cases,
     reference_decodable,
     reference_decode,
-    reference_decode_from_products,
-    reference_products,
     reference_rows_csv,
     reference_seed,
     reference_trial,
@@ -795,33 +792,6 @@ def test_decode_rejects_out_of_range_tasks():
         numeric_decode(UNCODED, np.eye(5), np.ones(5), [(0, 99)])
 
 
-def test_decode_flags_inconsistent_duplicates():
-    # worker 0 position 1 and worker 1 position 0 are both block A_2; their
-    # transmitted products must agree bitwise
-    plan = cyclic_uncoded(3, 2)
-    received = [
-        (0, 0, np.ones(2)),
-        (0, 1, np.zeros(2)),
-        (1, 0, np.full(2, 7.0)),
-        (2, 0, np.ones(2)),
-    ]
-    with pytest.raises(ValueError):
-        decode_from_products(plan, 6, received)
-
-
-def test_decode_flags_inconsistent_coded_duplicates():
-    # worker 1's coded task (position 2) arrives twice: an agreeing copy
-    # counts once, a disagreeing one is refused rather than dropped
-    plan = cyclic_coded(3, 1, 1, Placement.CODED_BOTTOM)
-    rng = np.random.default_rng(6)
-    received = [(i, 1, rng.standard_normal(2)) for i in range(3)]
-    once = decode_from_products(plan, 6, received)
-    again = received + [(0, 1, received[0][2].copy())]
-    assert decode_from_products(plan, 6, again).tobytes() == once.tobytes()
-    with pytest.raises(ValueError, match="worker 1, position 2"):
-        decode_from_products(plan, 6, received + [(0, 1, received[0][2] + 1.0)])
-
-
 def test_decode_agrees_with_field_predicate():
     rng = np.random.default_rng(4)
     agree_true = agree_false = 0
@@ -899,7 +869,7 @@ def test_decode_refuses_ill_conditioned_system():
 
 
 def received_rows(plan, received):
-    """(rows, unknown) as ``decode_from_products`` sees a received pair
+    """(rows, unknown) as ``numeric_decode`` sees a received pair
     list: the distinct coded tasks' table rows in arrival order and the
     blocks no received uncoded task holds."""
     known, rows = set(), []
@@ -998,10 +968,6 @@ def test_decode_is_bit_identical_to_the_per_coefficient_reference(seed):
     received = (state_received(plan, random_state(plan, rng)) if rng.random() < 0.5
                 else random_pairs(plan, rng))
     assert_decodes_like_reference(plan, a, x, received)
-    # the same vectors, received by the master
-    vecs = reference_products(plan, a, x, received)
-    assert decode_outcome(decode_from_products, plan, len(a), vecs) == decode_outcome(
-        reference_decode_from_products, plan, len(a), vecs)
 
 
 @pytest.mark.parametrize("n, outcomes", [
@@ -1051,59 +1017,48 @@ def test_decode_refuses_a_nan_product_without_a_warning():
     assert got == (ValueError, "non-finite block products: A_1")
 
 
-def test_decode_from_products_refuses_non_finite_products():
-    # a nan duplicate is no disagreement: the message names what is wrong
-    plan = BOTTOM
-    heights = [len(r) for r in split_matrix(11, plan.params.delta)]
-    rng = np.random.default_rng(12)
-    blocks = [rng.standard_normal(h) for h in heights]
-    blocks[1][0] = np.nan
-    full = [(i, k, blocks[t.block] if isinstance(t, core.Uncoded) else rng.standard_normal(3))
-            for i, k in state_received(plan, (3,) * 5) for t in [plan.workers[i][k]]]
-    with pytest.raises(ValueError, match=r"^non-finite products received for block A_2$"):
-        decode_from_products(plan, 11, full)
-    # worker 3's coded task (position 3) sends inf; A_1 and A_2 arrive
-    # uncoded from worker 1
-    blocks[1][0] = 1.0
-    coded = np.array([np.inf, 0.0, 0.0])
-    vecs = [(0, 0, blocks[0]), (0, 1, blocks[1]), (2, 2, coded)]
-    with pytest.raises(ValueError, match=r"^non-finite products received for "
-                                         r"the coded task at worker 3, position 3$"):
-        decode_from_products(plan, 11, vecs)
+def test_decode_refuses_right_hand_sides_and_solutions_that_overflow():
+    # every block product is finite. Coded-top (5, 2, 1) at 3,2,0,3,0
+    # solves A_3 from worker 4's coded row, whose right-hand side
+    # overflows: it was returned as -inf. With every block at 1.5e308 the
+    # coded vectors overflow. On MDS (3, 1, 3) the right-hand sides are
+    # finite but the solved A_1 and A_2 overflow, and came back as inf
+    big = np.finfo(float).max
+    cases = [
+        (TOP, [[9e307], [-3e307], [-1.6e308], [9e307], [-1.6e308]], [1.0], (3, 2, 0, 3, 0),
+         "solving for A_3 overflows: a right-hand side is not finite"),
+        (TOP, np.full((5, 1), 1e308), [1.5], (1,) * 5,
+         "solving for A_1, A_2, A_3, A_4, A_5 overflows: a right-hand side is not finite"),
+        (mds_plan(3, 1, 3), [[-big * (1 - 2e-9)], [-big], [big * (1 - 3e-9)]], [1.0], (1,) * 3,
+         "solving for A_1, A_2, A_3 overflows: the solution is not finite"),
+    ]
+    for plan, a, x, state, message in cases:
+        received = state_received(plan, state)
+        assert decode_outcome(numeric_decode, plan, a, x, received) == (ValueError, message)
 
 
-@pytest.mark.parametrize("make, nrows, pair, length, expected", [
-    (lambda: cyclic_uncoded(3, 1), 6, (0, 0), 1, 2),
-    (lambda: cyclic_uncoded(3, 1), 6, (0, 0), 3, 2),
-    (lambda: cyclic_coded(3, 1, 1, Placement.CODED_BOTTOM), 7, (1, 0), 3, 2),
-    (lambda: cyclic_coded(3, 1, 1, Placement.CODED_BOTTOM), 7, (0, 1), 2, 3),
-], ids=["uncoded-short", "uncoded-long", "uncoded-tallest-height", "coded-short"])
-def test_decode_from_products_checks_every_shape(make, nrows, pair, length, expected):
-    # an uncoded product has its block's height and a coded one the
-    # tallest block's (7 rows over 3 blocks: 3, 2, 2); any other shape is
-    # refused, naming its task, never cut or padded
-    plan = make()
-    i, k = pair
-    kind = "uncoded" if isinstance(plan.workers[i][k], core.Uncoded) else "coded"
-    with pytest.raises(ValueError, match=rf"^the product of the {kind} task at worker {i + 1}, "
-                                         rf"position {k + 1} has shape \({length},\), "
-                                         rf"expected \({expected},\)$"):
-        decode_from_products(plan, nrows, [(i, k, np.ones(length))])
+def test_decode_checks_the_vector():
+    # one entry per matrix column, 1-D: a mismatch used to surface as
+    # numpy's matmul text, and an (m, 1) column decoded only when every
+    # block had one row
+    a = np.ones((6, 2))
+    received = state_received(FIG1, (2, 2, 2))
+    for x in (np.ones(3), np.ones(1), np.ones((2, 1)), np.ones((1, 2)), np.float64(1.0)):
+        assert decode_outcome(numeric_decode, FIG1, a, x, received) == (
+            ValueError, "vector must be 1-D with one entry per matrix column: "
+                        f"got shape {np.shape(x)}, expected (2,)")
+    assert decode_outcome(numeric_decode, FIG1, np.ones((3, 1)), np.ones((1, 1)), [(0, 0)]) == (
+        ValueError, "vector must be 1-D with one entry per matrix column: "
+                    "got shape (1, 1), expected (1,)")
 
 
-def test_decode_from_products_is_bit_identical_on_signed_zeros():
-    # products the master receives may hold -0.0, which numeric_decode
-    # never builds: every prefix state of coded-bottom (5, 2, 1), with
-    # entries drawn from -0.0, 0.0 and random values
+def test_decode_is_bit_identical_on_signed_zeros():
+    # matrices and vectors holding -0.0, whose block products may be -0.0:
+    # every prefix state of coded-bottom (5, 2, 1), with entries drawn from
+    # -0.0, 0.0 and one random value
     plan = BOTTOM
     rng = np.random.default_rng(11)
-    heights = [len(r) for r in split_matrix(11, plan.params.delta)]
     for state in product(range(plan.ell + 1), repeat=plan.n):
-        draw = lambda size: rng.choice([-0.0, 0.0, rng.standard_normal()], size=size)
-        uncoded = [draw(h) for h in heights]
-        vecs = [
-            (i, k, uncoded[t.block] if isinstance(t, core.Uncoded) else draw(heights[0]))
-            for i, k in state_received(plan, state) for t in [plan.workers[i][k]]
-        ]
-        assert decode_outcome(decode_from_products, plan, 11, vecs) == decode_outcome(
-            reference_decode_from_products, plan, 11, vecs)
+        a = rng.choice([-0.0, 0.0, rng.standard_normal()], size=(11, 2))
+        x = rng.choice([-0.0, 0.0, 1.0], size=2)
+        assert_decodes_like_reference(plan, a, x, state_received(plan, state))
