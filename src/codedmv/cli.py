@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -337,37 +338,37 @@ def _cmd_simulate(args) -> int:
 # decode
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load(path: str, what: str) -> np.ndarray:
+    """The float array in a file: Matrix Market (a ``matrix`` only),
+    ``.npy`` or comma-separated text, read as 2-D.
+
+    Raises:
+        UsageError: an unreadable file, or one with no entries.
+    """
     p = Path(path)
     try:
-        if p.suffix == ".mtx":
+        if p.suffix == ".mtx" and what == "matrix":
             from scipy.io import mmread
 
             m = mmread(str(p))
-            if hasattr(m, "todense"):
-                m = m.todense()
-            return np.asarray(m, dtype=float)
-        if p.suffix == ".npy":
-            return np.asarray(np.load(str(p)), dtype=float)
-        return np.loadtxt(str(p), delimiter=",", dtype=float, ndmin=2)
+            a = np.asarray(m.todense() if hasattr(m, "todense") else m, dtype=float)
+        elif p.suffix == ".npy":
+            a = np.asarray(np.load(str(p)), dtype=float)
+        else:
+            with warnings.catch_warnings():  # an empty file is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                a = np.loadtxt(str(p), delimiter=",", dtype=float, ndmin=2)
     except (OSError, ValueError) as e:
-        raise UsageError(f"cannot read matrix {path}: {e}")
-
-
-def _load_vector(path: str) -> np.ndarray:
-    p = Path(path)
-    try:
-        if p.suffix == ".npy":
-            return np.asarray(np.load(str(p)), dtype=float).ravel()
-        return np.loadtxt(str(p), delimiter=",", dtype=float).ravel()
-    except (OSError, ValueError) as e:
-        raise UsageError(f"cannot read vector {path}: {e}")
+        raise UsageError(f"cannot read {what} {path}: {e}")
+    if not a.size:
+        raise UsageError(f"cannot read {what} {path}: no data")
+    return a
 
 
 def _cmd_decode(args) -> int:
     plan = _load_plan(args.plan)
-    A = _load_matrix(args.matrix)
-    x = _load_vector(args.vector)
+    A = _load(args.matrix, "matrix")
+    x = _load(args.vector, "vector").ravel()
     if not _DECIMALS.fullmatch(args.state):
         raise UsageError(
             f"state must be comma-separated counts such as 2,1,0, with no sign, space or "

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .field import P, inv, pivots
+from .field import P, pivots
 
 StateVector = tuple  # per-worker processed-task counts, length n
 
@@ -129,7 +129,7 @@ class Coded:
     """A task that computes one linear combination of block-row products.
 
     ``coeffs`` is a sorted tuple of (block, coefficient) pairs; coefficients
-    are nonzero residues in GF(P).
+    are canonical residues in [1, P) (:meth:`from_map` reduces them).
     """
 
     coeffs: tuple
@@ -143,8 +143,8 @@ class Coded:
         for b, c in self.coeffs:
             if not isinstance(b, int) or isinstance(b, bool) or b < 0:
                 raise ValueError(f"bad block index {b!r} in coded task")
-            if not isinstance(c, int) or isinstance(c, bool) or c % P == 0:
-                raise ValueError(f"coefficient for block {b} must be nonzero mod P")
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 < c < P:
+                raise ValueError(f"coefficient for block {b} must be an integer in [1, P), got {c!r}")
 
     @classmethod
     def from_map(cls, coeffs: Mapping[int, int]) -> "Coded":
@@ -152,7 +152,11 @@ class Coded:
         for c in coeffs.values():
             if isinstance(c, (bool, float)):  # never truncated
                 raise ValueError(f"coefficient must be an integer or a decimal string, got {c!r}")
-        return cls(tuple(sorted((int(b), int(c) % P) for b, c in coeffs.items())))
+        reduced = tuple(sorted((int(b), int(c) % P) for b, c in coeffs.items()))
+        for b, c in reduced:
+            if c == 0:  # named here: the reduced value would not show what was given
+                raise ValueError(f"coefficient for block {b} must be nonzero mod P")
+        return cls(reduced)
 
     @property
     def support(self) -> tuple:
@@ -299,21 +303,24 @@ def check_state(plan: AssignmentPlan, state: Sequence) -> StateVector:
 class DecodabilityChecker:
     """Precomputed tables and the one decodability rule of a plan.
 
-    ``__init__`` makes one pass over the plan and tabulates every task,
-    task i * ell + k being worker i's position k: ``blocks[t]``, task t's
-    uncoded block or -1 for a coded task; ``field``, the (n * ell, delta)
-    int64 array of the coded coefficients, and ``support``, its nonzero
-    mask; ``real``, the numbers numeric decode uses in their place, 1 / d
-    for d = c^-1 mod P (see :mod:`codedmv.sim`); both arrays are 0 off each
-    support and on uncoded tasks. ``coded_tasks`` lists the coded tasks in
-    task order, and row b of ``holders``, a (delta, max(1, most copies of
-    a block)) array, the tasks holding block b uncoded, padded with the
-    sentinel n * ell. ``prefix[i][w]`` is the (uncoded block mask, coded
-    row count) summary of worker i's first w tasks; a state's summary ORs
-    the masks and adds the counts of one pair per worker.
+    ``__init__`` reads each task once, task i * ell + k being worker i's
+    position k, into ``blocks[t]``, task t's uncoded block or -1 for a
+    coded task, the other per-task tables below, and one flat list of the
+    coded coefficients as (task, block, c) entries. One assignment of that
+    list fills ``field``, the (n * ell, delta) int64 array of the coded
+    coefficients; ``support`` is its nonzero mask, and ``real`` holds the
+    numbers numeric decode uses in their place, 1 / d for d = c^-1 mod P
+    (see :mod:`codedmv.sim`); both arrays are 0 off each support and on
+    uncoded tasks. ``coded_tasks`` lists the coded tasks in task order,
+    and row b of ``holders``, a (delta, max(1, most copies of a block))
+    array, the tasks holding block b uncoded, padded with the sentinel
+    n * ell. ``prefix[i][w]`` is the (uncoded block mask, coded row count)
+    summary of worker i's first w tasks; a state's summary ORs the masks
+    and adds the counts of one pair per worker.
 
-    The same pass decides two facts. ``certified`` (see
-    :func:`_cauchy_certified`): values x_r per coded row r and y_j per block
+    The build decides two facts. ``certified`` (see
+    :func:`_cauchy_certified`, which reads the coded rows of ``support``
+    and of the c^-1 table): values x_r per coded row r and y_j per block
     j with inv(c_{r,j}) = x_r - y_j (mod P) on every support entry,
     pairwise distinct within each connected piece of the row-block support
     graph, so every square submatrix is nonsingular. ``count_complete``:
@@ -351,44 +358,39 @@ class DecodabilityChecker:
         blocks = [-1] * (n * ell)
         holders = [[] for _ in range(delta)]
         prefixes = []
-        entries = []  # per coded task, in task order: its (block, c^-1) pairs
-        coded_at, coeffs, inverses = [], [], []  # per coded task: its index, c and c^-1 by block
+        entries = []  # (task, block, c) for every coded coefficient, in task order
         self.count_complete = True
         for i, tasks in enumerate(plan.workers):
             umask, coded = 0, 0
             prefix = [(umask, coded)]
             for k, t in enumerate(tasks):
+                task = i * ell + k
                 if isinstance(t, Uncoded):
                     umask |= 1 << t.block
-                    blocks[i * ell + k] = t.block
-                    holders[t.block].append(i * ell + k)
+                    blocks[task] = t.block
+                    holders[t.block].append(task)
                 else:
-                    row = [(b, inv(c)) for b, c in t.coeffs]
-                    c_row, d_row = [0] * delta, [0] * delta
                     support = umask
-                    for (b, c), (_, d) in zip(t.coeffs, row):
-                        c_row[b], d_row[b] = c % P, d
+                    for b, c in t.coeffs:
+                        entries.append((task, b, c))
                         support |= 1 << b
-                    entries.append(row)
-                    coded_at.append(i * ell + k)
-                    coeffs.append(c_row)
-                    inverses.append(d_row)
                     self.count_complete &= support == every_block
                     coded += 1
                 prefix.append((umask, coded))
             prefixes.append(tuple(prefix))
         self.prefix = tuple(prefixes)
         self.blocks = tuple(blocks)
-        self.coded_tasks = np.array(coded_at, dtype=np.intp)
+        self.coded_tasks = (np.array(blocks, dtype=np.intp) < 0).nonzero()[0]
         width = max(1, *map(len, holders))
         self.holders = np.array([h + [n * ell] * (width - len(h)) for h in holders], dtype=np.intp)
         self.field = np.zeros((n * ell, delta), dtype=np.int64)
-        self.field[coded_at] = np.array(coeffs, dtype=np.int64).reshape(-1, delta)
+        task, block, c = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        self.field[task, block] = c
         self.support = self.field != 0
-        inverse = np.zeros((n * ell, delta))
-        inverse[coded_at] = np.array(inverses, dtype=float).reshape(-1, delta)
-        self.real = np.divide(1.0, inverse, out=np.zeros_like(inverse), where=self.support)
-        self.certified = _cauchy_certified(entries, delta)
+        inverse = np.zeros((n * ell, delta), dtype=np.int64)
+        inverse[self.support] = [pow(c, -1, P) for c in self.field[self.support].tolist()]
+        self.real = np.divide(1.0, inverse, out=np.zeros(inverse.shape), where=self.support)
+        self.certified = _cauchy_certified(inverse[self.coded_tasks], self.support[self.coded_tasks])
         self.count_exact = self.certified and self.count_complete
 
     def decide(self, mask: int, coded: int, state: Sequence[int]) -> bool:
@@ -436,55 +438,46 @@ class DecodabilityChecker:
         return self.decide(mask, coded, state)
 
 
-def _cauchy_certified(entries: Sequence[Sequence[tuple]], delta: int) -> bool:
+def _cauchy_certified(inverse: np.ndarray, support: np.ndarray) -> bool:
     """True iff every connected piece of the coded rows is a Cauchy matrix
-    over GF(P). ``entries[r]`` lists coded row r's support entries as
-    (block, inv(c)) pairs.
+    over GF(P). ``support`` is the coded rows' (rows, delta) support mask
+    and ``inverse`` holds inv(c_{r,j}) on it and 0 elsewhere.
 
     Walks the bipartite row-block support graph one connected component at
-    a time. Each component fixes one normalisation, x = 0 on its first row,
-    and recovers x_r per row and y_j per block with inv(c_{r,j}) = x_r - y_j
-    on every support entry. The answer is True only if every entry agrees
-    with the recovered values and, within each component, the x values are
-    pairwise distinct and so are the y values.
-
-    Rows whose supports share a block lie in one component, so a set of
-    received rows that all hold every unknown block restricts to a Cauchy
-    submatrix of a single component. Values of different components are
-    never compared: each carries the index of its first row.
+    a time, labelled by its first row, and one breadth-first level per
+    numpy step. The walk keeps x_r per row and z_j = -y_j per block, so
+    that x_r + z_j = inv(c_{r,j}) and a step from rows to blocks is the
+    same rule as one back: the first row fixes x = 0, and every other row
+    or block takes its value from one entry linking it to the level
+    before. Consistent values are unique under that normalisation, so the
+    answer is True exactly when every support entry agrees and no two
+    rows, nor two blocks, share a (label, value) pair. Values of different
+    components are never compared. Rows whose supports share a block lie in
+    one component, so a set of received rows that all hold every unknown
+    block restricts to a Cauchy submatrix of one.
     """
-    by_block = [[] for _ in range(delta)]
-    for r, row in enumerate(entries):
-        for b, d in row:
-            by_block[b].append((r, d))
-    x = [None] * len(entries)
-    y = [None] * delta
-    for first in range(len(entries)):
-        if x[first] is not None:
+    rows, delta = support.shape
+    mask, d = (support, support.T), (inverse, inverse.T)
+    value = np.zeros(rows, dtype=np.int64), np.zeros(delta, dtype=np.int64)  # x, z
+    label = np.full(rows, -1), np.full(delta, -1)
+    for first in range(rows):
+        if label[0][first] >= 0:
             continue
-        x[first] = (first, 0)
-        rows, blocks = [first], []
-        while rows or blocks:
-            if rows:
-                r = rows.pop()
-                for b, d in entries[r]:
-                    want = (first, (x[r][1] - d) % P)
-                    if y[b] is None:
-                        y[b] = want
-                        blocks.append(b)
-                    elif y[b] != want:
-                        return False
-            else:
-                b = blocks.pop()
-                for r, d in by_block[b]:
-                    want = (first, (y[b][1] + d) % P)
-                    if x[r] is None:
-                        x[r] = want
-                        rows.append(r)
-                    elif x[r] != want:
-                        return False
-    ys = [v for v in y if v is not None]
-    return len(set(x)) == len(x) and len(set(ys)) == len(ys)
+        label[0][first] = first
+        level, side = np.array([first]), 0
+        while level.size:
+            held = mask[side][level]
+            new = (held.any(axis=0) & (label[1 - side] < 0)).nonzero()[0]
+            by = level[held[:, new].argmax(axis=0)]  # a level node linked to each new one
+            label[1 - side][new] = first
+            value[1 - side][new] = (d[side][by, new] - value[side][by]) % P
+            level, side = new, 1 - side
+    x, z = value
+    if not np.array_equal((x[:, None] + z) % P * support, inverse):
+        return False
+    held = label[1] >= 0
+    keys = (label[0] * P + x).tolist(), (label[1][held] * P + z[held]).tolist()
+    return all(len(set(k)) == len(k) for k in keys)
 
 
 def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:

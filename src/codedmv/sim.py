@@ -67,7 +67,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import AssignmentPlan, DecodabilityChecker, Uncoded, _integer, check_state
+from .core import AssignmentPlan, DecodabilityChecker, _integer, check_state
 from .seeding import pcg64_states, trial_seeds
 
 
@@ -270,6 +270,9 @@ CostModel = Union[Uniform, SparsityAware]
 def task_weights(plan: AssignmentPlan, cost: CostModel) -> np.ndarray:
     """(n, ell) cost weights of the plan's tasks, worker-major.
 
+    Sparsity-aware weights sum the counts of the checker's ``blocks`` and
+    ``support`` as exact integers and are made floats at the end.
+
     Raises:
         ValueError: a sparsity-aware cost that does not list one nonzero
             count per block of the plan.
@@ -284,10 +287,10 @@ def task_weights(plan: AssignmentPlan, cost: CostModel) -> np.ndarray:
             f"sparsity-aware cost lists {len(nnz)} nonzero counts, "
             f"plan has delta = {plan.params.delta} blocks"
         )
-    return np.array([
-        [nnz[t.block] if isinstance(t, Uncoded) else sum(nnz[b] for b in t.support) for t in tasks]
-        for tasks in plan.workers
-    ], dtype=float)
+    checker, nnz = plan.checker, np.array([int(v) for v in nnz], dtype=object)
+    blocks = np.array(checker.blocks, dtype=np.intp)
+    weights = np.where(blocks < 0, checker.support @ nnz, nnz[blocks])
+    return weights.astype(float).reshape(plan.n, plan.ell)
 
 
 def run_trial(checker: DecodabilityChecker, events: Sequence[int]) -> int:

@@ -206,6 +206,95 @@ def shrunk_supports(plan, drop, rng):
     return core.AssignmentPlan(params=plan.params, workers=tuple(workers))
 
 
+def two_component_plan():
+    """Four one-row workers on four blocks: rows 0-1 on blocks 0-1 and rows
+    2-3 on blocks 2-3 repeat one 2 x 2 Cauchy matrix, so the two connected
+    pieces share every x and y value; certified, not count-complete."""
+    rows = schemes.cauchy(2, 2)
+    return hand_plan([[cauchy_task(dict(zip(blocks, row)), blocks)]
+                      for blocks in ((0, 1), (2, 3)) for row in rows], 4)
+
+
+def moved_entry_plan(r, b):
+    """Three one-row workers holding every block of a 3 x 3 Cauchy matrix,
+    entry (r, b) moved by one: every entry lies on a cycle of the support
+    graph, so whichever entries a walk's spanning tree uses, the moved one
+    disagrees with the values the others fix."""
+    rows = [list(row) for row in schemes.cauchy(3, 3)]
+    rows[r][b] = rows[r][b] % (P - 1) + 1
+    return hand_plan([[cauchy_task(row, (0, 1, 2))] for row in rows], 3)
+
+
+def reference_certified(coeff_maps):
+    """The Cauchy certificate by fixed-point sweeps over every entry: each
+    piece of the row-block support graph gets x = 0 on its first row, and
+    each sweep gives a value to every row or block that an entry links to
+    a valued block or row, until none is left; then every entry must have
+    inv(c) = x - y mod P, and the (piece, value) pairs of the rows, and of
+    the blocks, must be distinct."""
+    x, y = {}, {}
+    for first in range(len(coeff_maps)):
+        if first in x:
+            continue
+        x[first] = (first, 0)
+        changed = True
+        while changed:
+            changed = False
+            for r, cm in enumerate(coeff_maps):
+                for b, c in cm.items():
+                    d = pow(c, -1, P)
+                    if r in x and b not in y:
+                        y[b], changed = (first, (x[r][1] - d) % P), True
+                    elif b in y and r not in x:
+                        x[r], changed = (first, (y[b][1] + d) % P), True
+    agree = all((x[r][1] - y[b][1]) % P == pow(c, -1, P)
+                for r, cm in enumerate(coeff_maps) for b, c in cm.items())
+    return agree and len(set(x.values())) == len(x) and len(set(y.values())) == len(y)
+
+
+def reference_checker(plan):
+    """Every table of ``core.DecodabilityChecker``, and its ``certified``
+    and ``count_complete``, built task by task from ``plan.workers`` (task
+    i * ell + k being worker i's position k), by attribute name."""
+    p = plan.params
+    n, ell, delta = p.n, p.ell, p.delta
+    blocks, coded_tasks, field, real, prefix, coeff_maps = [], [], [], [], [], []
+    holders = [[] for _ in range(delta)]
+    count_complete = True
+    for i, tasks in enumerate(plan.workers):
+        known, coded, rows = set(), 0, [(0, 0)]
+        for k, t in enumerate(tasks):
+            if isinstance(t, core.Uncoded):
+                cm = {}
+                known.add(t.block)
+                holders[t.block].append(i * ell + k)
+                blocks.append(t.block)
+            else:
+                cm = dict(t.coeffs)
+                count_complete &= known | set(cm) == set(range(delta))
+                coeff_maps.append(cm)
+                coded_tasks.append(i * ell + k)
+                blocks.append(-1)
+                coded += 1
+            field.append([cm.get(b, 0) for b in range(delta)])
+            real.append([real_coefficient(cm[b]) if b in cm else 0.0 for b in range(delta)])
+            rows.append((sum(1 << b for b in known), coded))
+        prefix.append(tuple(rows))
+    width = max([1] + [len(h) for h in holders])
+    field = np.array(field, dtype=np.int64).reshape(n * ell, delta)
+    return {
+        "blocks": tuple(blocks),
+        "coded_tasks": np.array(coded_tasks, dtype=np.intp),
+        "holders": np.array([h + [n * ell] * (width - len(h)) for h in holders], dtype=np.intp),
+        "prefix": tuple(prefix),
+        "field": field,
+        "support": field != 0,
+        "real": np.array(real).reshape(n * ell, delta),
+        "certified": reference_certified(coeff_maps),
+        "count_complete": count_complete,
+    }
+
+
 def count_evaluations(monkeypatch):
     """Count ``DecodabilityChecker.decodable`` calls from now on."""
     calls = [0]

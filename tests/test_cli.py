@@ -430,6 +430,23 @@ def test_decode_refuses_a_right_hand_side_that_overflows(tmp_path, capsys):
     assert err == "error: solving for A_3 overflows: a right-hand side is not finite\n"
 
 
+@pytest.mark.parametrize("empty", ["matrix", "vector"])
+def test_decode_refuses_an_empty_input_file(tmp_path, empty):
+    # an empty text file was read with numpy's "input contained no data"
+    # warning on stderr, then refused as a vector of the wrong shape, the
+    # vector blamed even when the matrix was empty
+    (tmp_path / "plan.json").write_text(
+        core.plan_to_json(cyclic_coded(5, 2, 1, Placement.CODED_TOP)))
+    np.savetxt(tmp_path / "matrix.csv", np.arange(10.0).reshape(5, 2), delimiter=",")
+    np.savetxt(tmp_path / "vector.csv", [1.0, 2.0], delimiter=",")
+    (tmp_path / f"{empty}.csv").write_text("")
+    proc = run_python(["-m", "codedmv.cli", "decode", "--plan", str(tmp_path / "plan.json"),
+                       "--matrix", str(tmp_path / "matrix.csv"),
+                       "--vector", str(tmp_path / "vector.csv"), "--state", "1,1,1,1,1"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot read {empty} {tmp_path / empty}.csv: no data\n"
+
+
 # ---------------------------------------------------------------------------
 # failures are error lines, never tracebacks
 

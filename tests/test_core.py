@@ -28,18 +28,20 @@ from support import (
     arrival_states,
     count_eliminations,
     dominated_state,
+    moved_entry_plan,
     perturbed,
     prefix_equations,
     random_scheme_plan,
     random_state,
     rank_decodable,
-    real_coefficient,
+    reference_checker,
     reference_decodable,
     relabel_blocks,
     scheme_plan_up_to,
     shrunk_supports,
     singular_plan,
     twin_plan,
+    two_component_plan,
     zero_column_plan,
 )
 
@@ -93,6 +95,23 @@ def test_coded_task_validation():
     t = Coded.from_map({3: 7, 1: 5})
     assert t.support == (1, 3)
     assert dict(t.coeffs) == {1: 5, 3: 7}
+
+
+@pytest.mark.parametrize("shift", [core.P, -core.P], ids=["plus-P", "minus-P"])
+def test_coded_task_refuses_non_canonical_coefficients(shift):
+    # one coefficient of MDS (2, 1, 2) moved by P named the same task, yet
+    # the plan passed validate_plan and compared unequal to the designed one
+    designed = schemes.mds_plan(2, 1, 2)
+    (b, c), *rest = designed.workers[0][0].coeffs
+    with pytest.raises(ValueError, match=r"coefficient for block 0 must be an integer in \[1, P\)"):
+        Coded(((b, c + shift), *rest))
+    # the plan document is read mod P, as before
+    doc = plan_to_dict(designed)
+    doc["workers"][0][0]["c"]["0"] = str(c + shift)
+    assert plan_from_dict(doc) == designed
+    doc["workers"][0][0]["c"]["0"] = str(shift)
+    with pytest.raises(ValueError, match="coefficient for block 0 must be nonzero mod P"):
+        plan_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -429,30 +448,17 @@ def test_count_decides_only_count_complete_plans(seed, drop):
         assert ranks[0] == 0
 
 
-def reference_tables(plan):
-    """(blocks, field, support, real) built task by task from
-    ``plan.workers``, task i * ell + k being worker i's position k."""
-    p = plan.params
-    blocks, field, real = [], [], []
-    for tasks in plan.workers:
-        for t in tasks:
-            cm = {} if isinstance(t, Uncoded) else dict(t.coeffs)
-            blocks.append(t.block if isinstance(t, Uncoded) else -1)
-            field.append([cm[b] % core.P if b in cm else 0 for b in range(p.delta)])
-            real.append([real_coefficient(cm[b]) if b in cm else 0.0 for b in range(p.delta)])
-    field = np.array(field, dtype=np.int64).reshape(p.n * p.ell, p.delta)
-    real = np.array(real).reshape(p.n * p.ell, p.delta)
-    return tuple(blocks), field, field != 0, real
-
-
 def assert_tables_match_reference(plan):
     checker = core.DecodabilityChecker(plan)
-    blocks, field, support, real = reference_tables(plan)
-    assert checker.blocks == blocks
-    assert checker.field.dtype == np.int64 and np.array_equal(checker.field, field)
-    assert np.array_equal(checker.support, support)
+    want = reference_checker(plan)
+    assert checker.blocks == want["blocks"]
+    assert checker.prefix == want["prefix"]
+    for name in ("coded_tasks", "holders", "field", "support"):
+        got = getattr(checker, name)
+        assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
     # bit for bit: the real coefficients reach the decode's results
-    assert checker.real.tobytes() == real.tobytes()
+    assert checker.real.tobytes() == want["real"].tobytes()
+    assert (checker.certified, checker.count_complete) == (want["certified"], want["count_complete"])
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -467,8 +473,28 @@ def test_tables_match_a_per_task_reference_on_scheme_plans(seed, relabel):
 
 def test_tables_match_a_per_task_reference_on_hand_plans():
     bent = perturbed(schemes.cyclic_coded(5, 2, 1, Placement.CODED_TOP), np.random.default_rng(12))
-    for plan in (singular_plan(), twin_plan("row"), twin_plan("column"), zero_column_plan(), bent):
+    for plan in (singular_plan(), twin_plan("row"), twin_plan("column"), zero_column_plan(), bent,
+                 two_component_plan(), moved_entry_plan(2, 1)):
         assert_tables_match_reference(plan)
+
+
+def test_components_that_repeat_one_cauchy_matrix_are_certified():
+    # the two pieces share every value; only values within a piece must differ
+    plan = two_component_plan()
+    checker = core.DecodabilityChecker(plan)
+    assert checker.certified
+    assert not checker.count_complete
+    agrees_with_reference(plan, every_state(plan))
+
+
+@pytest.mark.parametrize("r, b", list(product(range(3), repeat=2)))
+def test_a_moved_entry_loses_the_certificate_on_or_off_the_walk(r, b):
+    # a walk fixes the values from the entries of one spanning tree; an
+    # entry off that tree disagrees only in the final check over every entry
+    plan = moved_entry_plan(r, b)
+    assert not core.DecodabilityChecker(plan).certified
+    assert not reference_checker(plan)["certified"]
+    agrees_with_reference(plan, every_state(plan))
 
 
 def assert_decide_matches_rank(plan):

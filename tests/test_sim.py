@@ -269,6 +269,13 @@ def test_task_weights():
     assert task_weights(BOTTOM, cost)[0, 2] == 30 + 40 + 50
 
 
+def test_task_weights_sum_numpy_integer_counts_exactly():
+    # three int64 counts of 2**62 wrapped to a negative weight, with a
+    # RuntimeWarning, although their total is a finite float
+    cost = SparsityAware(nnz=(np.int64(2**62),) * 5)
+    assert task_weights(BOTTOM, cost)[0, 2] == float(3 * 2**62)
+
+
 # ---------------------------------------------------------------------------
 # run_trial
 
