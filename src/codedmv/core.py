@@ -128,8 +128,9 @@ class Uncoded:
 class Coded:
     """A task that computes one linear combination of block-row products.
 
-    ``coeffs`` is a sorted tuple of (block, coefficient) pairs; coefficients
-    are canonical residues in [1, P) (:meth:`from_map` reduces them).
+    ``coeffs`` is a tuple of (block, coefficient) pairs with strictly
+    increasing blocks and coefficients that are canonical residues in
+    [1, P); :func:`plan_from_dict` reduces a document's values to them.
     """
 
     coeffs: tuple
@@ -137,26 +138,15 @@ class Coded:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("coded task needs a non-empty coefficient map")
-        blocks = [b for b, _ in self.coeffs]
-        if blocks != sorted(set(blocks)):
-            raise ValueError("coefficient blocks must be sorted and distinct")
+        last = -1
         for b, c in self.coeffs:
             if not isinstance(b, int) or isinstance(b, bool) or b < 0:
                 raise ValueError(f"bad block index {b!r} in coded task")
+            if b <= last:
+                raise ValueError("coefficient blocks must be sorted and distinct")
             if not isinstance(c, int) or isinstance(c, bool) or not 0 < c < P:
                 raise ValueError(f"coefficient for block {b} must be an integer in [1, P), got {c!r}")
-
-    @classmethod
-    def from_map(cls, coeffs: Mapping[int, int]) -> "Coded":
-        """Coefficients are ints or decimal strings, reduced mod P."""
-        for c in coeffs.values():
-            if isinstance(c, (bool, float)):  # never truncated
-                raise ValueError(f"coefficient must be an integer or a decimal string, got {c!r}")
-        reduced = tuple(sorted((int(b), int(c) % P) for b, c in coeffs.items()))
-        for b, c in reduced:
-            if c == 0:  # named here: the reduced value would not show what was given
-                raise ValueError(f"coefficient for block {b} must be nonzero mod P")
-        return cls(reduced)
+            last = b
 
     @property
     def support(self) -> tuple:
@@ -229,13 +219,12 @@ def validate_plan(plan: AssignmentPlan) -> list:
                     )
                 seen.add(t.block)
                 uncoded_counts[t.block] = uncoded_counts.get(t.block, 0) + 1
-            else:
-                bad = [b for b in t.support if b >= p.delta]
-                if bad:
-                    out.append(
-                        f"worker {wid}: coded task references "
-                        f"{_block_label(bad[0])} outside [A_1, {_block_label(p.delta - 1)}]"
-                    )
+            elif t.coeffs[-1][0] >= p.delta:  # blocks increase: the last is the largest
+                bad = next(b for b, _ in t.coeffs if b >= p.delta)
+                out.append(
+                    f"worker {wid}: coded task references "
+                    f"{_block_label(bad)} outside [A_1, {_block_label(p.delta - 1)}]"
+                )
         coded_pos = [k for k, t in enumerate(tasks) if isinstance(t, Coded)]
         if coded_pos:
             if p.placement is Placement.CODED_BOTTOM:
@@ -498,10 +487,11 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
     return plan.checker.decodable(w)
 
 
-# comma-separated canonical decimals, each 0 or digits with no leading
-# zero: the keys of a coefficient map, as plan_to_dict writes the blocks (so
-# no two keys can name one block), and the counts of ``decode --state``
+# comma-separated canonical decimals, each 0 or digits with no leading zero:
+# coefficient keys, as plan_to_dict writes the blocks (so no two keys name one
+# block), and ``decode --state`` counts; _INTEGERS allows a minus on each, for values
 _DECIMALS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+_INTEGERS = re.compile(r"-?(?:0|[1-9][0-9]*)(?:,-?(?:0|[1-9][0-9]*))*")
 
 
 def plan_to_dict(plan: AssignmentPlan) -> dict:
@@ -535,10 +525,11 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
     Nothing is coerced or ignored: the document, its ``params`` and each
     task hold only the keys :func:`plan_to_dict` writes, and a task exactly
     one of ``u`` and ``c``; the ``params`` counts and every ``u`` block
-    must be integers (not bools), a coefficient a decimal string or an
-    integer, and a coefficient key the canonical decimal of a block, as
-    :func:`plan_to_dict` writes it (``"1"``, never ``"01"``, ``" 1"`` or
-    ``"+1"``), so no two keys can name one block.
+    must be integers (not bools), and a coefficient key the canonical
+    decimal of a block, as :func:`plan_to_dict` writes it (``"1"``, never
+    ``"01"``, ``" 1"`` or ``"+1"``), so no two keys can name one block. A
+    coefficient is an integer or such a decimal with an optional minus
+    sign, read mod P, where it must not vanish.
 
     Raises:
         ValueError / KeyError: a wrong value or a missing field.
@@ -566,7 +557,16 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
                         f"coefficient keys {list(coeffs)} must be block numbers such as "
                         "'0' or '12', with no sign, space or leading zero"
                     )
-                tasks.append(Coded.from_map({int(b): c for b, c in coeffs.items()}))
+                if coeffs and not _INTEGERS.fullmatch(",".join(map(str, coeffs.values()))):
+                    raise ValueError(
+                        f"coefficients {list(coeffs.values())} must be integers or decimal strings "
+                        "such as '7' or '-12', with no plus, space, underscore or leading zero"
+                    )
+                pairs = sorted((int(b), int(c) % P) for b, c in coeffs.items())
+                for b, c in pairs:
+                    if not c:  # named here: the reduced value would not show what was given
+                        raise ValueError(f"coefficient for block {b} must be nonzero mod P")
+                tasks.append(Coded(tuple(pairs)))
             else:
                 raise ValueError(f"task {t!r} is neither uncoded nor coded")
         workers.append(tuple(tasks))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .core import AssignmentPlan, Placement, Uncoded
+from .core import AssignmentPlan, Placement, Uncoded, _integer
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -77,8 +77,10 @@ def _counted(budget: int, search: str, so_far: Callable[[], str]) -> Callable[[]
     ``so_far()``, what the search has certified up to that point.
 
     Raises:
-        ValueError: the budget is below 1, before any evaluation.
+        ValueError: the budget is not an integer (a float or bool is not)
+            or is below 1, before any evaluation.
     """
+    budget = _integer(budget, "budget")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     evaluations = 0
@@ -135,8 +137,8 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
         BudgetExceededError: the search needs more decodability
             evaluations than the budget; raised mid-search with the
             evaluations made and the best total certified so far.
-        ValueError: the budget is below 1, or the fully-processed state
-            itself cannot decode.
+        ValueError: the budget is not an integer or is below 1, or the
+            fully-processed state itself cannot decode.
     """
     n, ell = plan.n, plan.ell
     charge = _counted(
@@ -226,8 +228,8 @@ def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> 
         BudgetExceededError: the search needs more decodability
             evaluations than the budget; raised mid-search with the
             evaluations made and the resilience certified so far.
-        ValueError: the budget is below 1, or the fully-processed state
-            itself cannot decode.
+        ValueError: the budget is not an integer or is below 1, or the
+            fully-processed state itself cannot decode.
     """
     n, ell = plan.n, plan.ell
     charge = _counted(

@@ -390,7 +390,8 @@ class PlanSummary:
 class Trials(Sequence):
     """An experiment's trials: per plan of ``plan_ids``, one row of each
     (plans, trials) column. Read as a sequence, each trial is a
-    :class:`TrialRow`, in plan-major, trial-minor order."""
+    :class:`TrialRow`, in plan-major, trial-minor order; a slice is a list
+    of them."""
 
     plan_ids: tuple
     finish: np.ndarray  # inf where the plan never decodes
@@ -401,6 +402,8 @@ class Trials(Sequence):
         return self.finish.size
 
     def __getitem__(self, r):
+        if isinstance(r, slice):
+            return [self[i] for i in range(len(self))[r]]
         p, t = divmod(range(len(self))[r], self.finish.shape[1])
         return TrialRow(self.plan_ids[p], t, float(self.finish[p, t]),
                         int(self.blocks[p, t]), bool(self.ok[p, t]))

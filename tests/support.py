@@ -101,7 +101,7 @@ def relabel_blocks(plan, perm):
     coefficient maps alike."""
     workers = tuple(
         tuple(core.Uncoded(int(perm[t.block])) if isinstance(t, core.Uncoded) else
-              core.Coded.from_map({int(perm[b]): c for b, c in t.coeffs})
+              core.Coded(tuple(sorted((int(perm[b]), c) for b, c in t.coeffs)))
               for t in tasks)
         for tasks in plan.workers
     )
@@ -186,7 +186,7 @@ def perturbed(plan, rng):
     coeffs = dict(workers[i][0].coeffs)
     b = int(rng.integers(0, plan.params.delta))
     coeffs[b] = (coeffs[b] + int(rng.integers(1, P - 1))) % P
-    workers[i][0] = core.Coded.from_map(coeffs)
+    workers[i][0] = core.Coded(tuple(sorted(coeffs.items())))
     return core.AssignmentPlan(params=plan.params, workers=tuple(map(tuple, workers)))
 
 

@@ -577,6 +577,13 @@ def _add_to_coefficient(delta):
     return edit
 
 
+def _respell_coefficient(respell):
+    def edit(doc):
+        coeffs = doc["workers"][0][1]["c"]
+        coeffs["1"] = respell(coeffs["1"])
+    return edit
+
+
 def _add_coefficient_key(key):
     def edit(doc):
         doc["workers"][0][1]["c"][key] = "1"
@@ -611,6 +618,13 @@ BAD_PLANS = {
     "n_string": _set_param("n", "3"),
     "coefficient_float": _add_to_coefficient(0.5),
     "coefficient_bool": _set_task(0, 1, {"c": {"1": True, "2": "1"}}),
+    # coefficient values that int() read, though not written as design writes them
+    "value_leading_zero": _respell_coefficient(lambda c: "0" + c),
+    "value_plus": _respell_coefficient(lambda c: "+" + c),
+    "value_space": _respell_coefficient(lambda c: " " + c),
+    "value_underscore": _respell_coefficient(lambda c: c[0] + "_" + c[1:]),
+    "value_newline": _respell_coefficient(lambda c: c + "\n"),
+    "value_arabic_indic_one": _respell_coefficient(lambda c: "\u0661"),
     # coefficient keys that are not the canonical decimal of a block
     "key_01_repeats_block_1": _add_coefficient_key("01"),
     "key_space": _rename_coefficient_key("2", " 2"),

@@ -92,7 +92,7 @@ def test_coded_task_validation():
     for bad in (lambda: Uncoded(True), lambda: Coded(((True, 5),)), lambda: Coded(((0, True),))):
         with pytest.raises(ValueError):
             bad()
-    t = Coded.from_map({3: 7, 1: 5})
+    t = Coded(((1, 5), (3, 7)))
     assert t.support == (1, 3)
     assert dict(t.coeffs) == {1: 5, 3: 7}
 
@@ -112,6 +112,69 @@ def test_coded_task_refuses_non_canonical_coefficients(shift):
     doc["workers"][0][0]["c"]["0"] = str(shift)
     with pytest.raises(ValueError, match="coefficient for block 0 must be nonzero mod P"):
         plan_from_dict(doc)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((), "coded task needs a non-empty coefficient map"),
+    (((2, 1), (0, 1)), "coefficient blocks must be sorted and distinct"),
+    (((0, 1), (3, 2), (3, 4)), "coefficient blocks must be sorted and distinct"),
+    (((0, 5), (True, 5)), "bad block index True in coded task"),
+    (((-1, 5),), "bad block index -1 in coded task"),
+    (((0, True),), "coefficient for block 0 must be an integer in [1, P), got True"),
+    (((1, 3), (4, 0)), "coefficient for block 4 must be an integer in [1, P), got 0"),
+    (((0, core.P),), f"coefficient for block 0 must be an integer in [1, P), got {core.P}"),
+], ids=["empty", "unsorted", "repeated", "bool-block", "negative-block", "bool-coefficient",
+        "zero-coefficient", "coefficient-P"])
+def test_coded_refuses_each_single_fault_with_its_message(coeffs, message):
+    with pytest.raises(ValueError) as err:
+        Coded(coeffs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", [
+    "0{}", "+{}", " {}", "{} ", "{}\n", "1_{}", "\u0661", "{}.0", "-0{}", "--{}", "", "0x1",
+    1.5, 3.0, True, None,
+], ids=["leading-zero", "plus", "leading-space", "trailing-space", "newline", "underscore",
+        "arabic-indic-one", "decimal-point", "minus-leading-zero", "two-minus", "empty", "hex",
+        "float", "integral-float", "bool", "null"])
+def test_plan_from_dict_refuses_non_canonical_coefficient_values(value):
+    # int() read each string spelling, so "01073741824" or "\u0661" passed
+    # verify as if it were canonical
+    doc = plan_to_dict(FIG2)
+    coeffs = doc["workers"][0][1]["c"]
+    canonical = coeffs["1"]
+    coeffs["1"] = value.format(canonical) if isinstance(value, str) else value
+    with pytest.raises(ValueError, match="must be integers or decimal strings"):
+        plan_from_dict(doc)
+    coeffs["1"] = canonical
+    assert plan_from_dict(doc) == FIG2
+
+
+def _every_scheme_plan_up_to(n_max):
+    """Plans of all four construction families for n = 2..n_max."""
+    for n in range(2, n_max + 1):
+        for r in range(1, min(n, 3) + 1):
+            yield schemes.cyclic_uncoded(n, r)
+        for placement in (Placement.CODED_BOTTOM, Placement.CODED_TOP):
+            for r_u in range(min(n - 1, 3) + 1):
+                for ell_c in range(1, min(n - r_u, 2) + 1):
+                    yield schemes.cyclic_coded(n, r_u, ell_c, placement)
+        for ell in (1, 2):
+            for delta in sorted({ell, n, n * ell}):
+                yield schemes.mds_plan(n, ell, delta)
+
+
+@pytest.mark.parametrize("k", [None, -2, -1, 1, 2], ids=["json-int", "-2P", "-P", "+P", "+2P"])
+def test_plan_from_dict_reads_coefficients_mod_p_in_every_family(k):
+    # a JSON integer, or the decimal of c + kP, names the coefficient c
+    for plan in _every_scheme_plan_up_to(12):
+        doc = plan_to_dict(plan)
+        for tasks in doc["workers"]:
+            for t in tasks:
+                if "c" in t:
+                    t["c"] = {b: int(c) if k is None else str(int(c) + k * core.P)
+                              for b, c in t["c"].items()}
+        assert plan_from_dict(doc) == plan
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +224,15 @@ def test_validate_flags_out_of_range_block():
                           placement=Placement.UNCODED_ONLY)
     bad = AssignmentPlan(params=params, workers=((Uncoded(0),), (Uncoded(5),)))
     assert any("outside" in m for m in validate_plan(bad))
+
+
+def test_validate_names_the_smallest_out_of_range_block_of_a_coded_task():
+    workers = list(FIG2.workers)
+    workers[0] = (workers[0][0], Coded(((1, 5), (4, 2), (6, 3))))
+    bad = AssignmentPlan(params=FIG2.params, workers=tuple(workers))
+    assert [m for m in validate_plan(bad) if "references" in m] == [
+        "worker 1: coded task references A_5 outside [A_1, A_3]"
+    ]
 
 
 def test_validate_reports_out_of_range_uncoded_block_once():

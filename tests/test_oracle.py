@@ -374,6 +374,19 @@ def test_budget_below_one_is_refused_before_any_evaluation(monkeypatch, search):
     assert calls[0] == 0
 
 
+@pytest.mark.parametrize("budget", [1.5, True, "5"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("search", [brute_force_q, straggler_resilience])
+def test_a_budget_that_is_not_an_integer_is_refused_before_any_evaluation(
+        monkeypatch, search, budget):
+    # 1.5 made two evaluations before stopping "at its budget of 1.5", and
+    # True acted as 1
+    calls = count_evaluations(monkeypatch)
+    with pytest.raises(ValueError, match=f"budget must be an integer, got {re.escape(repr(budget))}"):
+        search(cyclic_coded(5, 2, 1, Placement.CODED_TOP), budget=budget)
+    assert calls[0] == 0
+    assert search(cyclic_coded(5, 2, 1, Placement.CODED_TOP), budget=np.int64(1000))
+
+
 def test_resilience_threshold_consistency():
     # Q <= (n - s) * ell certifies resilience at least s
     plans = [

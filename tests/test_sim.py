@@ -725,6 +725,15 @@ def test_rows_csv_writes_the_row_view(trials):
     assert "\nplan_0,0,inf,6,false\n" in texts[0]
 
 
+def test_trials_slice_to_lists_of_rows():
+    # a slice reached divmod as a range and raised TypeError
+    rows, _ = run_experiment([TOP, BOTTOM], Deterministic(), Uniform(), 3, 0)
+    listed = list(rows)
+    assert rows[1:3] == listed[1:3] and len(rows[1:3]) == 2
+    assert rows[::-1] == listed[::-1]
+    assert rows[4:] == listed[4:] and rows[9:] == []
+
+
 def test_rows_csv_shape():
     rows, _ = run_experiment([UNCODED], Deterministic(1.0), Uniform(), 2, seed=0)
     text = rows_to_csv(rows)
