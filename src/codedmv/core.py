@@ -552,12 +552,16 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
                 tasks.append(Uncoded(t["u"]))
             elif "c" in t:
                 coeffs = t["c"]
-                if coeffs and not _DECIMALS.fullmatch(",".join(coeffs)):
+                # a key or value holding a comma would pass as two fields, so
+                # each joined text must hold fewer commas than there are entries
+                if coeffs and not (_DECIMALS.fullmatch(keys := ",".join(coeffs))
+                                   and keys.count(",") < len(coeffs)):
                     raise ValueError(
                         f"coefficient keys {list(coeffs)} must be block numbers such as "
                         "'0' or '12', with no sign, space or leading zero"
                     )
-                if coeffs and not _INTEGERS.fullmatch(",".join(map(str, coeffs.values()))):
+                if coeffs and not (_INTEGERS.fullmatch(values := ",".join(map(str, coeffs.values())))
+                                   and values.count(",") < len(coeffs)):
                     raise ValueError(
                         f"coefficients {list(coeffs.values())} must be integers or decimal strings "
                         "such as '7' or '-12', with no plus, space, underscore or leading zero"

@@ -30,12 +30,15 @@ finite events (:func:`run_trial`): every event takes the plan checker's
 O(1) step of the state's summary, and the checker's rule ranks only where
 its count cannot decide. Both give the place of the decoding event, from
 which one tail takes finish time, blocks processed and final state.
-Memory per batch is O(batch * n * ell) for each distinct plan shape; an
-experiment keeps three (plans, trials) columns of results. The speed and
-cost models check their fields when made, and :func:`run_experiment` its
-``trials`` and ``seed``: a count, index or seed must be an integer
-(Python or numpy), a time, rate or multiplier a finite real number; a
-bool, a string or an integer too large for a float is a ValueError.
+An experiment keeps three (plans, trials) columns of results. Summaries
+read the median and p95 off one sort by the arithmetic of ``np.median``
+and ``np.percentile``, bit for bit, as those two import ``numpy.ma`` on
+first use (12-16 ms); the mean stays on the unsorted times, as its
+pairwise sum depends on order. The speed and cost models check their
+fields when made, and :func:`run_experiment` its ``trials`` and ``seed``:
+a count, index or seed must be an integer (Python or numpy), a time, rate
+or multiplier a finite real number; a bool, a string or an integer too
+large for a float is a ValueError.
 
 The numeric path maps each field coefficient c to the real number
 1 / d where d is the canonical representative of c^-1 in GF(P). For
@@ -159,7 +162,7 @@ class HaltAfter:
 SpeedModel = Union[ShiftedExponential, Deterministic, HaltAfter]
 
 # trials simulated per batch of durations and completion times
-_BATCH = 64
+_BATCH = 256
 
 
 def raw_durations(speed: SpeedModel, shapes: Iterable[tuple], seeds: Sequence[int]) -> dict:
@@ -427,7 +430,8 @@ def run_experiment(
     per batch draws every plan's durations from one stream per seed, then
     each plan decides the batch (see :func:`_trials`) into its slice of the
     columns, so only one batch of durations and completion times is alive
-    at a time. Each plan's trials share its memoised checker,
+    at a time (256 * n * ell values per array, about 250 KB at n = 40 and
+    ell = 3). Each plan's trials share its memoised checker,
     ``plan.checker``, which remembers no answers.
 
     Raises:
@@ -463,14 +467,15 @@ def run_experiment(
     summaries = []
     for pid, f, o in zip(plan_ids, finish, ok):
         finishes = f[o]
-        # numpy warns on the statistics of an empty array
-        stats = (
-            (finishes.mean(), np.median(finishes), np.percentile(finishes, 95))
-            if finishes.size else (math.inf,) * 3
-        )
-        summaries.append(PlanSummary(
-            pid, trials, *(float(v) for v in stats), (trials - finishes.size) / trials
-        ))
+        m = finishes.size
+        stats = (math.inf,) * 3
+        if m:
+            s, x = np.sort(finishes), (m - 1) * 0.95
+            lo = math.floor(x)
+            a, b, g = s[lo], s[min(lo + 1, m - 1)], x - lo
+            stats = (finishes.mean(), s[m // 2] if m % 2 else (s[m // 2 - 1] + s[m // 2]) / 2,
+                     b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+        summaries.append(PlanSummary(pid, trials, *map(float, stats), (trials - m) / trials))
     return Trials(tuple(plan_ids), finish, blocks, ok), summaries
 
 
@@ -508,13 +513,8 @@ def split_matrix(rows: int, delta: int):
     if rows < delta:
         raise ValueError(f"need rows >= delta, got {rows} < {delta}")
     base, extra = divmod(rows, delta)
-    out = []
-    start = 0
-    for b in range(delta):
-        size = base + (1 if b < extra else 0)
-        out.append(range(start, start + size))
-        start += size
-    return out
+    starts = [b * base + min(b, extra) for b in range(delta + 1)]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
 
 def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:

@@ -630,6 +630,9 @@ BAD_PLANS = {
     "key_space": _rename_coefficient_key("2", " 2"),
     "key_plus": _rename_coefficient_key("1", "+1"),
     "key_underscore": _rename_coefficient_key("1", "0_1"),
+    # a comma inside a key or value, which the joined text read as a separator
+    "key_comma": _rename_coefficient_key("1", "0,1"),
+    "value_comma": _respell_coefficient(lambda c: c + ",6"),
     # keys that used to be ignored, or read as an uncoded task
     "top_level_unknown_key": lambda doc: {**doc, "name": "fig2"},
     "params_unknown_key": _set_param("ell", 2),
@@ -736,6 +739,29 @@ def test_bad_input_is_usage_error_without_traceback(tmp_path, setup):
 
 def test_import_cli_leaves_scipy_unloaded():
     proc = run_python(["-c", "import sys, codedmv.cli; sys.exit('scipy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median and np.percentile import numpy.ma on first use: 12-16 ms and
+    # about 1.9 MB of every fresh simulate process
+    if run_python(["-c", "import sys, numpy; sys.exit('numpy.ma' in sys.modules)"]).returncode:
+        pytest.skip("importing numpy alone loads numpy.ma")
+    config = json.loads(write_sim_setup(tmp_path, trials=300).read_text())
+    configs = {
+        "uniform": config,  # shifted-exponential speed, uniform cost
+        "sparse": {**config, "cost": {"kind": "sparsity-aware", "nnz": [1, 2, 3, 4, 5]}},
+        "halt": {**config, "speed": HALT_AFTER[1]},
+    }
+    argv = []
+    for name, doc in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv.append(["simulate", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / f"{name}.csv")])
+    script = ("import sys; from codedmv import cli\n"
+              f"codes = [cli.main(argv) for argv in {argv!r}]\n"
+              "sys.exit(codes != [0, 0, 0] or 'numpy.ma' in sys.modules)")
+    proc = run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
 
 

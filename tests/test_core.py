@@ -654,6 +654,21 @@ def test_plan_from_dict_refuses_unknown_keys(edit, error, message):
         plan_from_dict(doc)
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ({"0,1": "5"}, "coefficient keys"),
+    ({"0": "5,6"}, "coefficients"),
+    ({"1": "3", "2,0": "5"}, "coefficient keys"),
+    ({"1": "3", "2": "-5,6"}, "coefficients"),
+], ids=["key", "value", "second-key", "second-value"])
+def test_plan_from_dict_refuses_a_comma_inside_a_coefficient(coeffs, message):
+    # the comma-joined text matched the rule, and int() then refused the
+    # key or value with "invalid literal for int() with base 10"
+    doc = plan_to_dict(FIG2)
+    doc["workers"][0][1]["c"] = coeffs
+    with pytest.raises(ValueError, match=message):
+        plan_from_dict(doc)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_json_round_trip_random(seed):

@@ -1,9 +1,10 @@
 import math
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedmv import core, oracle, seeding, sim
@@ -150,7 +151,10 @@ def test_raw_durations_batch_pins_the_single_seed_stream():
 # seeding: numpy's SeedSequence and default_rng streams, bit for bit
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**96, 2**128 - 1, 2**128, 2**200]
-BATCH_SIZES = [1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1]
+# one seed, partial batches on each side of 64 seeds, and each side of a
+# _BATCH boundary
+PARTIAL = [63, 64, 65]
+BATCH_SIZES = [1, *PARTIAL, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -376,7 +380,7 @@ def test_experiment_single_trial_matches_run_trial():
     assert s.failure_rate == 0.0
 
 
-@pytest.mark.parametrize("trials", [1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1])
+@pytest.mark.parametrize("trials", BATCH_SIZES)
 def test_experiment_rows_match_reference_across_batch_boundaries(trials):
     # a straggler and zero-cost blocks: every trial differs, and zero
     # weights make a worker's consecutive tasks complete at the same time
@@ -386,7 +390,7 @@ def test_experiment_rows_match_reference_across_batch_boundaries(trials):
         assert_rows_match_reference([plan], speed, cost, trials, seed=11)
 
 
-@pytest.mark.parametrize("trials", [1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1])
+@pytest.mark.parametrize("trials", BATCH_SIZES)
 def test_experiment_shares_one_stream_across_mixed_shapes(trials):
     # the n = 5 trio and MDS (5,2,5) read 15 and 10 values of each seed's
     # stream; without multipliers, plans of different n share it too
@@ -506,7 +510,7 @@ def test_batched_count_matches_the_walk_under_ties():
             assert_batch_matches_walk(plan, speed, cost, [0, 3, 8])
 
 
-@pytest.mark.parametrize("size", [1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1])
+@pytest.mark.parametrize("size", BATCH_SIZES)
 def test_batched_count_matches_the_walk_at_batch_sizes(size):
     speed = ShiftedExponential(multipliers=(1.0, 1.0, 1.0, 0.2, 0.2))
     cost = SparsityAware(nnz=(0, 4, 0, 2, 7))
@@ -673,7 +677,56 @@ def test_experiment_failure_statistics():
     _, summaries = run_experiment([UNCODED], speed, Uniform(), 5, seed=0)
     s = summaries[0]
     assert s.failure_rate == 1.0
-    assert s.mean_finish == math.inf
+    assert (s.mean_finish, s.median_finish, s.p95_finish) == (math.inf,) * 3
+
+
+@st.composite
+def finish_columns(draw):
+    """Finish times and decode_ok flags of one plan's trials, at least one
+    ok: up to three batches, some values from a small pool (ties), the
+    others spread over many orders of magnitude."""
+    size = draw(st.integers(1, 3 * sim._BATCH))
+    pool = draw(st.lists(st.floats(0.5, 50.0), min_size=1, max_size=4))
+    tied, ok_share = draw(st.floats(0, 1)), draw(st.floats(0.05, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    finish = np.where(rng.random(size) < tied, rng.choice(pool, size), rng.lognormal(0, 6, size))
+    ok = rng.random(size) < ok_share
+    ok[rng.integers(size)] = True
+    return finish, ok
+
+
+def _tied(m):
+    """m finish times, all ok: ties in pairs, then values far enough apart
+    that the two branches of the linear rule round p95 differently."""
+    times = [0.1, 0.1, 0.7, 0.7, 1.3, 1.3, 2.9, 2.9, 3.3, 4.1, 123456789.123, 987654321.5]
+    return np.array(times[:m]), np.ones(m, dtype=bool)
+
+
+# the fraction g of p95's index (m - 1) * 0.95 is 0.55 at m = 10, 0.5 at
+# m = 11 and 0.45 at m = 12: numpy's linear rule takes both branches
+@given(finish_columns())
+@example(_tied(10)).via("g > 0.5")
+@example(_tied(11)).via("g = 0.5")
+@example(_tied(12)).via("g < 0.5")
+@settings(max_examples=100, deadline=None)
+def test_summaries_match_numpy_bit_for_bit(columns):
+    # the median and p95 are read off one sort, not by np.median and
+    # np.percentile, which import numpy.ma on first use
+    finish, ok = columns
+    starts = iter(range(0, finish.size, sim._BATCH))
+
+    def replay(checker, weights, dur):
+        lo = next(starts)
+        cut = slice(lo, lo + len(dur))
+        return np.where(ok[cut], finish[cut], np.inf), np.zeros(len(dur), int), ok[cut], None
+
+    with mock.patch.object(sim, "_trials", replay):
+        _, (s,) = run_experiment([UNCODED], Deterministic(), Uniform(), finish.size, seed=0)
+    done = finish[ok]
+    got = [s.mean_finish, s.median_finish, s.p95_finish]
+    want = [np.mean(done), np.median(done), np.percentile(done, 95)]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    assert s.failure_rate == (finish.size - done.size) / finish.size
 
 
 def test_experiment_sparse_blocks_hurt_dense_mds():
@@ -694,7 +747,7 @@ def test_experiment_rejects_zero_trials():
         run_experiment([UNCODED], ShiftedExponential(), Uniform(), 0, seed=0)
 
 
-@pytest.mark.parametrize("trials", [sim._BATCH - 1, sim._BATCH + 1])
+@pytest.mark.parametrize("trials", [63, 65, sim._BATCH - 1, sim._BATCH + 1])
 def test_rows_csv_writes_the_row_view(trials):
     # failed halt-after trials (inf, false), deterministic ties with
     # zero-cost blocks, and an uncertified plan that is walked
