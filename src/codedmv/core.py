@@ -9,7 +9,8 @@ not delivered uncoded above it (every plan :mod:`codedmv.schemes` builds
 does both), it is a count of rows against unknown blocks; otherwise it is
 a GF(P) rank, taken by the elimination that also picks the rows numeric
 decode solves from. Both facts, and every table the rule and the decode
-read, are made in one pass over the plan, by
+read, are made in one pass over the tasks and whole-plan array
+operations over the coefficients, each distinct one inverted once, by
 :class:`DecodabilityChecker`, whose :meth:`~DecodabilityChecker.decide`
 is the one rule.
 
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -98,11 +100,6 @@ class SystemParams:
     def ell(self) -> int:
         """Tasks per worker."""
         return self.ell_u + self.ell_c
-
-    @property
-    def gamma(self) -> Fraction:
-        """Storage fraction ell/delta, exact."""
-        return Fraction(self.ell, self.delta)
 
     @property
     def gamma_u(self) -> Fraction:
@@ -294,13 +291,17 @@ class DecodabilityChecker:
 
     ``__init__`` reads each task once, task i * ell + k being worker i's
     position k, into ``blocks[t]``, task t's uncoded block or -1 for a
-    coded task, the other per-task tables below, and one flat list of the
-    coded coefficients as (task, block, c) entries. One assignment of that
-    list fills ``field``, the (n * ell, delta) int64 array of the coded
-    coefficients; ``support`` is its nonzero mask, and ``real`` holds the
-    numbers numeric decode uses in their place, 1 / d for d = c^-1 mod P
-    (see :mod:`codedmv.sim`); both arrays are 0 off each support and on
-    uncoded tasks. ``coded_tasks`` lists the coded tasks in task order,
+    coded task, the other per-task tables below, and one list of the coded
+    tasks' (block, c) pairs. The coefficient tables are whole-plan array
+    operations on those pairs: one flat array of them, in task order, and
+    one scatter of it fill ``field``, the (n * ell, delta) int64 array of
+    the coded coefficients; ``support`` is its nonzero mask, and ``real``
+    holds the numbers numeric decode uses in their place, 1 / d for
+    d = c^-1 mod P (see :mod:`codedmv.sim`); both arrays are 0 off each
+    support and on uncoded tasks. Each distinct coefficient is inverted
+    once: an m x k Cauchy matrix on consecutive parameters, as
+    :func:`codedmv.schemes.cauchy` builds it, holds at most m + k - 1
+    distinct values. ``coded_tasks`` lists the coded tasks in task order,
     and row b of ``holders``, a (delta, max(1, most copies of a block))
     array, the tasks holding block b uncoded, padded with the sentinel
     n * ell. ``prefix[i][w]`` is the (uncoded block mask, coded row count)
@@ -343,43 +344,44 @@ class DecodabilityChecker:
         p = plan.params
         n, ell, delta = p.n, p.ell, p.delta
         self.n, self.ell, self.delta = n, ell, delta
-        every_block = (1 << delta) - 1
         blocks = [-1] * (n * ell)
         holders = [[] for _ in range(delta)]
         prefixes = []
-        entries = []  # (task, block, c) for every coded coefficient, in task order
-        self.count_complete = True
+        coeffs = []  # every coded task's (block, c) pairs, in task order
         for i, tasks in enumerate(plan.workers):
             umask, coded = 0, 0
             prefix = [(umask, coded)]
             for k, t in enumerate(tasks):
-                task = i * ell + k
                 if isinstance(t, Uncoded):
                     umask |= 1 << t.block
-                    blocks[task] = t.block
-                    holders[t.block].append(task)
+                    blocks[i * ell + k] = t.block
+                    holders[t.block].append(i * ell + k)
                 else:
-                    support = umask
-                    for b, c in t.coeffs:
-                        entries.append((task, b, c))
-                        support |= 1 << b
-                    self.count_complete &= support == every_block
+                    coeffs.append(t.coeffs)
                     coded += 1
                 prefix.append((umask, coded))
             prefixes.append(tuple(prefix))
         self.prefix = tuple(prefixes)
         self.blocks = tuple(blocks)
-        self.coded_tasks = (np.array(blocks, dtype=np.intp) < 0).nonzero()[0]
         width = max(1, *map(len, holders))
         self.holders = np.array([h + [n * ell] * (width - len(h)) for h in holders], dtype=np.intp)
+        block = np.array(blocks, dtype=np.intp)
+        self.coded_tasks = (block < 0).nonzero()[0]
+        b, c = np.fromiter(chain.from_iterable(chain.from_iterable(coeffs)), np.int64).reshape(-1, 2).T
+        task = self.coded_tasks.repeat([len(m) for m in coeffs])
         self.field = np.zeros((n * ell, delta), dtype=np.int64)
-        task, block, c = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-        self.field[task, block] = c
+        self.field[task, b] = c
         self.support = self.field != 0
-        inverse = np.zeros((n * ell, delta), dtype=np.int64)
-        inverse[self.support] = [pow(c, -1, P) for c in self.field[self.support].tolist()]
+        values, at = np.unique(c, return_inverse=True)
+        inverse = np.zeros_like(self.field)
+        inverse[task, b] = np.array([pow(v, -1, P) for v in values.tolist()], dtype=np.int64)[at]
         self.real = np.divide(1.0, inverse, out=np.zeros(inverse.shape), where=self.support)
         self.certified = _cauchy_certified(inverse[self.coded_tasks], self.support[self.coded_tasks])
+        uncoded = (block >= 0).nonzero()[0]
+        onehot = np.zeros((n, ell, delta), dtype=bool)
+        onehot.reshape(n * ell, delta)[uncoded, block[uncoded]] = True
+        known = np.logical_or.accumulate(onehot, axis=1).reshape(n * ell, delta)  # held uncoded so far
+        self.count_complete = bool((known | self.support)[self.coded_tasks].all())
         self.count_exact = self.certified and self.count_complete
 
     def decide(self, mask: int, coded: int, state: Sequence[int]) -> bool:

@@ -390,26 +390,20 @@ class PlanSummary:
 
 
 @dataclass(frozen=True, eq=False)
-class Trials(Sequence):
+class Trials:
     """An experiment's trials: per plan of ``plan_ids``, one row of each
-    (plans, trials) column. Read as a sequence, each trial is a
-    :class:`TrialRow`, in plan-major, trial-minor order; a slice is a list
-    of them."""
+    (plans, trials) column."""
 
     plan_ids: tuple
     finish: np.ndarray  # inf where the plan never decodes
     blocks: np.ndarray
     ok: np.ndarray
 
-    def __len__(self):
-        return self.finish.size
-
-    def __getitem__(self, r):
-        if isinstance(r, slice):
-            return [self[i] for i in range(len(self))[r]]
-        p, t = divmod(range(len(self))[r], self.finish.shape[1])
-        return TrialRow(self.plan_ids[p], t, float(self.finish[p, t]),
-                        int(self.blocks[p, t]), bool(self.ok[p, t]))
+    def __iter__(self):
+        """Each trial as a :class:`TrialRow`, plan-major, trial-minor."""
+        columns = self.finish.tolist(), self.blocks.tolist(), self.ok.tolist()
+        for pid, *plan in zip(self.plan_ids, *columns):
+            yield from (TrialRow(pid, t, *row) for t, row in enumerate(zip(*plan)))
 
 
 def run_experiment(

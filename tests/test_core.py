@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedmv import core, schemes
+from codedmv import cli, core, schemes
 from codedmv.core import (
     AssignmentPlan,
     Coded,
@@ -56,10 +56,10 @@ FIG2 = schemes.cyclic_coded(3, 1, 1, Placement.CODED_BOTTOM)
 
 def test_params_storage_fractions_are_exact():
     p = FIG3.params
-    assert p.gamma == Fraction(3, 5)
+    assert Fraction(p.ell, p.delta) == Fraction(3, 5)
     assert p.gamma_u == Fraction(3, 5)
     assert p.gamma_c == 0
-    assert isinstance(p.gamma, Fraction)
+    assert isinstance(p.gamma_u, Fraction) and isinstance(p.gamma_c, Fraction)
 
 
 def test_params_reject_oversized_storage():
@@ -233,6 +233,22 @@ def test_validate_names_the_smallest_out_of_range_block_of_a_coded_task():
     assert [m for m in validate_plan(bad) if "references" in m] == [
         "worker 1: coded task references A_5 outside [A_1, A_3]"
     ]
+
+
+@pytest.mark.parametrize("task", ["coded", "uncoded"])
+def test_checker_build_refuses_a_block_past_delta(task, tmp_path, capsys):
+    # the library refuses it when the checker is built; the CLI names it
+    # first, through validate_plan
+    workers = list(FIG2.workers)
+    uncoded, coded = workers[0]
+    workers[0] = (uncoded, Coded(((1, 5), (4, 2)))) if task == "coded" else (Uncoded(4), coded)
+    bad = AssignmentPlan(params=FIG2.params, workers=tuple(workers))
+    with pytest.raises(IndexError):
+        core.DecodabilityChecker(bad)
+    path = tmp_path / "plan.json"
+    path.write_text(plan_to_json(bad))
+    assert cli.main(["verify", "--plan", str(path)]) == 1
+    assert "A_5 outside [A_1, A_3]" in capsys.readouterr().err
 
 
 def test_validate_reports_out_of_range_uncoded_block_once():
@@ -548,6 +564,32 @@ def test_tables_match_a_per_task_reference_on_hand_plans():
     for plan in (singular_plan(), twin_plan("row"), twin_plan("column"), zero_column_plan(), bent,
                  two_component_plan(), moved_entry_plan(2, 1)):
         assert_tables_match_reference(plan)
+
+
+# the four plan families of the simulate-n40 benchmark workload
+QUARTET = [
+    lambda n: schemes.cyclic_coded(n, 2, 1, Placement.CODED_TOP),
+    lambda n: schemes.cyclic_coded(n, 2, 1, Placement.CODED_BOTTOM),
+    lambda n: schemes.cyclic_uncoded(n, 3),
+    lambda n: schemes.mds_plan(n, 2, n),
+]
+QUARTET_IDS = ["top", "bottom", "uncoded", "mds"]
+
+
+@pytest.mark.parametrize("family", QUARTET, ids=QUARTET_IDS)
+def test_tables_match_a_per_task_reference_at_n40_relabelled(family):
+    plan = family(40)
+    perm = np.random.default_rng(40).permutation(plan.params.delta)
+    assert_tables_match_reference(relabel_blocks(plan, perm))
+
+
+@pytest.mark.parametrize("family", QUARTET, ids=QUARTET_IDS)
+def test_n160_plans_reload_and_count(family):
+    # designed, written and read back as the CLI does; every scheme plan is
+    # decided by the count at this size too
+    plan = plan_from_json(plan_to_json(family(160)))
+    assert_tables_match_reference(plan)
+    assert plan.checker.count_exact
 
 
 def test_components_that_repeat_one_cauchy_matrix_are_certified():
