@@ -290,9 +290,10 @@ class DecodabilityChecker:
     """Precomputed tables and the one decodability rule of a plan.
 
     ``__init__`` reads each task once, task i * ell + k being worker i's
-    position k, into ``blocks[t]``, task t's uncoded block or -1 for a
-    coded task, the other per-task tables below, and one list of the coded
-    tasks' (block, c) pairs. The coefficient tables are whole-plan array
+    position k (a worker not holding ell tasks is a ValueError), into
+    ``blocks[t]``, task t's uncoded block or -1 for a coded task, the
+    other per-task tables below, and one list of the coded tasks'
+    (block, c) pairs. The coefficient tables are whole-plan array
     operations on those pairs: one flat array of them, in task order, and
     one scatter of it fill ``field``, the (n * ell, delta) int64 array of
     the coded coefficients; ``support`` is its nonzero mask, and ``real``
@@ -349,6 +350,8 @@ class DecodabilityChecker:
         prefixes = []
         coeffs = []  # every coded task's (block, c) pairs, in task order
         for i, tasks in enumerate(plan.workers):
+            if len(tasks) != ell:
+                raise ValueError(f"worker {i + 1}: holds {len(tasks)} tasks, expected ell = {ell}")
             umask, coded = 0, 0
             prefix = [(umask, coded)]
             for k, t in enumerate(tasks):

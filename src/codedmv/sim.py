@@ -48,16 +48,21 @@ generic rank profile. The plan's checker tabulates the real coefficients,
 supports and uncoded blocks of every task when it is built. The one
 decode, :func:`numeric_decode`, models the master: it computes the block
 products, builds the vectors the received tasks transmit from them, and
-solves from those alone. It solves from the rows that
-:meth:`~codedmv.core.DecodabilityChecker.solving_rows` picks, the rank
-case of the decodability rule: the first received coded rows independent
-over GF(P) on the unknown blocks, in arrival order, taken without
-elimination when the certificate vouches for them. Block products,
-right-hand sides and solved blocks must be finite. The real square system
-on those rows is solved only when its condition number is at most 1e12;
-above that the decode is refused as numerically unsafe (DecodeFailure).
-Below that bound no residual is checked, so the error of a returned
-vector grows with the condition number.
+solves from those alone. The block products are two stacked matmuls, one
+over the blocks a row taller than the rest and one over the rest: numpy
+runs BLAS gemv once per stacked block, so each product has the bits of
+``A_b @ x``, where one gemv over all of ``A`` groups rows (in fours, in
+OpenBLAS) across block boundaries and changes them. It solves from the
+rows that :meth:`~codedmv.core.DecodabilityChecker.solving_rows` picks,
+the rank case of the decodability rule: the first received coded rows
+independent over GF(P) on the unknown blocks, in arrival order, taken
+without elimination when the certificate vouches for them. Block
+products, right-hand sides and solved blocks must be finite. The real
+square system on those rows is solved only when its condition number
+(the ratio of its extreme singular values, without ``np.linalg.cond``'s
+wrapper) is at most 1e12; above that the decode is refused as
+numerically unsafe (DecodeFailure). Below that bound no residual is
+checked, so the error of a returned vector grows with the condition number.
 """
 
 from __future__ import annotations
@@ -495,26 +500,14 @@ def summaries_to_csv(summaries: Iterable[PlanSummary]) -> str:
 # numeric decode
 
 
-def split_matrix(rows: int, delta: int):
-    """Balanced contiguous block-row ranges: the first rows % delta blocks
-    take one extra row; ranges are disjoint and cover [0, rows).
-
-    Raises:
-        ValueError: rows < delta or delta < 1.
-    """
-    if delta < 1:
-        raise ValueError("delta must be positive")
-    if rows < delta:
-        raise ValueError(f"need rows >= delta, got {rows} < {delta}")
-    base, extra = divmod(rows, delta)
-    starts = [b * base + min(b, extra) for b in range(delta + 1)]
-    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
-
-
 def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
     """End-to-end decode: compute each block product A_b @ x once, build the
     vector each received coded task transmits from them, then rebuild A @ x
     from the received tasks' products alone.
+
+    The rows of ``A`` form delta contiguous blocks, A_1 on top; the first
+    rows % delta blocks take one extra row. Each block product is one gemv
+    of a stacked matmul, bit for bit ``A_b @ x`` (see the module docstring).
 
     ``received`` is an iterable of (worker, position) pairs; a repeated
     pair counts once, at its first occurrence. Received uncoded products
@@ -524,12 +517,14 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
     over the row's support in block order, which is the vector it
     transmits, then minus the known blocks' terms in block order.
     ``np.add.accumulate`` adds in that order, where ``np.add.reduce`` may
-    pair the terms up.
+    pair the terms up. The condition number is the ratio of the extreme
+    singular values, as ``np.linalg.cond`` takes it, nan read as inf.
 
     Raises:
-        ValueError: ``A`` is not 2-D, ``x`` is not 1-D with one entry per
-            column of ``A``, a pair lies outside the plan, or a block
-            product, right-hand side or solved block is not finite.
+        ValueError: ``A`` is not 2-D or has fewer rows than delta, ``x`` is
+            not 1-D with one entry per column of ``A``, a pair lies outside
+            the plan, or a block product, right-hand side or solved block
+            is not finite.
         NotDecodableError: the received tasks do not determine every block.
         DecodeFailure: the chosen real system has condition number above
             1e12 (or not finite).
@@ -543,60 +538,62 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
             f"vector must be 1-D with one entry per matrix column: got shape {x.shape}, "
             f"expected ({A.shape[1]},)"
         )
-    delta = plan.params.delta
-    ranges = split_matrix(A.shape[0], delta)
-    # block b's product in row b, 0 below its height (the first block is the
-    # tallest); a non-finite value is refused below, so how it arose need
-    # not warn
-    products = np.zeros((delta, len(ranges[0])))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for b, r in enumerate(ranges):
-            products[b, : len(r)] = A[r.start : r.stop] @ x
-    if not np.isfinite(products).all():
-        bad = [f"A_{b + 1}" for b, p in enumerate(products) if not np.isfinite(p).all()]
-        raise ValueError(f"non-finite block products: {', '.join(bad)}")
-    checker = plan.checker
-    n, ell, blocks = plan.n, plan.ell, checker.blocks
-    known = np.zeros(delta, dtype=bool)
-    coded = []
-    for i, k in dict.fromkeys((i, k) for i, k in received):
-        if not 0 <= i < n or not 0 <= k < ell:
-            raise ValueError(f"received task ({i}, {k}) outside the plan")
-        j = i * ell + k
-        if blocks[j] >= 0:
-            known[blocks[j]] = True
-        else:
-            coded.append(j)
-    unknown = np.flatnonzero(~known).tolist()
-    if unknown:
-        picked = checker.solving_rows(coded, unknown)
-        if len(picked) < len(unknown):
-            raise NotDecodableError("received equations do not determine every block product")
-        sel = [coded[r] for r in picked]
-        coeffs = checker.real[sel]
-        # per picked row, the running sum's terms: 0, then c_b * A_b x for
-        # b = 0 .. delta - 1 on its support, then -(c_b * A_b x) for each
-        # known b, 0 elsewhere. x + -y is x - y bit for bit, and a sum that
-        # starts at 0.0 never reaches -0.0, so a 0 term changes nothing:
-        # the sum is the transmitted vector less the known blocks' terms in
-        # block order, as a loop over them would form it
-        terms = np.zeros((len(sel), 2 * delta + 1, products.shape[1]))
-        sent = terms[:, 1 : delta + 1]
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.multiply(coeffs[:, :, None], products, out=sent, where=checker.support[sel, :, None])
-            np.negative(sent, out=terms[:, delta + 1 :], where=known[:, None])
-            rhs = np.add.accumulate(terms, axis=1)[:, -1]
-        names = ", ".join(f"A_{b + 1}" for b in unknown)
-        if not np.isfinite(rhs).all():
-            raise ValueError(f"solving for {names} overflows: a right-hand side is not finite")
-        square = coeffs[:, unknown]
-        cond = float(np.linalg.cond(square))
-        if not cond <= 1e12:
-            raise DecodeFailure(cond)
-        products[unknown] = np.linalg.solve(square, rhs)
+    (rows, cols), delta = A.shape, plan.params.delta
+    if rows < delta:
+        raise ValueError(f"need rows >= delta, got {rows} < {delta}")
+    # block b's product in row b of products, 0 below its height
+    base, extra = divmod(rows, delta)
+    cut = extra * (base + 1)
+    # need not warn: non-finite values are refused below; a 0 singular value gives cond inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        products = np.zeros((delta, base + (extra > 0)))
+        if extra:
+            products[:extra] = A[:cut].reshape(extra, base + 1, cols) @ x
+        products[extra:, :base] = A[cut:].reshape(delta - extra, base, cols) @ x
         if not np.isfinite(products).all():
-            raise ValueError(f"solving for {names} overflows: the solution is not finite")
-    return np.concatenate([products[b, : len(r)] for b, r in enumerate(ranges)])
+            bad = [f"A_{b + 1}" for b, p in enumerate(products) if not np.isfinite(p).all()]
+            raise ValueError(f"non-finite block products: {', '.join(bad)}")
+        checker = plan.checker
+        n, ell, blocks = plan.n, plan.ell, checker.blocks
+        known, coded = [False] * delta, []
+        for i, k in dict.fromkeys((i, k) for i, k in received):
+            if not 0 <= i < n or not 0 <= k < ell:
+                raise ValueError(f"received task ({i}, {k}) outside the plan")
+            j = i * ell + k
+            if blocks[j] >= 0:
+                known[blocks[j]] = True
+            else:
+                coded.append(j)
+        unknown = [b for b, have in enumerate(known) if not have]
+        if unknown:
+            picked = checker.solving_rows(coded, unknown)
+            if len(picked) < len(unknown):
+                raise NotDecodableError("received equations do not determine every block product")
+            sel = [coded[r] for r in picked]
+            coeffs = checker.real[sel]
+            # per picked row, the running sum's terms: 0, then c_b * A_b x for
+            # b = 0 .. delta - 1 on its support, then -(c_b * A_b x) for each
+            # known b, 0 elsewhere. x + -y is x - y bit for bit, and a sum that
+            # starts at 0.0 never reaches -0.0, so a 0 term changes nothing:
+            # the sum is the transmitted vector less the known blocks' terms in
+            # block order, as a loop over them would form it
+            terms = np.zeros((len(sel), 2 * delta + 1, products.shape[1]))
+            sent = terms[:, 1 : delta + 1]
+            np.multiply(coeffs[:, :, None], products, out=sent, where=checker.support[sel, :, None])
+            np.negative(sent, out=terms[:, delta + 1 :], where=np.array(known)[:, None])
+            rhs = np.add.accumulate(terms, axis=1)[:, -1]
+            names = ", ".join(f"A_{b + 1}" for b in unknown)
+            if not np.isfinite(rhs).all():
+                raise ValueError(f"solving for {names} overflows: a right-hand side is not finite")
+            square = coeffs[:, unknown]
+            s = np.linalg.svd(square, compute_uv=False)
+            cond = float(s[0] / s[-1])
+            if not cond <= 1e12:
+                raise DecodeFailure(math.inf if math.isnan(cond) else cond)
+            products[unknown] = np.linalg.solve(square, rhs)
+            if not np.isfinite(products).all():
+                raise ValueError(f"solving for {names} overflows: the solution is not finite")
+    return np.concatenate((products[:extra], products[extra:, :base]), axis=None)
 
 
 def state_received(plan: AssignmentPlan, state: Sequence) -> list:

@@ -601,12 +601,28 @@ def reference_decodable(delta, known, coded):
     return reference_rank(rows) == len(unknown)
 
 
+def split_matrix(rows, delta):
+    """Balanced contiguous block-row ranges: the first rows % delta blocks
+    take one extra row; ranges are disjoint and cover [0, rows).
+
+    Raises:
+        ValueError: rows < delta or delta < 1.
+    """
+    if delta < 1:
+        raise ValueError("delta must be positive")
+    if rows < delta:
+        raise ValueError(f"need rows >= delta, got {rows} < {delta}")
+    base, extra = divmod(rows, delta)
+    starts = [b * base + min(b, extra) for b in range(delta + 1)]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+
+
 def reference_decode(plan, A, x, received):
     """``sim.numeric_decode`` as per-coefficient Python loops: the vectors
     of :func:`reference_products`, then ``field.pivots`` picks the rows in
     every case, and each right-hand side subtracts one known block at a
     time."""
-    ranges = sim.split_matrix(len(A), plan.params.delta)
+    ranges = split_matrix(len(A), plan.params.delta)
     known, coded = {}, []
     for i, k, vec in reference_products(plan, A, x, received):
         t = plan.workers[i][k]
@@ -657,7 +673,7 @@ def reference_products(plan, A, x, received):
     if A.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got {A.ndim} dimension(s)")
     x = np.asarray(x, dtype=float)
-    prods = [A[r.start : r.stop] @ x for r in sim.split_matrix(A.shape[0], plan.params.delta)]
+    prods = [A[r.start : r.stop] @ x for r in split_matrix(A.shape[0], plan.params.delta)]
     bad = [f"A_{b + 1}" for b, prod in enumerate(prods) if not np.isfinite(prod).all()]
     if bad:
         raise ValueError(f"non-finite block products: {', '.join(bad)}")

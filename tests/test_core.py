@@ -251,6 +251,21 @@ def test_checker_build_refuses_a_block_past_delta(task, tmp_path, capsys):
     assert "A_5 outside [A_1, A_3]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", ["long", "short"])
+def test_checker_build_refuses_a_worker_without_ell_tasks(change):
+    # unchecked, the extra Uncoded(3) on worker 1 of coded-bottom (4, 2, 1)
+    # would take task 6, worker 2's slot, and list it as a holder of block 3
+    plan = schemes.cyclic_coded(4, 2, 1, Placement.CODED_BOTTOM)
+    workers = list(plan.workers)
+    workers[1] = workers[1] + (Uncoded(3),) if change == "long" else workers[1][:2]
+    bad = AssignmentPlan(params=plan.params, workers=tuple(workers))
+    message = f"worker 2: holds {len(workers[1])} tasks, expected ell = 3"
+    assert message in validate_plan(bad)
+    for build in (lambda: bad.checker, lambda: is_decodable(bad, (3, 3, 3, 3))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
 def test_validate_reports_out_of_range_uncoded_block_once():
     plan = schemes.cyclic_uncoded(3, 2)
     workers = list(plan.workers)

@@ -23,7 +23,6 @@ from codedmv.sim import (
     raw_durations,
     run_experiment,
     rows_to_csv,
-    split_matrix,
     state_received,
     task_weights,
 )
@@ -47,6 +46,7 @@ from support import (
     relabel_blocks,
     scheme_plan_up_to,
     singular_plan,
+    split_matrix,
     trial,
     trials,
     twin_plan,
@@ -817,6 +817,31 @@ def test_decode_copy_path_is_bitwise():
     assert np.allclose(got, a @ x)
 
 
+def test_decode_keeps_the_bits_of_every_block_product():
+    # every block received uncoded, so the decode returns its block
+    # products as it computed them: each must be A_b @ x on the block's
+    # own rows, in C order, Fortran order and strided. One whole-matrix
+    # A @ x is not: gemv groups rows across the block boundaries
+    rng = np.random.default_rng(12)
+    for delta in range(1, 41):
+        plan = cyclic_uncoded(delta, 1)
+        received = state_received(plan, (1,) * delta)
+        for rows in sorted({delta, delta + 1, int(rng.integers(delta, 201)), 200}):
+            ranges = split_matrix(rows, delta)
+            for cols in (1, 3, 48, 100):
+                strided = rng.standard_normal((rows, 2 * cols))[:, ::2]
+                x = rng.standard_normal(cols)
+                for layout in (np.ascontiguousarray(strided), np.asfortranarray(strided), strided):
+                    blockwise = np.concatenate([layout[r.start : r.stop] @ x for r in ranges])
+                    got = numeric_decode(plan, layout, x, received)
+                    assert got.tobytes() == blockwise.tobytes(), (delta, rows, cols)
+
+
+def test_decode_needs_a_row_per_block():
+    assert decode_outcome(numeric_decode, UNCODED, np.ones((4, 2)), np.ones(2), []) == (
+        ValueError, "need rows >= delta, got 4 < 5")
+
+
 def test_decode_with_three_halted_workers():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((50, 20))
@@ -918,6 +943,17 @@ def test_decode_refuses_ill_conditioned_system():
         numeric_decode(plan, a, x, state_received(plan, state))
     assert info.value.cond > 1e12
     assert "numerically unsafe" in str(info.value)
+
+
+@pytest.mark.parametrize("singular", [[1.0, 0.0], [0.0, 0.0]], ids=["zero", "all-zero"])
+def test_decode_reads_a_zero_singular_value_as_an_infinite_condition(singular):
+    # 1 / 0 and 0 / 0 must not warn, which the test settings would turn
+    # into an error; as in np.linalg.cond, the nan of 0 / 0 reads as inf
+    plan = mds_plan(2, 1, 2)
+    a = np.arange(8.0).reshape(4, 2)
+    with mock.patch.object(np.linalg, "svd", return_value=np.array(singular)):
+        got = decode_outcome(numeric_decode, plan, a, np.ones(2), [(0, 0), (1, 0)])
+    assert got == (DecodeFailure, "selected system is numerically unsafe (condition estimate inf)")
 
 
 # ---------------------------------------------------------------------------
