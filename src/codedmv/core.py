@@ -290,7 +290,8 @@ class DecodabilityChecker:
     """Precomputed tables and the one decodability rule of a plan.
 
     ``__init__`` reads each task once, task i * ell + k being worker i's
-    position k (a worker not holding ell tasks is a ValueError), into
+    position k (a plan not listing n workers, or a worker not holding ell
+    tasks, is a ValueError in :func:`validate_plan`'s words), into
     ``blocks[t]``, task t's uncoded block or -1 for a coded task, the
     other per-task tables below, and one list of the coded tasks'
     (block, c) pairs. The coefficient tables are whole-plan array
@@ -344,6 +345,8 @@ class DecodabilityChecker:
     def __init__(self, plan: AssignmentPlan):
         p = plan.params
         n, ell, delta = p.n, p.ell, p.delta
+        if len(plan.workers) != n:
+            raise ValueError(f"plan lists {len(plan.workers)} workers, params say n = {n}")
         self.n, self.ell, self.delta = n, ell, delta
         blocks = [-1] * (n * ell)
         holders = [[] for _ in range(delta)]

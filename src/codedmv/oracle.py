@@ -1,12 +1,12 @@
-"""Brute-force ground truth for recovery thresholds and resilience.
+"""Exact recovery thresholds and resilience: brute-force searches and a
+dynamic program, both independent of the closed-form module.
 
-The searches here are independent of the closed-form module: they
-enumerate computation states directly and decide each one with the exact
-decodability predicate, so they can certify (or refute) every formula at
-desk scale. That predicate counts rows only on plans the checker has
-certified, from the coefficients and supports themselves, to be Cauchy and
-count-complete, exact properties of the plan rather than formulas, and
-ranks over GF(P) otherwise. The threshold search walks only the
+The searches enumerate computation states directly and decide each one
+with the exact decodability predicate, so they can certify (or refute)
+every formula at desk scale. That predicate counts rows only on plans
+the checker has certified, from the coefficients and supports themselves,
+to be Cauchy and count-complete, exact properties of the plan rather than
+formulas, and ranks over GF(P) otherwise. The threshold search walks only the
 non-decodable down-set, upward from the zero state, and prunes branches
 that cannot beat the best total found. Each state it visits differs from
 its parent in one worker, so it carries the checker's (uncoded mask, coded
@@ -14,14 +14,31 @@ count) summary down the path and hands it to the checker's one rule,
 which decides a state in O(1) whenever the count settles it; see
 :func:`brute_force_q`.
 
-Budgets are accounted in decodability evaluations, one budget per search.
-Both searches charge one counter before each evaluation and stop once the
-next would exceed the budget, reporting what they certified so far.
+:func:`analyze`, which ``verify`` calls, answers both questions by one
+dynamic program over the workers instead, on every plan whose checker is
+``count_exact`` (every plan :mod:`codedmv.schemes` builds, relabelled or
+not) and whose frontier is at most :data:`MAX_FRONTIER` blocks wide; a
+state of such a plan fails to decode exactly when its coded rows plus its
+known blocks number at most delta - 1. The frontier before worker i is
+the set of blocks held uncoded both by some worker < i and by some worker
+>= i (2 (r_u - 1) blocks on the cyclic plans, none on MDS plans), and the
+program's key at worker i is which frontier blocks are known so far and
+that running count. Like the searches, it reads only the checker's
+tables. Every other plan keeps the two searches, which stay the
+reference the program is tested against; see :func:`analyze`.
 
-The plan is shared read-only; every search is a pure function of it and
-reads the plan's memoised checker, ``plan.checker``, which holds tables of
-the plan and no answers, so no search state outlives a call and callers
-may parallelize over disjoint parameter ranges freely.
+Budgets are accounted in decodability evaluations, one budget per search
+or program. Both searches charge one counter before each evaluation and
+stop once the next would exceed the budget, reporting what they certified
+so far. The dynamic program charges the fully processed state and then one
+evaluation per cell of its table, as its forward sweep reaches the cell;
+it certifies nothing before the table is complete, and over budget it
+raises the same :class:`BudgetExceededError`, naming the program.
+
+The plan is shared read-only; every search and program is a pure function
+of it and reads the plan's memoised checker, ``plan.checker``, which holds
+tables of the plan and no answers, so no search state outlives a call and
+callers may parallelize over disjoint parameter ranges freely.
 """
 
 from __future__ import annotations
@@ -33,6 +50,8 @@ from typing import Callable
 from .core import AssignmentPlan, Placement, Uncoded, _integer
 
 DEFAULT_BUDGET = 10_000_000
+# the widest frontier, in blocks, that takes the dynamic program: its table grows as 2**width
+MAX_FRONTIER = 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -252,14 +271,128 @@ def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> 
     raise AssertionError("unreachable: s = n never decodes")
 
 
-def analyze(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
-    """Threshold and resilience in one report; each search has its own
-    budget."""
-    res = straggler_resilience(plan, budget)
-    q = brute_force_q(plan, budget)
-    return OracleReport(
-        q_true=q.q_true,
-        worst_state=q.worst_state,
-        resilience_true=res.resilience_true,
-        worst_straggler_set=res.worst_straggler_set,
+def _frontiers(checker) -> list:
+    """Per worker i = 0..n, the mask of the blocks held uncoded both by some
+    worker < i and by some worker >= i, read from the checker's ``holders``
+    (each row in task order, so in worker order, padded with n * ell)."""
+    n, ell = checker.n, checker.ell
+    frontier = [0] * (n + 1)
+    for b, tasks in enumerate(checker.holders.tolist()):
+        workers = [t // ell for t in tasks if t < n * ell]
+        if workers:
+            for i in range(workers[0] + 1, workers[-1] + 1):
+                frontier[i] |= 1 << b
+    return frontier
+
+
+def _steps(checker, frontier) -> Callable[[int, int], list]:
+    """``steps(i, bits)``: for each level w of worker i, when ``bits`` are
+    the known blocks of frontier i, the pair (gain, next bits): the coded
+    rows and first-known blocks worker i adds at level w, and the known
+    blocks of frontier i + 1. Each row is built at its first use and kept."""
+    prefix, tables = checker.prefix, [{} for _ in range(checker.n)]
+
+    def steps(i: int, bits: int) -> list:
+        row = tables[i].get(bits)
+        if row is None:
+            keep = frontier[i + 1]
+            row = tables[i][bits] = [(c + (u & ~bits).bit_count(), (bits | u) & keep)
+                                     for u, c in prefix[i]]
+        return row
+
+    return steps
+
+
+def _program(checker, steps, budget: int, search: str, choices: tuple) -> tuple:
+    """The largest sum of values over the states that fail to decode, with
+    each worker at one of the ``choices``' levels, (level, value) pairs in
+    order of preference, and the state that a greedy pass from worker 0,
+    taking each worker's first level that still reaches that sum, picks.
+
+    A forward sweep collects each worker's reachable keys (known frontier
+    blocks, s = coded rows + known blocks so far), pruning s > delta - 1;
+    a backward pass fills each key's largest sum over the later workers.
+
+    Raises:
+        BudgetExceededError: the table needs more evaluations than the budget.
+        ValueError: the budget is not an integer or is below 1, or the
+            fully-processed state itself cannot decode.
+    """
+    n, limit = checker.n, checker.delta - 1
+    charge = _counted(
+        budget, search,
+        lambda: f"it had swept {i} of {n} workers, and it certifies nothing "
+                "before its table is complete",
     )
+    charge()
+    if not checker.decodable(tuple([checker.ell] * n)):
+        raise ValueError("plan cannot decode even with every task processed")
+    # per worker, known frontier bits -> {s: the largest sum over the later workers}
+    layers = [{0: {0: 0}}]
+    for i in range(n):
+        reached = {}
+        for bits, column in layers[i].items():
+            step = steps(i, bits)
+            for s in column:
+                charge()
+            for w, _ in choices:
+                gain, after = step[w]
+                cells = reached.setdefault(after, {})
+                for s in column:
+                    if s + gain <= limit:
+                        cells[s + gain] = 0
+        layers.append(reached)
+    for i in range(n - 1, -1, -1):
+        later = layers[i + 1]
+        for bits, column in layers[i].items():
+            step = steps(i, bits)
+            moves = [(value, step[w][0], later[step[w][1]]) for w, value in choices]
+            for s in column:
+                best = 0  # level 0 adds nothing, so it always stays feasible
+                for value, gain, cells in moves:
+                    if s + gain <= limit and value + cells[s + gain] > best:
+                        best = value + cells[s + gain]
+                column[s] = best
+    state, bits, s = [], 0, 0
+    for i in range(n):
+        step, left, later = steps(i, bits), layers[i][bits][s], layers[i + 1]
+        for w, value in choices:
+            gain, after = step[w]
+            if s + gain <= limit and value + later[after][s + gain] == left:
+                break
+        state.append(w)
+        bits, s = after, s + gain
+    if checker.decodable(tuple(state)):
+        raise AssertionError(f"{search} picked the state {state}, which decodes")
+    return layers[0][0][0], tuple(state)
+
+
+def analyze(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
+    """Threshold and resilience in one report, equal to what
+    :func:`brute_force_q` and :func:`straggler_resilience` report.
+
+    On a ``count_exact`` plan whose frontier is at most
+    :data:`MAX_FRONTIER` blocks wide, one dynamic program over the workers
+    answers both (see the module docstring), sharing one table of
+    transitions: Q - 1 is the largest total of a failing state, each
+    worker's level tried from ell down to 0, and the resilience is one less
+    than the fewest absent workers of a failing state whose workers are
+    each absent or done, absent tried first. Its greedy passes return the
+    searches' worst state (the largest total, then lexicographically
+    largest) and their witness (the first failing set in ``combinations``
+    order, the lexicographically smallest of the smallest size); each is
+    checked once to fail to decode. Any other plan runs the two searches.
+    Either way resilience comes first and each has its own budget.
+    """
+    checker = plan.checker
+    frontier = _frontiers(checker) if checker.count_exact else None
+    if frontier is None or max(map(int.bit_count, frontier)) > MAX_FRONTIER:
+        res = straggler_resilience(plan, budget)
+        q = brute_force_q(plan, budget)
+        return OracleReport(q.q_true, q.worst_state, res.resilience_true, res.worst_straggler_set)
+    steps, ell = _steps(checker, frontier), checker.ell
+    _, done = _program(checker, steps, budget, "resilience dynamic program", ((0, 0), (ell, 1)))
+    total, worst = _program(checker, steps, budget, "threshold dynamic program",
+                            tuple((w, w) for w in range(ell, -1, -1)))
+    absent = tuple(i for i, w in enumerate(done) if w == 0)
+    return OracleReport(total + 1, worst, len(absent) - 1, absent)

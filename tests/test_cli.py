@@ -7,7 +7,7 @@ from codedmv import cli, core, oracle
 from codedmv.core import Placement, plan_from_json
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 
-from support import run_python
+from support import perturbed, run_python
 
 
 def run(capsys, *argv):
@@ -122,9 +122,17 @@ def test_verify_cyclic_uncoded_matches_formulas(tmp_path, capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
+def searched_plan_json():
+    """Coded-top (5,2,1) with one coefficient moved: not count-exact, so
+    ``verify`` runs the two searches on it, not the dynamic program."""
+    plan = perturbed(cyclic_coded(5, 2, 1, Placement.CODED_TOP), np.random.default_rng(3))
+    assert not plan.checker.count_exact
+    return core.plan_to_json(plan)
+
+
 def test_verify_budget_exceeded_exit_code(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
-    plan_file.write_text(core.plan_to_json(cyclic_uncoded(5, 3)))
+    plan_file.write_text(searched_plan_json())
     code, _, err = run(capsys, "verify", "--plan", str(plan_file), "--budget", "7")
     assert code == 3
     assert "budget" in err
@@ -134,7 +142,7 @@ def test_verify_budget_of_one_is_exceeded(tmp_path, capsys, monkeypatch):
     # the one evaluation the budget allows is the fully processed state, so
     # "every set of 0 absent workers decodes" has been checked
     plan_file = tmp_path / "plan.json"
-    plan_file.write_text(core.plan_to_json(cyclic_uncoded(5, 3)))
+    plan_file.write_text(searched_plan_json())
     states = []
     decodable = core.DecodabilityChecker.decodable
 
@@ -151,13 +159,26 @@ def test_verify_budget_of_one_is_exceeded(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_budget_stops_threshold_search_midway(tmp_path, capsys):
-    # the resilience search needs 17 evaluations; the threshold search needs 159
+    # the resilience search needs 27 evaluations; the threshold search needs 187
     plan_file = tmp_path / "plan.json"
-    plan_file.write_text(core.plan_to_json(cyclic_uncoded(5, 3)))
+    plan_file.write_text(searched_plan_json())
     code, _, err = run(capsys, "verify", "--plan", str(plan_file), "--budget", "40")
     assert code == 3
     assert "budget of 40" in err
     assert "Q >= " in err
+
+
+def test_verify_budget_stops_the_dynamic_program(tmp_path, capsys):
+    # coded-bottom (10,2,1) takes the dynamic program: 137 table cells for
+    # resilience, then 227 for the threshold, each after the full state
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(core.plan_to_json(cyclic_coded(10, 2, 1, Placement.CODED_BOTTOM)))
+    code, _, err = run(capsys, "verify", "--plan", str(plan_file), "--budget", "227")
+    assert code == 3
+    assert err.startswith("error: threshold dynamic program stopped at its budget of 227 ")
+    code, stdout, _ = run(capsys, "verify", "--plan", str(plan_file), "--budget", "228")
+    assert code == 0
+    assert "q_true             18" in stdout
 
 
 def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):

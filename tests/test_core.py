@@ -266,6 +266,20 @@ def test_checker_build_refuses_a_worker_without_ell_tasks(change):
             build()
 
 
+@pytest.mark.parametrize("change", ["short", "over"])
+def test_checker_build_refuses_a_wrong_worker_count(change):
+    # one worker short failed on numpy's broadcast text, one over on an
+    # IndexError; both now fail before any table is built
+    plan = schemes.cyclic_coded(4, 2, 1, Placement.CODED_BOTTOM)
+    workers = plan.workers[:3] if change == "short" else plan.workers + plan.workers[:1]
+    bad = AssignmentPlan(params=plan.params, workers=workers)
+    message = f"plan lists {len(workers)} workers, params say n = 4"
+    assert message in validate_plan(bad)
+    for build in (lambda: bad.checker, lambda: is_decodable(bad, (3, 3, 3, 3))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
 def test_validate_reports_out_of_range_uncoded_block_once():
     plan = schemes.cyclic_uncoded(3, 2)
     workers = list(plan.workers)

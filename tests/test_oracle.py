@@ -2,23 +2,26 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from codedmv import core
+from codedmv import bounds, core, oracle
 from codedmv.core import AssignmentPlan, Placement, Uncoded, is_decodable
 from codedmv.oracle import (
     BudgetExceededError,
+    OracleReport,
     brute_force_q,
     straggler_resilience,
     uncoded_q_fast,
     analyze,
 )
-from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
+from codedmv.schemes import cauchy, cyclic_coded, cyclic_uncoded, mds_plan
 from codedmv.sim import ShiftedExponential, Uniform, run_experiment
 
 from support import (
+    cauchy_task,
     count_evaluations,
+    hand_plan,
     min_uncoded_coverage,
     perturbed,
     random_scheme_plan,
@@ -366,7 +369,7 @@ def test_resilience_budget_refusal():
         straggler_resilience(cyclic_uncoded(5, 3), budget=10)
 
 
-@pytest.mark.parametrize("search", [brute_force_q, straggler_resilience])
+@pytest.mark.parametrize("search", [brute_force_q, straggler_resilience, analyze])
 def test_budget_below_one_is_refused_before_any_evaluation(monkeypatch, search):
     calls = count_evaluations(monkeypatch)
     with pytest.raises(ValueError, match="budget must be at least 1, got 0"):
@@ -375,7 +378,7 @@ def test_budget_below_one_is_refused_before_any_evaluation(monkeypatch, search):
 
 
 @pytest.mark.parametrize("budget", [1.5, True, "5"], ids=["float", "bool", "string"])
-@pytest.mark.parametrize("search", [brute_force_q, straggler_resilience])
+@pytest.mark.parametrize("search", [brute_force_q, straggler_resilience, analyze])
 def test_a_budget_that_is_not_an_integer_is_refused_before_any_evaluation(
         monkeypatch, search, budget):
     # 1.5 made two evaluations before stopping "at its budget of 1.5", and
@@ -432,17 +435,164 @@ def test_coverage_input_validation():
 
 
 # ---------------------------------------------------------------------------
+# analyze's dynamic program
+
+BOTTOM, TOP = Placement.CODED_BOTTOM, Placement.CODED_TOP
+
+
+def searched(plan):
+    """Both searches' answers in one report, the reference that analyze's
+    dynamic program must equal in every field."""
+    res, q = straggler_resilience(plan), brute_force_q(plan)
+    return OracleReport(q.q_true, q.worst_state, res.resilience_true, res.worst_straggler_set)
+
+
+def frontier_width(plan):
+    return max(map(int.bit_count, oracle._frontiers(plan.checker)))
+
+
+def takes_program(plan):
+    return plan.checker.count_exact and frontier_width(plan) <= oracle.MAX_FRONTIER
+
+
+def scheme_family(n):
+    """Every construction at n: cyclic-uncoded with r <= 3, coded-bottom and
+    coded-top with r_u <= 3 and ell_c <= 2, and MDS with ell <= 2. At
+    n = 11 and 12, where the searches take seconds on the larger plans,
+    r_u <= 2 and ell_c = 1."""
+    r_max, ell_c_max = (3, 2) if n <= 10 else (2, 1)
+    plans = [cyclic_uncoded(n, r) for r in range(1, min(n, 3) + 1)]
+    for r_u in range(0, min(n - 1, r_max) + 1):
+        for ell_c in range(1, min(n - r_u, ell_c_max) + 1):
+            plans += [cyclic_coded(n, r_u, ell_c, placement) for placement in (BOTTOM, TOP)]
+    return plans + [mds_plan(n, ell, delta) for ell in (1, 2) for delta in (ell, n, n * ell)]
+
+
+def paired_plan(n):
+    """Uncoded, worker i holding blocks i and i + n // 2 (mod n): block b's
+    two holders lie n // 2 workers apart, so the frontier before worker
+    n // 2 holds every block."""
+    params = core.SystemParams(n, n, 2, 0, 2, Placement.UNCODED_ONLY)
+    return AssignmentPlan(params, tuple((Uncoded(i), Uncoded((i + n // 2) % n)) for i in range(n)))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_program_equals_searches_on_every_scheme_family(n):
+    # relabelling the blocks changes neither the searches' order of visits
+    # nor any answer, so the designed plan's searches are the reference
+    rng = np.random.default_rng(n)
+    for plan in scheme_family(n):
+        relabelled = relabel_blocks(plan, rng.permutation(plan.params.delta))
+        assert takes_program(plan) and takes_program(relabelled), plan.params
+        want = searched(plan)
+        assert analyze(plan) == want, plan.params
+        assert analyze(relabelled) == want, plan.params
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_program_equals_searches_on_random_plans(seed, uncoded):
+    # random uncoded plans reach frontiers up to the cap of 8 blocks
+    rng = np.random.default_rng(seed)
+    if uncoded:
+        n = int(rng.integers(2, 10))
+        plan = random_uncoded_plan(n, int(rng.integers(1, min(n, 3) + 1)), rng)
+    else:
+        plan = random_scheme_plan(rng)
+    plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    assume(takes_program(plan))
+    assert analyze(plan) == searched(plan)
+
+
+def record_searches(monkeypatch):
+    """The names of the searches analyze calls from now on."""
+    called = []
+    for search in (brute_force_q, straggler_resilience):
+        def recorded(plan, budget, search=search):
+            called.append(search.__name__)
+            return search(plan, budget)
+        monkeypatch.setattr(oracle, search.__name__, recorded)
+    return called
+
+
+def test_program_and_searches_split_the_plans(monkeypatch):
+    # a perturbed plan is not count-exact, and paired_plan(10)'s frontier is
+    # 10 blocks wide; paired_plan(9)'s 8 is at the cap
+    assert [frontier_width(paired_plan(n)) for n in (9, 10)] == [8, 10]
+    called = record_searches(monkeypatch)
+    for plan in (perturbed(cyclic_coded(6, 2, 1, TOP), np.random.default_rng(3)), paired_plan(10)):
+        called.clear()
+        assert analyze(plan) == searched(plan)
+        assert called == ["straggler_resilience", "brute_force_q"], plan.params
+    for plan in (paired_plan(9), cyclic_coded(6, 2, 1, TOP)):
+        called.clear()
+        assert analyze(plan) == searched(plan)
+        assert called == [], plan.params
+
+
+def test_program_checks_the_full_state_first_and_each_answer_once(monkeypatch):
+    plan = cyclic_coded(6, 2, 1, TOP)
+    states = record_decodable(monkeypatch)
+    rep = analyze(plan)
+    absent = tuple(0 if i in rep.worst_straggler_set else plan.ell for i in range(plan.n))
+    full = tuple([plan.ell] * plan.n)
+    assert states == [full, absent, full, rep.worst_state]
+
+
+def test_program_refuses_a_count_exact_plan_that_cannot_decode():
+    # two Cauchy rows on three blocks: count-exact, but two rows short of three
+    plan = hand_plan([[cauchy_task(row, (0, 1, 2))] for row in cauchy(2, 3)], 3)
+    assert takes_program(plan)
+    with pytest.raises(ValueError, match="^plan cannot decode even with every task processed$"):
+        analyze(plan)
+
+
+def test_program_budget_counts_the_full_state_and_each_table_cell():
+    # coded-bottom (10,2,1): the resilience table has 137 cells, the
+    # threshold table 227; each program first evaluates the full state
+    plan = cyclic_coded(10, 2, 1, BOTTOM)
+    rep = analyze(plan)
+    assert analyze(plan, budget=228) == rep
+    for budget, program in ((227, "threshold"), (137, "resilience")):
+        with pytest.raises(BudgetExceededError) as err:
+            analyze(plan, budget=budget)
+        assert err.value.evaluations == budget
+        assert str(err.value).startswith(
+            f"{program} dynamic program stopped at its budget of {budget} decodability evaluations;")
+    with pytest.raises(BudgetExceededError, match="^threshold dynamic program"):
+        analyze(plan, budget=138)
+
+
+def test_program_certifies_the_n40_plans():
+    # coded-top's Q is above its bound; the other three meet their formulas
+    top, bottom = cyclic_coded(40, 2, 1, TOP), cyclic_coded(40, 2, 1, BOTTOM)
+    uncoded, mds = cyclic_uncoded(40, 3), mds_plan(40, 2, 40)
+    found = [(rep.q_true, rep.resilience_true) for rep in map(analyze, (top, bottom, uncoded, mds))]
+    assert found == [(58, 20), (78, 20), (115, 2), (40, 20)]
+    assert bounds.coded_top_q_bound(top.params).q_lower == 46
+    assert bounds.coded_bottom_resilience(top.params) == 20
+    assert bounds.coded_bottom_q(bottom.params) == 78
+    assert bounds.coded_bottom_resilience(bottom.params) == 20
+    assert uncoded_q_fast(uncoded) == 115
+    assert bounds.uncoded_resilience(3) == 2
+    # any delta rows of the MDS plan decode: ell = 2 rows from each of 20 workers
+    assert found[3] == (mds.params.delta, mds.n - mds.params.delta // mds.ell)
+
+
+# ---------------------------------------------------------------------------
 # reports
 
 
 def test_analyze_budget_stops_threshold_search_after_resilience():
     # each search has its own budget: resilience completes within 4,000
-    # evaluations, then the threshold search spends all of them
+    # evaluations (2,511), then the threshold search spends all of them; the
+    # perturbed plan is not count-exact, so analyze runs the searches
+    plan = perturbed(cyclic_coded(12, 2, 1, Placement.CODED_TOP), np.random.default_rng(3))
     with pytest.raises(BudgetExceededError) as err:
-        analyze(cyclic_uncoded(12, 3), budget=4_000)
+        analyze(plan, budget=4_000)
     assert err.value.evaluations == 4_000
     assert str(err.value).startswith("threshold search ")
-    assert "Q >= 31;" in str(err.value)
+    assert "Q >= 16;" in str(err.value)
 
 
 def test_analyze_merges_reports():

@@ -31,6 +31,16 @@ def test_script_runs_and_prints_csv_header(script, args, header):
     assert proc.stdout.splitlines()[0] == header
 
 
+def test_threshold_sweep_reaches_n40():
+    # both families at n = 5..40; about half a second on a 2-vCPU VM
+    proc = run_python([str(SCRIPTS / "threshold_sweep.py"), "--n-max", "40"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 1 + 2 * 36
+    assert "coded-top,40,58,46,20" in rows
+    assert "coded-bottom,40,78,78,20" in rows
+
+
 @pytest.mark.parametrize("script, args, message", [
     ("compare_schemes.py", ["--trials", "5", "--shift", "nan"],
      "error: shift must be a finite number, got nan"),
