@@ -17,13 +17,13 @@ which decides a state in O(1) whenever the count settles it; see
 :func:`analyze`, which ``verify`` calls, answers both questions by one
 dynamic program over the workers instead, on every plan whose checker is
 ``count_exact`` (every plan :mod:`codedmv.schemes` builds, relabelled or
-not) and whose frontier is at most :data:`MAX_FRONTIER` blocks wide; a
-state of such a plan fails to decode exactly when its coded rows plus its
-known blocks number at most delta - 1. The frontier before worker i is
-the set of blocks held uncoded both by some worker < i and by some worker
->= i (2 (r_u - 1) blocks on the cyclic plans, none on MDS plans), and the
-program's key at worker i is which frontier blocks are known so far and
-that running count. Like the searches, it reads only the checker's
+not); a state of such a plan fails to decode exactly when its coded rows
+plus its known blocks number at most delta - 1. The frontier before
+worker i is the set of blocks held uncoded both by some worker < i and
+by some worker >= i (2 (r_u - 1) blocks on the cyclic plans, none on MDS
+plans), and the program's key at worker i is which frontier blocks are
+known so far and that running count, so its table can grow as 2**width;
+the budget bounds it. Like the searches, it reads only the checker's
 tables. Every other plan keeps the two searches, which stay the
 reference the program is tested against; see :func:`analyze`.
 
@@ -50,8 +50,6 @@ from typing import Callable
 from .core import AssignmentPlan, Placement, Uncoded, _integer
 
 DEFAULT_BUDGET = 10_000_000
-# the widest frontier, in blocks, that takes the dynamic program: its table grows as 2**width
-MAX_FRONTIER = 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -371,8 +369,7 @@ def analyze(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
     """Threshold and resilience in one report, equal to what
     :func:`brute_force_q` and :func:`straggler_resilience` report.
 
-    On a ``count_exact`` plan whose frontier is at most
-    :data:`MAX_FRONTIER` blocks wide, one dynamic program over the workers
+    On a ``count_exact`` plan, one dynamic program over the workers
     answers both (see the module docstring), sharing one table of
     transitions: Q - 1 is the largest total of a failing state, each
     worker's level tried from ell down to 0, and the resilience is one less
@@ -385,12 +382,11 @@ def analyze(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
     Either way resilience comes first and each has its own budget.
     """
     checker = plan.checker
-    frontier = _frontiers(checker) if checker.count_exact else None
-    if frontier is None or max(map(int.bit_count, frontier)) > MAX_FRONTIER:
+    if not checker.count_exact:
         res = straggler_resilience(plan, budget)
         q = brute_force_q(plan, budget)
         return OracleReport(q.q_true, q.worst_state, res.resilience_true, res.worst_straggler_set)
-    steps, ell = _steps(checker, frontier), checker.ell
+    steps, ell = _steps(checker, _frontiers(checker)), checker.ell
     _, done = _program(checker, steps, budget, "resilience dynamic program", ((0, 0), (ell, 1)))
     total, worst = _program(checker, steps, budget, "threshold dynamic program",
                             tuple((w, w) for w in range(ell, -1, -1)))

@@ -452,7 +452,7 @@ def frontier_width(plan):
 
 
 def takes_program(plan):
-    return plan.checker.count_exact and frontier_width(plan) <= oracle.MAX_FRONTIER
+    return plan.checker.count_exact
 
 
 def scheme_family(n):
@@ -492,7 +492,7 @@ def test_program_equals_searches_on_every_scheme_family(n):
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_program_equals_searches_on_random_plans(seed, uncoded):
-    # random uncoded plans reach frontiers up to the cap of 8 blocks
+    # random uncoded plans reach frontiers of up to 8 blocks
     rng = np.random.default_rng(seed)
     if uncoded:
         n = int(rng.integers(2, 10))
@@ -516,15 +516,15 @@ def record_searches(monkeypatch):
 
 
 def test_program_and_searches_split_the_plans(monkeypatch):
-    # a perturbed plan is not count-exact, and paired_plan(10)'s frontier is
-    # 10 blocks wide; paired_plan(9)'s 8 is at the cap
-    assert [frontier_width(paired_plan(n)) for n in (9, 10)] == [8, 10]
+    # a perturbed plan is not count-exact, so it takes the searches; every
+    # count-exact plan takes the program, however wide its frontier
+    wide = cyclic_coded(10, 6, 1, TOP)
+    assert [frontier_width(p) for p in (paired_plan(9), paired_plan(12), wide)] == [8, 12, 10]
     called = record_searches(monkeypatch)
-    for plan in (perturbed(cyclic_coded(6, 2, 1, TOP), np.random.default_rng(3)), paired_plan(10)):
-        called.clear()
-        assert analyze(plan) == searched(plan)
-        assert called == ["straggler_resilience", "brute_force_q"], plan.params
-    for plan in (paired_plan(9), cyclic_coded(6, 2, 1, TOP)):
+    plan = perturbed(cyclic_coded(6, 2, 1, TOP), np.random.default_rng(3))
+    assert analyze(plan) == searched(plan)
+    assert called == ["straggler_resilience", "brute_force_q"]
+    for plan in (paired_plan(9), paired_plan(12), wide, cyclic_coded(6, 2, 1, TOP)):
         called.clear()
         assert analyze(plan) == searched(plan)
         assert called == [], plan.params
