@@ -3,6 +3,9 @@
 Everything here is exact: rationals via fractions.Fraction, binomials via
 math.comb, no floating point. Non-integral rational bounds on a block
 count are rounded up (a valid lower bound rounds up).
+
+``FAMILIES`` gives each placement its formulas, its construction and the
+checks of the oracle against them; ``bound_report`` and ``verify`` read it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import eq, ge, le
+from typing import Callable, NamedTuple
 
-from .core import Placement, SystemParams
+from . import schemes
+from .core import AssignmentPlan, Placement, SystemParams, Uncoded
+from .oracle import uncoded_q_fast
 
 
 @dataclass(frozen=True)
@@ -28,14 +35,8 @@ class BoundReport:
     witness: tuple | None
 
     def to_dict(self) -> dict:
-        return {
-            "q_lower": self.q_lower,
-            "q_exact": self.q_exact,
-            "resilience": self.resilience,
-            "witness": None
-            if self.witness is None
-            else {"x": self.witness[0], "beta": self.witness[1]},
-        }
+        w = self.witness
+        return {**vars(self), "witness": None if w is None else {"x": w[0], "beta": w[1]}}
 
 
 def _threshold_formula(delta: int, r: int, ell: int) -> int:
@@ -79,7 +80,7 @@ def coded_bottom_q(params: SystemParams) -> int:
 def coded_bottom_resilience(params: SystemParams) -> int:
     """floor((n^2 gamma_c + n gamma_u - 1) / (n gamma_c + 1)), exact.
 
-    Applies to both coded-bottom and coded-top cyclic systems.
+    Applies to coded-bottom and coded-top cyclic systems with r_u >= 1.
     """
     if params.placement not in (Placement.CODED_BOTTOM, Placement.CODED_TOP):
         raise ValueError("resilience formula applies to coded-bottom/top systems")
@@ -133,30 +134,106 @@ def coded_top_q_bound(params: SystemParams) -> BoundReport:
     )
 
 
-def bound_report(params: SystemParams) -> BoundReport:
-    """Assemble the applicable formulas for any placement into one report."""
-    if params.placement is Placement.UNCODED_ONLY:
-        q = uncoded_q_bound(params)
-        exact = q if params.delta == params.n else None
-        res = uncoded_resilience(params.r_u) if params.r_u >= 1 else 0
-        return BoundReport(q_lower=q, q_exact=exact, resilience=res, witness=None)
-    if params.placement is Placement.CODED_BOTTOM:
-        q = coded_bottom_q(params)
-        return BoundReport(
-            q_lower=q,
-            q_exact=q,
-            resilience=coded_bottom_resilience(params),
-            witness=None,
-        )
-    if params.placement is Placement.CODED_TOP:
-        return coded_top_q_bound(params)
-    # fully coded: any delta of the n*ell rows decode
+def _uncoded_report(params: SystemParams) -> BoundReport:
+    q = uncoded_q_bound(params)
+    res = uncoded_resilience(params.r_u) if params.r_u >= 1 else 0
+    return BoundReport(q, q if params.delta == params.n else None, res, None)
+
+
+def _fully_coded_report(params: SystemParams) -> BoundReport:
+    # any delta of the n*ell rows decode
     n, delta, ell = params.n, params.delta, params.ell
     feasible = ell > 0 and n * ell >= delta
     res = max(0, n - math.ceil(delta / ell)) if ell > 0 else 0
-    return BoundReport(
-        q_lower=delta,
-        q_exact=delta if feasible else None,
-        resilience=res,
-        witness=None,
-    )
+    return BoundReport(delta, delta if feasible else None, res, None)
+
+
+class Family(NamedTuple):
+    """One placement family: ``report`` gives its formulas, ``twin`` builds
+    its construction, and ``verify`` checks ``checks`` on every plan and
+    ``exact`` on the construction under any block labels. A check (formula,
+    relation, text) holds when relation(formula, oracle), the formula being
+    a :class:`BoundReport` field or "fast" (an uncoded plan's per-block
+    threshold) and the oracle's value its resilience, or else its Q."""
+
+    report: Callable[[SystemParams], BoundReport]
+    twin: Callable[[SystemParams], AssignmentPlan]
+    checks: tuple
+    exact: tuple
+
+
+def _cyclic_coded(p: SystemParams) -> AssignmentPlan:
+    return schemes.cyclic_coded(p.n, p.r_u, p.ell_c, p.placement)
+
+
+_THRESHOLD = ("q_lower", le, "threshold bound {f} <= oracle {o}")
+_CODED_EXACT = (("q_exact", eq, "construction meets bound: {f} == {o}"),
+                ("resilience", eq, "resilience formula {f} == oracle {o}"))
+FAMILIES = {
+    Placement.UNCODED_ONLY: Family(
+        _uncoded_report, lambda p: schemes.cyclic_uncoded(p.n, p.r_u),
+        (("fast", eq, "per-block fast threshold {f} == oracle {o}"), _THRESHOLD,
+         ("resilience", ge, "oracle resilience {o} <= replication bound {f}")),
+        (("q_exact", eq, "cyclic construction meets bound: {f} == {o}"),
+         ("resilience", eq, "cyclic resilience {o} == r-1 = {f}"))),
+    Placement.CODED_BOTTOM: Family(
+        lambda p: BoundReport(coded_bottom_q(p), coded_bottom_q(p), coded_bottom_resilience(p), None),
+        _cyclic_coded, (_THRESHOLD,), _CODED_EXACT),
+    Placement.CODED_TOP: Family(coded_top_q_bound, _cyclic_coded, (_THRESHOLD,), _CODED_EXACT),
+    Placement.FULLY_CODED: Family(
+        _fully_coded_report, lambda p: schemes.mds_plan(p.n, p.ell_c, p.delta),
+        (("q_lower", le, "oracle {o} >= delta {f}"),),
+        (("q_exact", eq, "any delta rows decode: oracle {o} == {f}"),)),
+}
+# with r_u = 0 every task is coded, and the fully-coded formulas replace the paper's
+_ALL_CODED = Family(_fully_coded_report, _cyclic_coded, (_THRESHOLD,), _CODED_EXACT)
+
+
+def family(params: SystemParams) -> Family | None:
+    """The family whose formulas apply; None for a coded placement with
+    delta != n, which none covers."""
+    coded = params.placement in (Placement.CODED_BOTTOM, Placement.CODED_TOP)
+    if coded and params.delta != params.n:
+        return None
+    return _ALL_CODED if coded and params.r_u == 0 else FAMILIES[params.placement]
+
+
+def bound_report(params: SystemParams) -> BoundReport:
+    """The formulas of the parameters' family; ValueError if none applies."""
+    fam = family(params)
+    if fam is None:
+        raise ValueError("formula requires delta = n")
+    return fam.report(params)
+
+
+def _columns(plan: AssignmentPlan) -> list:
+    # block b's column: (worker, position, coefficient) over the tasks that
+    # hold b, 0 marking an uncoded copy; two plans with equal params are
+    # relabellings of each other exactly when their sorted columns are equal
+    columns = [[] for _ in range(plan.params.delta)]
+    for i, tasks in enumerate(plan.workers):
+        for k, task in enumerate(tasks):
+            for b, c in ((task.block, 0),) if isinstance(task, Uncoded) else task.coeffs:
+                columns[b].append((i, k, c))
+    return sorted(columns)
+
+
+def verify_checks(plan: AssignmentPlan, q: int, resilience: int) -> list:
+    """(ok, message) pairs comparing the oracle's Q and resilience with the
+    plan's family: its ``checks``, and its ``exact`` ones when the plan is
+    the construction up to block labels, but none whose formula is None."""
+    fam = family(plan.params)
+    if fam is None:
+        return []
+    try:
+        twin = fam.twin(plan.params)
+    except ValueError:  # the parameters lie outside the construction
+        twin = None
+    exact = twin is not None and twin.params == plan.params and _columns(twin) == _columns(plan)
+    report, out = fam.report(plan.params), []
+    for formula, relation, text in fam.checks + (fam.exact if exact else ()):
+        f = uncoded_q_fast(plan) if formula == "fast" else getattr(report, formula)
+        o = resilience if formula == "resilience" else q
+        if f is not None:
+            out.append((relation(f, o), text.format(f=f, o=o)))
+    return out

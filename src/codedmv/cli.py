@@ -14,6 +14,7 @@ values to the models and ``run_experiment``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -72,10 +73,6 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write(path: str, text: str):
-    Path(path).write_text(text)
-
-
 def _read_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text())
@@ -123,7 +120,7 @@ def _cmd_design(args) -> int:
     print(render_grid(plan))
     text = plan_to_json(plan)
     if args.out:
-        _write(args.out, text)
+        Path(args.out).write_text(text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -134,30 +131,28 @@ def _cmd_design(args) -> int:
 # bounds
 
 
+# --placement: its placement, the flags that give (ell_u, ell_c, r_u), 0 where
+# None, and the message when one of them is missing
+_CODED_FLAGS = (("r_u", "ell_c", "r_u"), "coded bounds need --r_u and --ell_c")
+_BOUNDS_FLAGS = {
+    "uncoded": (Placement.UNCODED_ONLY, ("r", None, "r"), "uncoded bounds need --r"),
+    "coded-bottom": (Placement.CODED_BOTTOM, *_CODED_FLAGS),
+    "coded-top": (Placement.CODED_TOP, *_CODED_FLAGS),
+    "mds": (Placement.FULLY_CODED, (None, "ell", None), "mds bounds need --ell and --delta"),
+}
+
+
 def _params_from_args(args) -> SystemParams:
     if args.placement is None:
         raise UsageError("bounds needs either --plan or --placement with parameters")
-    placement = {
-        "uncoded": Placement.UNCODED_ONLY,
-        "coded-bottom": Placement.CODED_BOTTOM,
-        "coded-top": Placement.CODED_TOP,
-        "mds": Placement.FULLY_CODED,
-    }[args.placement]
-    n = args.n
-    if n is None:
+    if args.n is None:
         raise UsageError("--n is required")
-    delta = args.delta if args.delta is not None else n
-    if placement is Placement.UNCODED_ONLY:
-        if args.r is None:
-            raise UsageError("uncoded bounds need --r")
-        return SystemParams(n, delta, args.r, 0, args.r, placement)
-    if placement is Placement.FULLY_CODED:
-        if args.ell is None:
-            raise UsageError("mds bounds need --ell and --delta")
-        return SystemParams(n, delta, 0, args.ell, 0, placement)
-    if args.r_u is None or args.ell_c is None:
-        raise UsageError("coded bounds need --r_u and --ell_c")
-    return SystemParams(n, delta, args.r_u, args.ell_c, args.r_u, placement)
+    placement, flags, missing = _BOUNDS_FLAGS[args.placement]
+    values = [0 if flag is None else getattr(args, flag) for flag in flags]
+    if None in values:
+        raise UsageError(missing)
+    delta = args.delta if args.delta is not None else args.n
+    return SystemParams(args.n, delta, *values, placement)
 
 
 def _cmd_bounds(args) -> int:
@@ -172,75 +167,18 @@ def _cmd_bounds(args) -> int:
         print(f"witness      x={report.witness[0]} beta={report.witness[1]}")
     if args.out:
         if args.format == "csv":
-            w = report.witness
-            text = (
-                "q_lower,q_exact,resilience,witness_x,witness_beta\n"
-                f"{report.q_lower},"
-                f"{'' if report.q_exact is None else report.q_exact},"
-                f"{report.resilience},"
-                f"{'' if w is None else w[0]},{'' if w is None else w[1]}\n"
-            )
+            row = (report.q_lower, report.q_exact, report.resilience, *(report.witness or (None, None)))
+            text = ("q_lower,q_exact,resilience,witness_x,witness_beta\n"
+                    + ",".join("" if v is None else str(v) for v in row) + "\n")
         else:
             text = _dump_json(report.to_dict())
-        _write(args.out, text)
+        Path(args.out).write_text(text)
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-def _canonical_twin(plan: AssignmentPlan):
-    """The scheme output for this plan's parameters, when one exists."""
-    p = plan.params
-    try:
-        if p.placement is Placement.UNCODED_ONLY and p.delta == p.n:
-            return schemes.cyclic_uncoded(p.n, p.r_u)
-        if p.placement in (Placement.CODED_BOTTOM, Placement.CODED_TOP) and p.delta == p.n:
-            return schemes.cyclic_coded(p.n, p.r_u, p.ell_c, p.placement)
-        if p.placement is Placement.FULLY_CODED:
-            return schemes.mds_plan(p.n, p.ell_c, p.delta)
-    except ValueError:
-        return None
-    return None
-
-
-def _verify_checks(plan: AssignmentPlan, report: oracle_mod.OracleReport) -> list:
-    """(ok, message) pairs comparing oracle truth with the formulas."""
-    p = plan.params
-    q, res = report.q_true, report.resilience_true
-    checks = []
-    canonical = _canonical_twin(plan) == plan
-    if p.placement is Placement.UNCODED_ONLY:
-        fast = oracle_mod.uncoded_q_fast(plan)
-        checks.append((fast == q, f"per-block fast threshold {fast} == oracle {q}"))
-        b = bounds_mod.uncoded_q_bound(p)
-        checks.append((b <= q, f"threshold bound {b} <= oracle {q}"))
-        if p.r_u >= 1:
-            r = bounds_mod.uncoded_resilience(p.r_u)
-            checks.append((res <= r, f"oracle resilience {res} <= replication bound {r}"))
-            if canonical:
-                checks.append((b == q, f"cyclic construction meets bound: {b} == {q}"))
-                checks.append((res == r, f"cyclic resilience {res} == r-1 = {r}"))
-    elif p.placement is Placement.CODED_BOTTOM and p.delta == p.n:
-        b = bounds_mod.coded_bottom_q(p)
-        checks.append((b <= q, f"threshold bound {b} <= oracle {q}"))
-        r = bounds_mod.coded_bottom_resilience(p)
-        if canonical:
-            checks.append((b == q, f"construction meets bound: {b} == {q}"))
-            checks.append((res == r, f"resilience formula {r} == oracle {res}"))
-    elif p.placement is Placement.CODED_TOP and p.delta == p.n and p.r_u >= 1:
-        rep = bounds_mod.coded_top_q_bound(p)
-        checks.append((rep.q_lower <= q, f"threshold bound {rep.q_lower} <= oracle {q}"))
-        if canonical:
-            r = bounds_mod.coded_bottom_resilience(p)
-            checks.append((res == r, f"resilience formula {r} == oracle {res}"))
-    elif p.placement is Placement.FULLY_CODED:
-        checks.append((q >= p.delta, f"oracle {q} >= delta {p.delta}"))
-        if canonical:
-            checks.append((q == p.delta, f"any delta rows decode: oracle {q} == {p.delta}"))
-    return checks
 
 
 def _cmd_verify(args) -> int:
@@ -250,19 +188,17 @@ def _cmd_verify(args) -> int:
     print(f"worst_state        {list(report.worst_state)}")
     print(f"resilience_true    {report.resilience_true}")
     print(f"worst_stragglers   {[i + 1 for i in report.worst_straggler_set]}")
-    checks = _verify_checks(plan, report)
-    mismatch = False
+    checks = bounds_mod.verify_checks(plan, report.q_true, report.resilience_true)
     for ok, msg in checks:
         print(("ok       " if ok else "MISMATCH ") + msg)
-        mismatch = mismatch or not ok
     if args.out:
         doc = {
             "oracle": report.to_dict(),
             "checks": [{"ok": ok, "check": msg} for ok, msg in checks],
         }
-        _write(args.out, _dump_json(doc))
+        Path(args.out).write_text(_dump_json(doc))
         print(f"wrote {args.out}")
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    return EXIT_OK if all(ok for ok, _ in checks) else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +265,7 @@ def _cmd_simulate(args) -> int:
     rows, summaries = sim.run_experiment(*experiment)
     print(sim.summaries_to_csv(summaries), end="")
     if args.out:
-        _write(args.out, sim.rows_to_csv(rows))
+        Path(args.out).write_text(sim.rows_to_csv(rows))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -378,7 +314,7 @@ def _cmd_decode(args) -> int:
     y = sim.numeric_decode(plan, A, x, sim.state_received(plan, state))
     text = "\n".join(repr(float(v)) for v in y) + "\n"
     if args.out:
-        _write(args.out, text)
+        Path(args.out).write_text(text)
         print(f"wrote {args.out} ({len(y)} entries)")
     else:
         print(text, end="")
@@ -389,6 +325,7 @@ def _cmd_decode(args) -> int:
 # parser
 
 
+@functools.cache  # argparse parsers hold no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="codedmv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -423,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="brute-force oracle vs formulas")
     v.add_argument("--plan", required=True)
     v.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET,
-                   help="max decodability evaluations of each search, counted as they "
-                        "are made; at least 1 (default %(default)s)")
+                   help="max decodability evaluations of each search or dynamic program, "
+                        "counted as they are made; at least 1 (default %(default)s)")
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 

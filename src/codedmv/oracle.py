@@ -77,14 +77,7 @@ class OracleReport:
     worst_straggler_set: tuple | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "q_true": self.q_true,
-            "worst_state": None if self.worst_state is None else list(self.worst_state),
-            "resilience_true": self.resilience_true,
-            "worst_straggler_set": None
-            if self.worst_straggler_set is None
-            else list(self.worst_straggler_set),
-        }
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in vars(self).items()}
 
 
 def _counted(budget: int, search: str, so_far: Callable[[], str]) -> Callable[[], None]:
@@ -216,20 +209,10 @@ def uncoded_q_fast(plan: AssignmentPlan) -> int:
     """
     if plan.params.placement is not Placement.UNCODED_ONLY:
         raise ValueError("uncoded_q_fast applies to uncoded-only plans")
-    n, ell, delta = plan.n, plan.ell, plan.params.delta
-    positions = []
-    for tasks in plan.workers:
-        pos = {}
-        for k, t in enumerate(tasks):
-            if not isinstance(t, Uncoded):
-                raise ValueError("uncoded_q_fast applies to uncoded-only plans")
-            pos[t.block] = k
-        positions.append(pos)
-    worst = 0
-    for j in range(delta):
-        q_j = sum(positions[i].get(j, ell) for i in range(n))
-        worst = max(worst, q_j)
-    return worst + 1
+    if not all(isinstance(t, Uncoded) for tasks in plan.workers for t in tasks):
+        raise ValueError("uncoded_q_fast applies to uncoded-only plans")
+    positions = [{t.block: k for k, t in enumerate(tasks)} for tasks in plan.workers]
+    return 1 + max(sum(pos.get(j, plan.ell) for pos in positions) for j in range(plan.params.delta))
 
 
 def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codedmv import oracle
+from codedmv import bounds, oracle
 from codedmv.bounds import (
     BoundReport,
     bound_report,
@@ -16,6 +19,8 @@ from codedmv.bounds import (
 )
 from codedmv.core import AssignmentPlan, Placement, SystemParams, Uncoded
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
+
+from support import perturbed, relabel_blocks, scheme_plan_up_to, shrunk_supports
 
 
 def uncoded_params(n, delta, ell, r):
@@ -224,3 +229,67 @@ def test_report_serialization():
     doc = rep.to_dict()
     assert doc["q_lower"] == 18
     assert doc["witness"] == {"x": 1, "beta": 4}
+
+
+@pytest.mark.parametrize("placement", [Placement.CODED_BOTTOM, Placement.CODED_TOP])
+def test_report_all_coded_takes_the_fully_coded_formulas(placement):
+    # with r_u = 0 every task is coded; coded-top reported no bound here before
+    rep = bound_report(coded_params(7, 0, 2, placement))
+    assert rep == BoundReport(q_lower=7, q_exact=7, resilience=3, witness=None)
+    assert rep == bound_report(mds_plan(7, 2, 7).params)
+
+
+def test_report_refuses_a_coded_placement_with_delta_other_than_n():
+    params = SystemParams(n=4, delta=6, ell_u=0, ell_c=2, r_u=0, placement=Placement.CODED_TOP)
+    assert bounds.family(params) is None
+    with pytest.raises(ValueError, match="delta = n"):
+        bound_report(params)
+
+
+def relabels(plan, twin):
+    """Whether some block permutation turns the twin into the plan: a search."""
+    return plan.params == twin.params and any(
+        relabel_blocks(twin, perm) == plan for perm in permutations(range(plan.params.delta)))
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["designed", "relabelled", "perturbed", "shrunk", "swapped"]))
+@settings(max_examples=80, deadline=None)
+def test_columns_recognise_exactly_the_relabelled_twins(seed, variant):
+    # the column multisets against a search over every permutation, delta <= 6
+    rng = np.random.default_rng(seed)
+    plan = scheme_plan_up_to(6, rng)
+    while plan.params.delta > 6:  # an MDS plan can hold up to 12 blocks
+        plan = scheme_plan_up_to(6, rng)
+    twin = bounds.family(plan.params).twin(plan.params)
+    if variant == "perturbed" and plan.params.placement in (Placement.CODED_TOP,
+                                                            Placement.FULLY_CODED):
+        plan = perturbed(plan, rng)
+    if variant == "shrunk":
+        plan = shrunk_supports(plan, 0.3, rng)
+    if variant == "swapped":
+        i, j = rng.choice(plan.n, 2, replace=False)
+        workers = list(plan.workers)
+        workers[i], workers[j] = workers[j], workers[i]
+        plan = AssignmentPlan(plan.params, tuple(workers))
+    if variant != "designed":
+        plan = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    columns_agree = bounds._columns(plan) == bounds._columns(twin)
+    assert columns_agree == relabels(plan, twin)
+    if variant in ("designed", "relabelled"):
+        assert columns_agree
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_relabelled_scheme_plans_get_the_canonical_checks(seed):
+    # every family up to n = 10, all-coded (r_u = 0) plans included
+    rng = np.random.default_rng(seed)
+    plan = scheme_plan_up_to(10, rng)
+    relabelled = relabel_blocks(plan, rng.permutation(plan.params.delta))
+    canonical, report = oracle.analyze(plan), oracle.analyze(relabelled)
+    assert (report.q_true, report.resilience_true) == (canonical.q_true, canonical.resilience_true)
+    checks = bounds.verify_checks(relabelled, report.q_true, report.resilience_true)
+    assert checks == bounds.verify_checks(plan, canonical.q_true, canonical.resilience_true)
+    assert len(checks) > len(bounds.family(plan.params).checks)  # the construction's too
+    assert all(ok for ok, _ in checks)

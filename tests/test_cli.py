@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from codedmv import cli, core, oracle
 from codedmv.core import Placement, plan_from_json
 from codedmv.schemes import cyclic_coded, cyclic_uncoded, mds_plan
 
-from support import perturbed, run_python
+from support import moved_entry_plan, perturbed, relabel_blocks, run_python
 
 
 def run(capsys, *argv):
@@ -120,6 +121,172 @@ def test_verify_cyclic_uncoded_matches_formulas(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["oracle"]["q_true"] == 10
     assert all(c["ok"] for c in doc["checks"])
+
+
+def run_verify(capsys, tmp_path, plan):
+    """verify's exit code, stdout (the --out path shown as OUT) and --out
+    text on the plan, written to a file."""
+    plan_file, out = tmp_path / "plan.json", tmp_path / "verify.json"
+    plan_file.write_text(core.plan_to_json(plan))
+    code, stdout, _ = run(capsys, "verify", "--plan", str(plan_file), "--out", str(out))
+    return code, stdout.replace(str(out), "OUT"), out.read_text()
+
+
+def check_lines(stdout):
+    return [line for line in stdout.splitlines() if line.startswith(("ok ", "MISMATCH "))]
+
+
+def swapped(plan, i, j):
+    """The plan with workers i and j trading task lists."""
+    workers = list(plan.workers)
+    workers[i], workers[j] = workers[j], workers[i]
+    return core.AssignmentPlan(plan.params, tuple(workers))
+
+
+# verify's stdout on one canonical plan per family, recorded before the
+# formulas moved into one family table: (plan, stdout); the --out document
+# holds the same values, see pinned_out
+PINNED_VERIFY = {
+    "coded-top-5-2-1": (
+        lambda: cyclic_coded(5, 2, 1, Placement.CODED_TOP),
+        "q_true             6\nworst_state        [3, 2, 0, 0, 0]\nresilience_true    3\n"
+        "worst_stragglers   [1, 2, 3, 4]\nok       threshold bound 5 <= oracle 6\n"
+        "ok       resilience formula 3 == oracle 3\nwrote OUT\n",
+    ),
+    "coded-bottom-7-2-1": (
+        lambda: cyclic_coded(7, 2, 1, Placement.CODED_BOTTOM),
+        "q_true             12\nworst_state        [2, 2, 2, 2, 2, 1, 0]\nresilience_true    4\n"
+        "worst_stragglers   [1, 2, 3, 4, 5]\nok       threshold bound 12 <= oracle 12\n"
+        "ok       construction meets bound: 12 == 12\nok       resilience formula 4 == oracle 4\n"
+        "wrote OUT\n",
+    ),
+    "cyclic-uncoded-5-3": (
+        lambda: cyclic_uncoded(5, 3),
+        "q_true             10\nworst_state        [3, 3, 2, 1, 0]\nresilience_true    2\n"
+        "worst_stragglers   [1, 2, 3]\nok       per-block fast threshold 10 == oracle 10\n"
+        "ok       threshold bound 10 <= oracle 10\n"
+        "ok       oracle resilience 2 <= replication bound 2\n"
+        "ok       cyclic construction meets bound: 10 == 10\n"
+        "ok       cyclic resilience 2 == r-1 = 2\nwrote OUT\n",
+    ),
+    "mds-8-2-10": (
+        lambda: mds_plan(8, 2, 10),
+        "q_true             10\nworst_state        [2, 2, 2, 2, 1, 0, 0, 0]\nresilience_true    3\n"
+        "worst_stragglers   [1, 2, 3, 4]\nok       oracle 10 >= delta 10\n"
+        "ok       any delta rows decode: oracle 10 == 10\nwrote OUT\n",
+    ),
+}
+
+
+def pinned_out(stdout):
+    """The --out text that goes with a pinned stdout."""
+    lines = stdout.splitlines()
+    doc = {
+        "checks": [{"check": line[9:], "ok": line.startswith("ok ")} for line in check_lines(stdout)],
+        "oracle": {
+            "q_true": int(lines[0].split()[1]),
+            "resilience_true": int(lines[2].split()[1]),
+            "worst_state": json.loads(lines[1].split(maxsplit=1)[1]),
+            "worst_straggler_set": [i - 1 for i in json.loads(lines[3].split(maxsplit=1)[1])],
+        },
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", PINNED_VERIFY)
+def test_verify_output_on_each_family_is_pinned(tmp_path, capsys, name):
+    build, stdout = PINNED_VERIFY[name]
+    assert run_verify(capsys, tmp_path, build()) == (0, stdout, pinned_out(stdout))
+
+
+@pytest.mark.parametrize("name", PINNED_VERIFY)
+def test_verify_prints_the_canonical_lines_on_a_relabelled_scheme_plan(tmp_path, capsys, name):
+    build, stdout = PINNED_VERIFY[name]
+    plan = build()
+    plan = relabel_blocks(plan, np.random.default_rng(1).permutation(plan.params.delta))
+    assert plan != build()
+    assert run_verify(capsys, tmp_path, plan) == (0, stdout, pinned_out(stdout))
+
+
+# plans that are not relabelled scheme plans, with the check lines verify
+# printed for them before the family table; none gains a construction check
+NOT_RELABELLED = {
+    "perturbed-coded-top-5-2-1": (
+        lambda: perturbed(cyclic_coded(5, 2, 1, Placement.CODED_TOP), np.random.default_rng(0)),
+        ["ok       threshold bound 5 <= oracle 6"],
+    ),
+    "perturbed-mds-7-2-5": (
+        lambda: perturbed(mds_plan(7, 2, 5), np.random.default_rng(0)),
+        ["ok       oracle 5 >= delta 5"],
+    ),
+    "moved-entry-1-2": (lambda: moved_entry_plan(1, 2), ["ok       oracle 3 >= delta 3"]),
+    "swapped-coded-bottom-7-2-1": (
+        lambda: swapped(cyclic_coded(7, 2, 1, Placement.CODED_BOTTOM), 0, 3),
+        ["ok       threshold bound 12 <= oracle 12"],
+    ),
+    "swapped-coded-top-5-2-1": (
+        lambda: swapped(cyclic_coded(5, 2, 1, Placement.CODED_TOP), 0, 2),
+        ["ok       threshold bound 5 <= oracle 6"],
+    ),
+    "swapped-cyclic-uncoded-5-3": (
+        lambda: swapped(cyclic_uncoded(5, 3), 1, 2),
+        ["ok       per-block fast threshold 10 == oracle 10",
+         "ok       threshold bound 10 <= oracle 10",
+         "ok       oracle resilience 2 <= replication bound 2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NOT_RELABELLED)
+def test_verify_keeps_the_bound_checks_on_plans_that_are_not_relabelled_schemes(
+        tmp_path, capsys, name):
+    build, expected = NOT_RELABELLED[name]
+    code, stdout, _ = run_verify(capsys, tmp_path, build())
+    assert (code, check_lines(stdout)) == (0, expected)
+
+
+@pytest.mark.parametrize("placement", [Placement.CODED_BOTTOM, Placement.CODED_TOP])
+def test_verify_all_coded_plans_meet_the_fully_coded_formulas(tmp_path, capsys, placement):
+    # with r_u = 0 every task is coded: any n rows decode, and n - ceil(n / ell_c)
+    # absent workers leave enough; the paper's coded-bottom resilience does not hold
+    for n in range(3, 13):
+        for ell_c in range(1, min(n, 3) + 1):
+            code, stdout, _ = run_verify(capsys, tmp_path, cyclic_coded(n, 0, ell_c, placement))
+            res = n - math.ceil(n / ell_c)
+            assert (code, check_lines(stdout)) == (0, [
+                f"ok       threshold bound {n} <= oracle {n}",
+                f"ok       construction meets bound: {n} == {n}",
+                f"ok       resilience formula {res} == oracle {res}",
+            ]), (n, ell_c)
+
+
+def test_main_called_twice_in_one_process_matches_fresh_processes(tmp_path):
+    # the parser is built once per process and reused by every later call
+    assert cli.build_parser() is cli.build_parser()
+    plan = tmp_path / "plan.json"
+    plan.write_text(core.plan_to_json(cyclic_coded(5, 2, 1, Placement.CODED_TOP)))
+    commands = [
+        ["verify", "--plan", str(plan)],
+        ["bounds", "--placement", "coded-top", "--n", "5", "--r_u", "2", "--ell_c", "1"],
+        ["design", "cyclic-coded-top", "--n", "5"],  # missing flags
+        ["verify", "--plan", str(plan), "--budget", "x"],  # argparse's own error
+        ["--help"],
+        ["verify", "--help"],
+    ]
+    script = ("import contextlib, io, json, sys\nfrom codedmv import cli\nruns = []\n"
+              f"for argv in {commands!r} * 2:\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        try:\n            code = cli.main(argv)\n"
+              "        except SystemExit as e:\n            code = e.code\n"
+              "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(runs))")
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    for argv, first, second in zip(commands, runs, runs[len(commands):]):
+        fresh = run_python(["-m", "codedmv.cli", *argv])
+        assert first == second == [fresh.returncode, fresh.stdout, fresh.stderr], argv
 
 
 def searched_plan_json():
