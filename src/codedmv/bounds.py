@@ -86,6 +86,8 @@ def coded_bottom_resilience(params: SystemParams) -> int:
         raise ValueError("resilience formula applies to coded-bottom/top systems")
     if params.delta != params.n:
         raise ValueError("formula requires delta = n")
+    if params.r_u < 1:
+        raise ValueError("formula requires r_u >= 1")
     n = params.n
     num = n * n * params.gamma_c + n * params.gamma_u - 1
     den = n * params.gamma_c + 1

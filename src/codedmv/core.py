@@ -422,7 +422,7 @@ class DecodabilityChecker:
         nonsingular. Every other case runs ``pivots``.
         """
         u = len(unknown)
-        if self.certified and len(rows) >= u and self.support[rows[:u]][:, unknown].all():
+        if self.certified and len(rows) >= u and self.support.take(rows[:u], 0).take(unknown, 1).all():
             return list(range(u))
         return pivots(self.field[rows][:, unknown].T)
 

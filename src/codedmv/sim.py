@@ -3,14 +3,14 @@
 Worker i's k-th task completes at the cumulative sum of its per-task
 durations, each duration being a raw speed draw scaled by the cost weight
 of that task; the master stops at the first completion after which the
-plan can decode. Trials run in batches of ``_BATCH`` seeds, and every plan
-of an experiment runs each batch before the next batch is drawn. Trial t's
-seed is the first word of ``SeedSequence((seed, t))``, and its durations
-come from the stream of ``default_rng`` of that seed, bit for bit; yet no
-trial builds either. SeedSequence's hash and PCG64's seeding are fixed
-integer steps, so :mod:`codedmv.seeding` takes them on uint32 arrays:
-once for every trial seed of the experiment, once per batch for the
-generators' states. One generator per batch is then set to each seed's
+plan can decode. Trials run in batches of ``_BATCH`` (1,024) seeds, and
+every plan of an experiment runs each batch before the next is drawn.
+Trial t's seed is the first word of ``SeedSequence((seed, t))``, and its
+durations come from the stream of ``default_rng`` of that seed, bit for
+bit; yet no trial builds either. SeedSequence's hash and PCG64's seeding
+are fixed integer steps, so :mod:`codedmv.seeding` takes them on uint32
+arrays: once for every trial seed of the experiment, once per batch for
+the generators' states. One generator per batch is then set to each seed's
 state in turn. Each seed's standard-exponential stream is drawn once, as
 wide as the largest n * ell of the plans, and a plan of shape (n, ell)
 reads the first n * ell values of it. Per plan and batch, one masked
@@ -48,15 +48,18 @@ generic rank profile. The plan's checker tabulates the real coefficients,
 supports and uncoded blocks of every task when it is built. The one
 decode, :func:`numeric_decode`, models the master: it computes the block
 products, builds the vectors the received tasks transmit from them, and
-solves from those alone. The block products are two stacked matmuls, one
-over the blocks a row taller than the rest and one over the rest: numpy
-runs BLAS gemv once per stacked block, so each product has the bits of
-``A_b @ x``, where one gemv over all of ``A`` groups rows (in fours, in
-OpenBLAS) across block boundaries and changes them. It solves from the
-rows that :meth:`~codedmv.core.DecodabilityChecker.solving_rows` picks,
-the rank case of the decodability rule: the first received coded rows
-independent over GF(P) on the unknown blocks, in arrival order, taken
-without elimination when the certificate vouches for them. Block
+solves from those alone. The block products are one stacked matmul when
+delta divides the rows, else two, one over the blocks a row taller than
+the rest and one over the rest: numpy runs BLAS gemv once per stacked
+block, so each product has the bits of ``A_b @ x``, where one gemv over
+all of ``A`` groups rows (in fours, in OpenBLAS) across block boundaries
+and changes them. It solves from the rows that
+:meth:`~codedmv.core.DecodabilityChecker.solving_rows` picks, the rank
+case of the decodability rule: the first received coded rows independent
+over GF(P) on the unknown blocks, in arrival order, taken without
+elimination when the certificate vouches for them. A picked row's
+right-hand side is one running sum of its weights [0 | c | -c on the
+known blocks] times the stacked products [0; products; products]. Block
 products, right-hand sides and solved blocks must be finite. The real
 square system on those rows is solved only when its condition number
 (the ratio of its extreme singular values, without ``np.linalg.cond``'s
@@ -167,7 +170,7 @@ class HaltAfter:
 SpeedModel = Union[ShiftedExponential, Deterministic, HaltAfter]
 
 # trials simulated per batch of durations and completion times
-_BATCH = 256
+_BATCH = 1024
 
 
 def raw_durations(speed: SpeedModel, shapes: Iterable[tuple], seeds: Sequence[int]) -> dict:
@@ -429,7 +432,7 @@ def run_experiment(
     per batch draws every plan's durations from one stream per seed, then
     each plan decides the batch (see :func:`_trials`) into its slice of the
     columns, so only one batch of durations and completion times is alive
-    at a time (256 * n * ell values per array, about 250 KB at n = 40 and
+    at a time (1,024 * n * ell values per array, about 1 MB at n = 40 and
     ell = 3). Each plan's trials share its memoised checker,
     ``plan.checker``, which remembers no answers.
 
@@ -546,54 +549,59 @@ def numeric_decode(plan: AssignmentPlan, A, x, received) -> np.ndarray:
     cut = extra * (base + 1)
     # need not warn: non-finite values are refused below; a 0 singular value gives cond inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        products = np.zeros((delta, base + (extra > 0)))
         if extra:
+            products = np.zeros((delta, base + 1))
             products[:extra] = A[:cut].reshape(extra, base + 1, cols) @ x
-        products[extra:, :base] = A[cut:].reshape(delta - extra, base, cols) @ x
+            products[extra:, :base] = A[cut:].reshape(delta - extra, base, cols) @ x
+        else:
+            products = A.reshape(delta, base, cols) @ x
         if not np.isfinite(products).all():
-            bad = [f"A_{b + 1}" for b, p in enumerate(products) if not np.isfinite(p).all()]
-            raise ValueError(f"non-finite block products: {', '.join(bad)}")
+            bad = [b for b, p in enumerate(products) if not np.isfinite(p).all()]
+            raise ValueError(f"non-finite block products: {_names(bad)}")
         checker = plan.checker
         n, ell, blocks = plan.n, plan.ell, checker.blocks
-        known, coded = [False] * delta, []
-        for i, k in dict.fromkeys((i, k) for i, k in received):
+        mask, coded = 0, {}  # coded tasks in first-arrival order, as dict keys
+        for i, k in received:
             if not 0 <= i < n or not 0 <= k < ell:
                 raise ValueError(f"received task ({i}, {k}) outside the plan")
             j = i * ell + k
-            if blocks[j] >= 0:
-                known[blocks[j]] = True
+            if (b := blocks[j]) >= 0:
+                mask |= 1 << b
             else:
-                coded.append(j)
-        unknown = [b for b, have in enumerate(known) if not have]
+                coded[j] = None
+        coded = list(coded)
+        unknown = [b for b in range(delta) if not mask >> b & 1]
         if unknown:
             picked = checker.solving_rows(coded, unknown)
             if len(picked) < len(unknown):
                 raise NotDecodableError("received equations do not determine every block product")
-            sel = [coded[r] for r in picked]
-            coeffs = checker.real[sel]
-            # per picked row, the running sum's terms: 0, then c_b * A_b x for
-            # b = 0 .. delta - 1 on its support, then -(c_b * A_b x) for each
-            # known b, 0 elsewhere. x + -y is x - y bit for bit, and a sum that
-            # starts at 0.0 never reaches -0.0, so a 0 term changes nothing:
-            # the sum is the transmitted vector less the known blocks' terms in
-            # block order, as a loop over them would form it
-            terms = np.zeros((len(sel), 2 * delta + 1, products.shape[1]))
-            sent = terms[:, 1 : delta + 1]
-            np.multiply(coeffs[:, :, None], products, out=sent, where=checker.support[sel, :, None])
-            np.negative(sent, out=terms[:, delta + 1 :], where=np.array(known)[:, None])
-            rhs = np.add.accumulate(terms, axis=1)[:, -1]
-            names = ", ".join(f"A_{b + 1}" for b in unknown)
+            coeffs = checker.real.take([coded[r] for r in picked], 0)
+            # per picked row, the running sum's terms: 0, c_b * A_b x for every
+            # b (c_b is 0 off the row's support), then (-c_b) * A_b x for each
+            # known b. x + (-c) * y is x - c * y bit for bit, and a sum from 0.0
+            # never reaches -0.0, so a +-0 term changes nothing: the sum is the
+            # transmitted vector less the known blocks' terms in block order
+            weights = np.concatenate((np.zeros((len(picked), 1)), coeffs, -coeffs), axis=1)
+            weights[:, [delta + 1 + b for b in unknown]] = 0.0
+            stacked = np.concatenate((np.zeros((1, products.shape[1])), products, products))
+            rhs = np.add.accumulate(weights[:, :, None] * stacked, axis=1)[:, -1]
             if not np.isfinite(rhs).all():
-                raise ValueError(f"solving for {names} overflows: a right-hand side is not finite")
-            square = coeffs[:, unknown]
+                raise ValueError(f"solving for {_names(unknown)} overflows: a right-hand side is not finite")
+            square = coeffs.take(unknown, 1)
             s = np.linalg.svd(square, compute_uv=False)
             cond = float(s[0] / s[-1])
             if not cond <= 1e12:
                 raise DecodeFailure(math.inf if math.isnan(cond) else cond)
             products[unknown] = np.linalg.solve(square, rhs)
             if not np.isfinite(products).all():
-                raise ValueError(f"solving for {names} overflows: the solution is not finite")
+                raise ValueError(f"solving for {_names(unknown)} overflows: the solution is not finite")
+    if not extra:
+        return products.ravel()
     return np.concatenate((products[:extra], products[extra:, :base]), axis=None)
+
+
+def _names(blocks: list) -> str:
+    return ", ".join(f"A_{b + 1}" for b in blocks)
 
 
 def state_received(plan: AssignmentPlan, state: Sequence) -> list:

@@ -117,6 +117,18 @@ def test_coded_bottom_resilience_cross_checked_against_oracle():
     assert oracle.straggler_resilience(plan).resilience_true == 3
 
 
+@pytest.mark.parametrize("placement", [Placement.CODED_BOTTOM, Placement.CODED_TOP])
+def test_coded_bottom_resilience_refuses_all_coded_systems(placement):
+    # with r_u = 0 the paper's formula gives 2 for (5, 0, 1), where the
+    # plan tolerates no straggler; bound_report takes the fully-coded value
+    params = coded_params(5, 0, 1, placement)
+    assert oracle.straggler_resilience(cyclic_coded(5, 0, 1, placement)).resilience_true == 0
+    assert bound_report(params).resilience == 0
+    for p in (params, coded_params(5, 0, 0, placement)):
+        with pytest.raises(ValueError, match=r"formula requires r_u >= 1"):
+            coded_bottom_resilience(p)
+
+
 # ---------------------------------------------------------------------------
 # coded top
 

@@ -29,6 +29,7 @@ from codedmv.sim import (
 
 from support import (
     arrival_events,
+    arrival_states,
     count_eliminations,
     count_evaluations,
     decode_outcome,
@@ -151,20 +152,21 @@ def test_raw_durations_batch_pins_the_single_seed_stream():
 # seeding: numpy's SeedSequence and default_rng streams, bit for bit
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**96, 2**128 - 1, 2**128, 2**200]
-# one seed, partial batches on each side of 64 seeds, and each side of a
-# _BATCH boundary
+# one seed, partial batches on each side of 64 and of 256 seeds (the batch
+# size before it was 1,024), and each side of a _BATCH boundary
 PARTIAL = [63, 64, 65]
-BATCH_SIZES = [1, *PARTIAL, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1]
+BATCH_SIZES = [1, *PARTIAL, 255, 256, 257, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_trial_seeds_are_seed_sequence_words(seed):
     # single trials, trial indices of one to three words, and batches on
-    # each side of a _BATCH boundary and of the two-word trial indices
-    for t in [0, 1, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1, 2**32 - 1, 2**32, 2**64]:
+    # each side of 256, of a _BATCH boundary and of the two-word trial indices
+    for t in [0, 1, 255, 256, 257, sim._BATCH - 1, sim._BATCH, sim._BATCH + 1,
+              2**32 - 1, 2**32, 2**64]:
         assert seeding.trial_seeds(seed, range(t, t + 1)) == [reference_seed(seed, t)]
     for size in BATCH_SIZES:
-        for lo in (0, sim._BATCH - 1, 2**32 - size // 2 - 1):
+        for lo in (0, 255, sim._BATCH - 1, 2**32 - size // 2 - 1):
             span = range(lo, lo + size)
             assert seeding.trial_seeds(seed, span) == [reference_seed(seed, t) for t in span]
 
@@ -747,7 +749,7 @@ def test_experiment_rejects_zero_trials():
         run_experiment([UNCODED], ShiftedExponential(), Uniform(), 0, seed=0)
 
 
-@pytest.mark.parametrize("trials", [63, 65, sim._BATCH - 1, sim._BATCH + 1])
+@pytest.mark.parametrize("trials", [63, 65, 255, 257, sim._BATCH - 1, sim._BATCH + 1])
 def test_rows_csv_writes_the_row_view(trials):
     # failed halt-after trials (inf, false), deterministic ties with
     # zero-cost blocks, and an uncertified plan that is walked
@@ -1082,6 +1084,34 @@ def test_decode_is_bit_identical_on_mds_refusals_and_short_blocks(n, outcomes):
                 plan, a, x, state_received(plan, random_state(plan, rng)))
             seen.add(got[0] if isinstance(got, tuple) else bytes)
     assert seen == outcomes
+
+
+@pytest.mark.parametrize("n", [5, 8, 10, 12])
+def test_decode_is_bit_identical_on_a_96_by_48_matrix(n):
+    # 96 rows leave rows % delta = 1, 0, 6 and 0 at delta = n = 5, 8, 10
+    # and 12, so blocks are padded, unpadded, padded and unpadded; 5 n rows
+    # leave unpadded blocks of 5, a height at which one gemv over all of A
+    # would change their bits. Every other state of one arrival walk, its
+    # pairs in prefix order, reversed and with every other pair repeated,
+    # against the reference
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(48)
+    matrices = [rng.standard_normal((rows, 48)) for rows in (96, 5 * n)]
+    for plan in (cyclic_coded(n, 2, 1, Placement.CODED_TOP),
+                 cyclic_coded(n, 2, 1, Placement.CODED_BOTTOM), mds_plan(n, 2, n)):
+        seen = set()
+        for state in list(arrival_states(plan, rng))[::2]:
+            received = state_received(plan, state)
+            for a, pairs in product(matrices, (received, received[::-1], received + received[::2])):
+                got = assert_decodes_like_reference(plan, a, x, pairs)
+                seen.add(got[0] if isinstance(got, tuple) else bytes)
+        # MDS at n = 10 and 12 refuses every decodable state as ill-conditioned
+        refused = plan.params.placement is Placement.FULLY_CODED and n >= 10
+        assert seen >= {NotDecodableError, DecodeFailure if refused else bytes}
+    # MDS (12, 2, 12) refuses the 12 x 12 Cauchy system of its first row
+    if n == 12:
+        got = assert_decodes_like_reference(plan, matrices[0], x, state_received(plan, (1,) * 12))
+        assert got[0] is DecodeFailure and got[1].startswith("selected system is numerically unsafe")
 
 
 def test_decode_is_bit_identical_with_non_finite_products():
