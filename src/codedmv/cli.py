@@ -138,7 +138,7 @@ _BOUNDS_FLAGS = {
     "uncoded": (Placement.UNCODED_ONLY, ("r", None, "r"), "uncoded bounds need --r"),
     "coded-bottom": (Placement.CODED_BOTTOM, *_CODED_FLAGS),
     "coded-top": (Placement.CODED_TOP, *_CODED_FLAGS),
-    "mds": (Placement.FULLY_CODED, (None, "ell", None), "mds bounds need --ell and --delta"),
+    "mds": (Placement.FULLY_CODED, (None, "ell", None), "mds bounds need --ell"),
 }
 
 

@@ -179,6 +179,20 @@ def _block_label(b: int) -> str:
     return f"A_{b + 1}"
 
 
+def _outside(t: Task, delta: int) -> str | None:
+    """The block a task names past A_delta, in :func:`validate_plan`'s
+    words, or None."""
+    if isinstance(t, Uncoded):
+        if t.block < delta:
+            return None
+        what, bad = "uncoded block", t.block
+    elif t.coeffs[-1][0] < delta:  # blocks increase: the last is the largest
+        return None
+    else:
+        what, bad = "coded task references", next(b for b, _ in t.coeffs if b >= delta)
+    return f"{what} {_block_label(bad)} outside [A_1, {_block_label(delta - 1)}]"
+
+
 def validate_plan(plan: AssignmentPlan) -> list:
     """Check every structural invariant of a plan.
 
@@ -204,24 +218,15 @@ def validate_plan(plan: AssignmentPlan) -> list:
             )
         seen = set()
         for t in tasks:
+            if (outside := _outside(t, p.delta)) is not None:
+                out.append(f"worker {wid}: {outside}")
             if isinstance(t, Uncoded):
-                if t.block >= p.delta:
-                    out.append(
-                        f"worker {wid}: uncoded block {_block_label(t.block)} "
-                        f"outside [A_1, {_block_label(p.delta - 1)}]"
-                    )
                 if t.block in seen:
                     out.append(
                         f"worker {wid}: duplicate uncoded block {_block_label(t.block)}"
                     )
                 seen.add(t.block)
                 uncoded_counts[t.block] = uncoded_counts.get(t.block, 0) + 1
-            elif t.coeffs[-1][0] >= p.delta:  # blocks increase: the last is the largest
-                bad = next(b for b, _ in t.coeffs if b >= p.delta)
-                out.append(
-                    f"worker {wid}: coded task references "
-                    f"{_block_label(bad)} outside [A_1, {_block_label(p.delta - 1)}]"
-                )
         coded_pos = [k for k, t in enumerate(tasks) if isinstance(t, Coded)]
         if coded_pos:
             if p.placement is Placement.CODED_BOTTOM:
@@ -290,8 +295,9 @@ class DecodabilityChecker:
     """Precomputed tables and the one decodability rule of a plan.
 
     ``__init__`` reads each task once, task i * ell + k being worker i's
-    position k (a plan not listing n workers, or a worker not holding ell
-    tasks, is a ValueError in :func:`validate_plan`'s words), into
+    position k (a plan not listing n workers, a worker not holding ell
+    tasks, or a task naming a block past A_delta, is a ValueError in
+    :func:`validate_plan`'s words), into
     ``blocks[t]``, task t's uncoded block or -1 for a coded task, the
     other per-task tables below, and one list of the coded tasks'
     (block, c) pairs. The coefficient tables are whole-plan array
@@ -306,9 +312,10 @@ class DecodabilityChecker:
     distinct values. ``coded_tasks`` lists the coded tasks in task order,
     and row b of ``holders``, a (delta, max(1, most copies of a block))
     array, the tasks holding block b uncoded, padded with the sentinel
-    n * ell. ``prefix[i][w]`` is the (uncoded block mask, coded row count)
-    summary of worker i's first w tasks; a state's summary ORs the masks
-    and adds the counts of one pair per worker.
+    n * ell; the batch of trials in :mod:`codedmv.sim` reads it.
+    ``prefix[i][w]`` is the (uncoded block mask, coded row count) summary
+    of worker i's first w tasks; a state's summary ORs the masks and adds
+    the counts of one pair per worker.
 
     The build decides two facts. ``certified`` (see
     :func:`_cauchy_certified`, which reads the coded rows of ``support``
@@ -358,6 +365,8 @@ class DecodabilityChecker:
             umask, coded = 0, 0
             prefix = [(umask, coded)]
             for k, t in enumerate(tasks):
+                if (outside := _outside(t, delta)) is not None:
+                    raise ValueError(f"worker {i + 1}: {outside}")
                 if isinstance(t, Uncoded):
                     umask |= 1 << t.block
                     blocks[i * ell + k] = t.block
@@ -424,7 +433,7 @@ class DecodabilityChecker:
         u = len(unknown)
         if self.certified and len(rows) >= u and self.support.take(rows[:u], 0).take(unknown, 1).all():
             return list(range(u))
-        return pivots(self.field[rows][:, unknown].T)
+        return pivots(self.field.take(rows, 0).take(unknown, 1).T)
 
     def decodable(self, state: StateVector) -> bool:
         mask, coded = 0, 0

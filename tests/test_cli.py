@@ -106,6 +106,16 @@ def test_bounds_requires_parameters(capsys):
     assert code == 1
 
 
+def test_mds_bounds_need_only_ell(capsys):
+    # --delta defaults to n, so only --ell is missing
+    code, _, err = run(capsys, "bounds", "--placement", "mds", "--n", "5")
+    assert code == 1
+    assert "mds bounds need --ell\n" in err
+    code, stdout, _ = run(capsys, "bounds", "--placement", "mds", "--n", "5", "--ell", "2")
+    assert code == 0
+    assert stdout.startswith("system: n=5 delta=5 ell_u=0 ell_c=2 r_u=0 placement=fully-coded\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codedmv import cli, core, schemes
+from codedmv import cli, core, oracle, schemes, sim
 from codedmv.core import (
     AssignmentPlan,
     Coded,
@@ -235,20 +236,31 @@ def test_validate_names_the_smallest_out_of_range_block_of_a_coded_task():
     ]
 
 
-@pytest.mark.parametrize("task", ["coded", "uncoded"])
-def test_checker_build_refuses_a_block_past_delta(task, tmp_path, capsys):
-    # the library refuses it when the checker is built; the CLI names it
-    # first, through validate_plan
-    workers = list(FIG2.workers)
-    uncoded, coded = workers[0]
-    workers[0] = (uncoded, Coded(((1, 5), (4, 2)))) if task == "coded" else (Uncoded(4), coded)
-    bad = AssignmentPlan(params=FIG2.params, workers=tuple(workers))
-    with pytest.raises(IndexError):
-        core.DecodabilityChecker(bad)
+@pytest.mark.parametrize("worker, task, message", [
+    (0, Coded(((1, 5), (4, 2))), "worker 1: coded task references A_5 outside [A_1, A_3]"),
+    (0, Uncoded(4), "worker 1: uncoded block A_5 outside [A_1, A_3]"),
+    (0, Coded(((1, 5), (7, 2))), "worker 1: coded task references A_8 outside [A_1, A_3]"),
+    (2, Uncoded(5), "worker 3: uncoded block A_6 outside [A_1, A_3]"),
+], ids=["coded", "uncoded", "coded-A_8", "uncoded-worker-3"])
+def test_checker_build_refuses_a_block_past_delta(worker, task, message, tmp_path, capsys):
+    # each library entry point failed on an IndexError from the checker's
+    # tables; the checker's build now refuses the plan in validate_plan's
+    # words, and the CLI names it first, through validate_plan
+    workers = [list(tasks) for tasks in FIG2.workers]
+    workers[worker][isinstance(task, Coded)] = task  # coded-bottom: uncoded, then coded
+    bad = AssignmentPlan(params=FIG2.params, workers=tuple(map(tuple, workers)))
+    assert message in validate_plan(bad)
+    A, x = np.ones((3, 2)), np.ones(2)
+    for call in (lambda: bad.checker, lambda: is_decodable(bad, (2, 2, 2)),
+                 lambda: oracle.analyze(bad),
+                 lambda: sim.run_experiment([bad], sim.ShiftedExponential(), sim.Uniform(), 1, 0),
+                 lambda: sim.numeric_decode(bad, A, x, [(0, 0)])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
     path = tmp_path / "plan.json"
     path.write_text(plan_to_json(bad))
     assert cli.main(["verify", "--plan", str(path)]) == 1
-    assert "A_5 outside [A_1, A_3]" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change", ["long", "short"])

@@ -504,6 +504,32 @@ def test_program_equals_searches_on_random_plans(seed, uncoded):
     assert analyze(plan) == searched(plan)
 
 
+def reference_frontiers(plan):
+    """Per i = 0..n, the mask of the blocks held uncoded both by some worker
+    < i and by some worker >= i, read from the plan's tasks."""
+    held = [{t.block for t in tasks if isinstance(t, Uncoded)} for tasks in plan.workers]
+    return [sum(1 << b for b in set().union(*held[:i]) & set().union(*held[i:]))
+            for i in range(plan.n + 1)]
+
+
+def test_frontiers_equal_their_definition():
+    # block 0 is held by workers 1 and 4 only, blocks 1 and 3 by one worker
+    # each, block 2 by none; paired plans hold each block n // 2 workers apart
+    coded = core.Coded(((0, 1), (1, 1), (2, 1), (3, 1)))
+    hand = hand_plan([[Uncoded(b), coded] for b in (0, 1, 3, 0)], 4, BOTTOM)
+    assert oracle._frontiers(hand.checker) == [0, 1, 1, 1, 0]
+    plans = [hand, paired_plan(9), paired_plan(12)]
+    for n in range(2, 13):
+        rng = np.random.default_rng(n)
+        for plan in scheme_family(n):
+            shuffled = tuple(plan.workers[i] for i in rng.permutation(n))
+            plans += [plan, relabel_blocks(plan, rng.permutation(plan.params.delta)),
+                      AssignmentPlan(plan.params, shuffled)]
+    for plan in plans:
+        assert oracle._frontiers(plan.checker) == reference_frontiers(plan), plan.params
+    assert max(map(frontier_width, plans[3:])) == 10  # the widest scheme plans
+
+
 def record_searches(monkeypatch):
     """The names of the searches analyze calls from now on."""
     called = []
