@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """How block sparsity punishes dense coding.
 
-Under a sparsity-aware cost model a coded task pays for the union of the
-nonzeros of every block it combines, so the dense baseline (every task
-combines all blocks) slows down while a mostly-uncoded cyclic plan keeps
-processing cheap single blocks. Sweeps the per-block nonzero count and
-reports mean finish times for both. A value the cost model or the
-experiment refuses ends the script with one ``error:`` line and exit
-code 1.
+Under a sparsity-aware cost model a coded task pays for the sum of the
+nonzeros of every block it combines, an upper bound on the nonzeros of the
+combination, so the dense baseline (every task combines all blocks) slows
+down while a mostly-uncoded cyclic plan keeps processing cheap single
+blocks. Sweeps the per-block nonzero count and reports mean finish times
+for both. A value the cost model or the experiment refuses ends the script
+with one ``error:`` line and exit code 1.
 """
 
 import argparse

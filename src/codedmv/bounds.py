@@ -137,9 +137,10 @@ def coded_top_q_bound(params: SystemParams) -> BoundReport:
 
 
 def _uncoded_report(params: SystemParams) -> BoundReport:
-    q = uncoded_q_bound(params)
-    res = uncoded_resilience(params.r_u) if params.r_u >= 1 else 0
-    return BoundReport(q, q if params.delta == params.n else None, res, None)
+    # r_u >= 1 forces delta = n; with r_u = 0 no worker holds a task, so
+    # nothing decodes and no construction meets the bound
+    q, r = uncoded_q_bound(params), params.r_u
+    return BoundReport(q, q if r >= 1 else None, uncoded_resilience(r) if r >= 1 else 0, None)
 
 
 def _fully_coded_report(params: SystemParams) -> BoundReport:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import oracle as oracle_mod
-from . import schemes, sim
+from . import sim
 from .core import (
     _DECIMALS,
     AssignmentPlan,
@@ -97,26 +97,42 @@ def _load_plan(path: str) -> AssignmentPlan:
 
 
 # ---------------------------------------------------------------------------
-# design
+# design and bounds
+
+
+# --placement, or design's scheme without "cyclic-": its placement, the flags
+# that give (ell_u, ell_c, r_u), 0 where None, and the message, given the
+# command, when one of them is missing
+_CODED_FLAGS = (("r_u", "ell_c", "r_u"), "coded {} need --r_u and --ell_c")
+_SYSTEMS = {
+    "uncoded": (Placement.UNCODED_ONLY, ("r", None, "r"), "uncoded {} need --r"),
+    "coded-bottom": (Placement.CODED_BOTTOM, *_CODED_FLAGS),
+    "coded-top": (Placement.CODED_TOP, *_CODED_FLAGS),
+    "mds": (Placement.FULLY_CODED, (None, "ell", None), "mds {} need --ell"),
+}
+
+
+def _params_from_args(args, kind: str | None) -> SystemParams:
+    """The system that the flags give for ``kind``, a key of ``_SYSTEMS``;
+    --delta defaults to n."""
+    if kind is None:
+        raise UsageError("bounds needs either --plan or --placement with parameters")
+    if args.n is None:
+        raise UsageError("--n is required")
+    placement, flags, missing = _SYSTEMS[kind]
+    values = [0 if flag is None else getattr(args, flag) for flag in flags]
+    if None in values:
+        raise UsageError(missing.format(args.command))
+    delta = args.delta if args.delta is not None else args.n
+    return SystemParams(args.n, delta, *values, placement)
 
 
 def _cmd_design(args) -> int:
-    if args.scheme == "cyclic-uncoded":
-        if args.r is None:
-            raise UsageError("cyclic-uncoded needs --n and --r")
-        plan = schemes.cyclic_uncoded(args.n, args.r)
-    elif args.scheme in ("cyclic-coded-bottom", "cyclic-coded-top"):
-        if args.r_u is None or args.ell_c is None:
-            raise UsageError(f"{args.scheme} needs --n, --r_u and --ell_c")
-        placement = Placement(args.scheme.removeprefix("cyclic-"))
-        plan = schemes.cyclic_coded(args.n, args.r_u, args.ell_c, placement)
-    else:
-        if args.ell is None or args.delta is None:
-            raise UsageError("mds needs --n, --ell and --delta")
-        plan = schemes.mds_plan(args.n, args.ell, args.delta)
-    violations = validate_plan(plan)
-    if violations:  # constructions always validate; belt and braces
-        raise UsageError("constructed plan is invalid: " + "; ".join(violations))
+    params = _params_from_args(args, args.scheme.removeprefix("cyclic-"))
+    fam = bounds_mod.family(params)
+    if fam is None:
+        raise UsageError("construction requires delta = n")
+    plan = fam.twin(params)
     print(render_grid(plan))
     text = plan_to_json(plan)
     if args.out:
@@ -127,36 +143,8 @@ def _cmd_design(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# bounds
-
-
-# --placement: its placement, the flags that give (ell_u, ell_c, r_u), 0 where
-# None, and the message when one of them is missing
-_CODED_FLAGS = (("r_u", "ell_c", "r_u"), "coded bounds need --r_u and --ell_c")
-_BOUNDS_FLAGS = {
-    "uncoded": (Placement.UNCODED_ONLY, ("r", None, "r"), "uncoded bounds need --r"),
-    "coded-bottom": (Placement.CODED_BOTTOM, *_CODED_FLAGS),
-    "coded-top": (Placement.CODED_TOP, *_CODED_FLAGS),
-    "mds": (Placement.FULLY_CODED, (None, "ell", None), "mds bounds need --ell"),
-}
-
-
-def _params_from_args(args) -> SystemParams:
-    if args.placement is None:
-        raise UsageError("bounds needs either --plan or --placement with parameters")
-    if args.n is None:
-        raise UsageError("--n is required")
-    placement, flags, missing = _BOUNDS_FLAGS[args.placement]
-    values = [0 if flag is None else getattr(args, flag) for flag in flags]
-    if None in values:
-        raise UsageError(missing)
-    delta = args.delta if args.delta is not None else args.n
-    return SystemParams(args.n, delta, *values, placement)
-
-
 def _cmd_bounds(args) -> int:
-    params = _load_plan(args.plan).params if args.plan else _params_from_args(args)
+    params = _load_plan(args.plan).params if args.plan else _params_from_args(args, args.placement)
     report = bounds_mod.bound_report(params)
     print(f"system: n={params.n} delta={params.delta} ell_u={params.ell_u} "
           f"ell_c={params.ell_c} r_u={params.r_u} placement={params.placement.value}")
@@ -330,30 +318,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="codedmv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("design", help="construct an assignment plan")
-    d.add_argument(
-        "scheme",
-        choices=["cyclic-uncoded", "cyclic-coded-bottom", "cyclic-coded-top", "mds"],
-    )
-    d.add_argument("--n", type=int, required=True, help="worker count")
-    d.add_argument("--r", type=int, help="replication factor (cyclic-uncoded)")
-    d.add_argument("--r_u", type=int, help="uncoded replication (cyclic-coded-*)")
-    d.add_argument("--ell_c", type=int, help="coded rows per worker (cyclic-coded-*)")
-    d.add_argument("--ell", type=int, help="rows per worker (mds)")
-    d.add_argument("--delta", type=int, help="block count (mds)")
-    d.add_argument("--out", help="write the plan JSON here")
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--n", type=int, help="worker count")
+    system.add_argument("--r", type=int, help="replication factor (uncoded)")
+    system.add_argument("--r_u", type=int, help="uncoded replication (coded-*)")
+    system.add_argument("--ell_c", type=int, help="coded rows per worker (coded-*)")
+    system.add_argument("--ell", type=int, help="rows per worker (mds)")
+    system.add_argument("--delta", type=int, help="block count (default n)")
+    system.add_argument("--out", help="write the plan or the report here")
+
+    d = sub.add_parser("design", parents=[system], help="construct an assignment plan")
+    d.add_argument("scheme", choices=[k if k == "mds" else "cyclic-" + k for k in _SYSTEMS])
     d.set_defaults(func=_cmd_design)
 
-    b = sub.add_parser("bounds", help="closed-form bound report")
+    b = sub.add_parser("bounds", parents=[system], help="closed-form bound report")
     b.add_argument("--plan", help="read parameters from a plan file")
-    b.add_argument("--placement", choices=["uncoded", "coded-bottom", "coded-top", "mds"])
-    b.add_argument("--n", type=int)
-    b.add_argument("--r", type=int)
-    b.add_argument("--r_u", type=int)
-    b.add_argument("--ell_c", type=int)
-    b.add_argument("--ell", type=int)
-    b.add_argument("--delta", type=int)
-    b.add_argument("--out")
+    b.add_argument("--placement", choices=list(_SYSTEMS))
     b.add_argument("--format", choices=["json", "csv"], default="json")
     b.set_defaults(func=_cmd_bounds)
 

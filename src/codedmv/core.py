@@ -193,6 +193,15 @@ def _outside(t: Task, delta: int) -> str | None:
     return f"{what} {_block_label(bad)} outside [A_1, {_block_label(delta - 1)}]"
 
 
+# per placement, the positions that a worker's m >= 1 coded tasks of ell take
+_CODED_POSITIONS = {
+    Placement.UNCODED_ONLY: lambda ell, m: [],
+    Placement.CODED_BOTTOM: lambda ell, m: list(range(ell - m, ell)),
+    Placement.CODED_TOP: lambda ell, m: list(range(m)),
+    Placement.FULLY_CODED: lambda ell, m: list(range(ell)),
+}
+
+
 def validate_plan(plan: AssignmentPlan) -> list:
     """Check every structural invariant of a plan.
 
@@ -228,20 +237,11 @@ def validate_plan(plan: AssignmentPlan) -> list:
                 seen.add(t.block)
                 uncoded_counts[t.block] = uncoded_counts.get(t.block, 0) + 1
         coded_pos = [k for k, t in enumerate(tasks) if isinstance(t, Coded)]
-        if coded_pos:
-            if p.placement is Placement.CODED_BOTTOM:
-                want = list(range(len(tasks) - len(coded_pos), len(tasks)))
-            elif p.placement is Placement.CODED_TOP:
-                want = list(range(len(coded_pos)))
-            elif p.placement is Placement.FULLY_CODED:
-                want = list(range(len(tasks)))
-            else:
-                want = []
-            if coded_pos != want:
-                out.append(
-                    f"worker {wid}: coded task positions {coded_pos} do not match "
-                    f"placement {p.placement.value}"
-                )
+        if coded_pos and coded_pos != _CODED_POSITIONS[p.placement](len(tasks), len(coded_pos)):
+            out.append(
+                f"worker {wid}: coded task positions {coded_pos} do not match "
+                f"placement {p.placement.value}"
+            )
     if p.r_u > 0:
         for b in range(p.delta):
             c = uncoded_counts.get(b, 0)

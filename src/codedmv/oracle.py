@@ -80,20 +80,23 @@ class OracleReport:
         return {key: list(v) if isinstance(v, tuple) else v for key, v in vars(self).items()}
 
 
-def _counted(budget: int, search: str, so_far: Callable[[], str]) -> Callable[[], None]:
-    """An evaluation counter for one search: each call charges one
-    evaluation, and the call that would exceed the budget raises
-    BudgetExceededError, whose message names the search and ends with
-    ``so_far()``, what the search has certified up to that point.
+def _counted(budget: int, search: str, so_far: Callable[[], str], checker) -> Callable[[], None]:
+    """An evaluation counter for one search of ``checker``'s plan, made
+    once the search's first evaluation, the fully processed state, is
+    charged and decodes. Each call charges one evaluation, and the call
+    that would exceed the budget raises BudgetExceededError, whose message
+    names the search and ends with ``so_far()``, what the search has
+    certified up to that point.
 
     Raises:
         ValueError: the budget is not an integer (a float or bool is not)
-            or is below 1, before any evaluation.
+            or is below 1, before any evaluation; or the fully processed
+            state cannot decode.
     """
     budget = _integer(budget, "budget")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    evaluations = 0
+    evaluations = 1
 
     def charge() -> None:
         nonlocal evaluations
@@ -105,6 +108,8 @@ def _counted(budget: int, search: str, so_far: Callable[[], str]) -> Callable[[]
             )
         evaluations += 1
 
+    if not checker.decodable(tuple([checker.ell] * checker.n)):
+        raise ValueError("plan cannot decode even with every task processed")
     return charge
 
 
@@ -150,21 +155,18 @@ def brute_force_q(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> OracleR
         ValueError: the budget is not an integer or is below 1, or the
             fully-processed state itself cannot decode.
     """
-    n, ell = plan.n, plan.ell
+    n, ell, checker = plan.n, plan.ell, plan.checker
     charge = _counted(
         budget, "threshold search",
         lambda: f"the largest non-decodable total found so far is {best_total}, "
                 f"so Q >= {best_total + 1}",
+        checker,
     )
-    checker = plan.checker
     prefix, decide = checker.prefix, checker.decide
 
     # the zero state holds no rows and delta >= 1, so it never decodes
     state = [0] * n
     best_total, best = 0, tuple(state)
-    charge()
-    if not checker.decodable(tuple([ell] * n)):
-        raise ValueError("plan cannot decode even with every task processed")
 
     # one frame per state on the path from the zero state: [next worker
     # to increment, total, room, mask, coded], room = sum over j >= that
@@ -235,11 +237,9 @@ def straggler_resilience(plan: AssignmentPlan, budget: int = DEFAULT_BUDGET) -> 
     charge = _counted(
         budget, "resilience search",
         lambda: f"every set of {s - 1} absent workers decodes, so resilience >= {s - 1}",
+        plan.checker,
     )
     decodable = plan.checker.decodable
-    charge()
-    if not decodable(tuple([ell] * n)):
-        raise ValueError("plan cannot decode even with every task processed")
     for s in range(1, n + 1):
         for subset in combinations(range(n), s):
             state = [ell] * n
@@ -285,10 +285,8 @@ def _program(checker, frontier, rows, budget: int, search: str, choices: tuple) 
         budget, search,
         lambda: f"it had swept {i} of {n} workers, and it certifies nothing "
                 "before its table is complete",
+        checker,
     )
-    charge()
-    if not checker.decodable(tuple([checker.ell] * n)):
-        raise ValueError("plan cannot decode even with every task processed")
     # per worker, known frontier bits -> {s: the largest sum over the later workers}
     layers = [{0: {0: 0}}]
     for i in range(n):

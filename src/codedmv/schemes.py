@@ -76,17 +76,13 @@ def cyclic_coded(n: int, r_u: int, ell_c: int, placement: Placement) -> Assignme
     """
     if placement not in (Placement.CODED_BOTTOM, Placement.CODED_TOP):
         raise ValueError("placement must be coded-bottom or coded-top")
-    if not 0 <= r_u <= n:
-        raise ValueError(f"need 0 <= r_u <= n, got r_u = {r_u}")
-    if ell_c < 0 or r_u + ell_c > n:
-        raise ValueError(f"need r_u + ell_c <= delta = n, got {r_u} + {ell_c} > {n}")
+    params = SystemParams(
+        n=n, delta=n, ell_u=r_u, ell_c=ell_c, r_u=r_u, placement=placement
+    )
     if r_u == 0 and ell_c == 0:
         raise ValueError("need at least one of r_u, ell_c positive")
     if ell_c == 0:
         return cyclic_uncoded(n, r_u)
-    params = SystemParams(
-        n=n, delta=n, ell_u=r_u, ell_c=ell_c, r_u=r_u, placement=placement
-    )
     mat = cauchy(n * ell_c, n)
     bottom = placement is Placement.CODED_BOTTOM
     workers = []

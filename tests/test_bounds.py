@@ -218,6 +218,12 @@ def test_report_uncoded():
     assert rep == BoundReport(q_lower=10, q_exact=10, resilience=2, witness=None)
 
 
+def test_report_uncoded_without_tasks_claims_no_exact_threshold():
+    # with r = 0 no worker holds a task: no plan decodes, and cyclic_uncoded refuses r = 0
+    params = SystemParams(n=5, delta=5, ell_u=0, ell_c=0, r_u=0, placement=Placement.UNCODED_ONLY)
+    assert bound_report(params) == BoundReport(q_lower=5, q_exact=None, resilience=0, witness=None)
+
+
 def test_report_coded_bottom():
     rep = bound_report(cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM).params)
     assert rep.q_lower == 8 and rep.q_exact == 8 and rep.resilience == 3

@@ -65,6 +65,72 @@ def test_design_missing_flags_is_usage_error(capsys):
     assert code == 1
 
 
+def test_design_prints_and_writes_what_the_scheme_builds(tmp_path, capsys):
+    out, cases = tmp_path / "plan.json", []
+    for n in range(1, 5):
+        N = ["--n", str(n)]
+        cases += [(["cyclic-uncoded", *N, "--r", str(r)], cyclic_uncoded(n, r))
+                  for r in range(1, n + 1)]
+        cases += [([f"cyclic-{pl.value}", *N, "--r_u", str(r_u), "--ell_c", str(ell_c)],
+                   cyclic_coded(n, r_u, ell_c, pl))
+                  for pl in (Placement.CODED_BOTTOM, Placement.CODED_TOP)
+                  for r_u in range(n + 1) for ell_c in range(n - r_u + 1) if r_u or ell_c]
+        cases += [(["mds", *N, "--ell", str(ell), "--delta", str(delta)], mds_plan(n, ell, delta))
+                  for ell in (1, 2) for delta in range(ell, n * ell + 1)]
+    for argv, plan in cases:
+        grid, text = cli.render_grid(plan), core.plan_to_json(plan)
+        assert run(capsys, "design", *argv) == (0, f"{grid}\n{text}", ""), argv
+        written = run(capsys, "design", *argv, "--out", str(out))
+        assert written == (0, f"{grid}\nwrote {out}\n", ""), argv
+        assert out.read_text() == text, argv
+
+
+def test_design_mds_delta_defaults_to_n_as_in_bounds(tmp_path, capsys):
+    outs = [tmp_path / "default.json", tmp_path / "five.json"]
+    for out, delta in zip(outs, ([], ["--delta", "5"])):
+        code, stdout, _ = run(capsys, "design", "mds", "--n", "5", "--ell", "2", *delta,
+                              "--out", str(out))
+        assert code == 0 and stdout.endswith(f"\nwrote {out}\n")
+    assert outs[0].read_text() == outs[1].read_text() == core.plan_to_json(mds_plan(5, 2, 5))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds"], "bounds needs either --plan or --placement with parameters"),
+    (["bounds", "--placement", "uncoded"], "--n is required"),
+    (["bounds", "--placement", "uncoded", "--n", "5"], "uncoded bounds need --r"),
+    (["bounds", "--placement", "coded-bottom", "--n", "5", "--r_u", "2"],
+     "coded bounds need --r_u and --ell_c"),
+    (["bounds", "--placement", "coded-top", "--n", "5", "--ell_c", "1"],
+     "coded bounds need --r_u and --ell_c"),
+    (["bounds", "--placement", "mds", "--n", "5", "--delta", "5"], "mds bounds need --ell"),
+    (["design", "cyclic-uncoded", "--r", "2"], "--n is required"),
+    (["design", "cyclic-uncoded", "--n", "5"], "uncoded design need --r"),
+    (["design", "cyclic-coded-top", "--n", "5", "--r_u", "2"],
+     "coded design need --r_u and --ell_c"),
+    (["design", "mds", "--n", "5", "--delta", "5"], "mds design need --ell"),
+    # design refuses a system in the words bounds uses for the same flags
+    (["design", "cyclic-uncoded", "--n", "3", "--r", "4"], "ell = 4 exceeds delta = 3"),
+    (["bounds", "--placement", "uncoded", "--n", "3", "--r", "4"], "ell = 4 exceeds delta = 3"),
+    (["design", "cyclic-uncoded", "--n", "3", "--r", "-1"],
+     "ell_u, ell_c and r_u must be non-negative"),
+    (["design", "cyclic-coded-bottom", "--n", "5", "--r_u", "4", "--ell_c", "2"],
+     "ell = 6 exceeds delta = 5"),
+    (["design", "cyclic-uncoded", "--n", "5", "--r", "0"], "need 1 <= r <= n, got r = 0, n = 5"),
+    # a coded design honours --delta: with r_u >= 1 the system itself is refused,
+    # and with r_u = 0 no construction has delta != n
+    (["design", "cyclic-coded-top", "--n", "5", "--r_u", "2", "--ell_c", "1", "--delta", "7"],
+     "n*ell_u = 10 != delta*r_u = 14"),
+    (["design", "cyclic-coded-bottom", "--n", "5", "--r_u", "2", "--ell_c", "1", "--delta", "7"],
+     "n*ell_u = 10 != delta*r_u = 14"),
+    (["design", "cyclic-coded-top", "--n", "5", "--r_u", "0", "--ell_c", "1", "--delta", "7"],
+     "construction requires delta = n"),
+    (["bounds", "--placement", "coded-top", "--n", "5", "--r_u", "0", "--ell_c", "1",
+      "--delta", "7"], "formula requires delta = n"),
+])
+def test_design_and_bounds_refusals(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
@@ -114,6 +180,12 @@ def test_mds_bounds_need_only_ell(capsys):
     code, stdout, _ = run(capsys, "bounds", "--placement", "mds", "--n", "5", "--ell", "2")
     assert code == 0
     assert stdout.startswith("system: n=5 delta=5 ell_u=0 ell_c=2 r_u=0 placement=fully-coded\n")
+
+
+def test_bounds_claim_no_exact_threshold_without_tasks(capsys):
+    code, stdout, _ = run(capsys, "bounds", "--placement", "uncoded", "--n", "5", "--r", "0")
+    assert code == 0
+    assert stdout.splitlines()[1:4] == ["q_lower      5", "q_exact      -", "resilience   0"]
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,21 @@ def test_validate_flags_misplaced_coded_tasks():
     assert any("placement" in m for m in validate_plan(bad))
 
 
+_MOVED = Coded(((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("plan, tasks, positions", [
+    (FIG1, (_MOVED, Uncoded(1)), [0]),
+    (schemes.cyclic_coded(5, 2, 1, Placement.CODED_BOTTOM), (_MOVED, Uncoded(0), Uncoded(1)), [0]),
+    (schemes.cyclic_coded(5, 2, 1, Placement.CODED_TOP), (Uncoded(0), Uncoded(1), _MOVED), [2]),
+    (schemes.mds_plan(3, 2, 3), (_MOVED, Uncoded(0)), [0]),
+])
+def test_validate_names_misplaced_coded_tasks_under_each_placement(plan, tasks, positions):
+    bad = AssignmentPlan(params=plan.params, workers=(tasks,) + plan.workers[1:])
+    assert (f"worker 1: coded task positions {positions} do not match placement "
+            f"{plan.params.placement.value}") in validate_plan(bad)
+
+
 def test_validate_flags_out_of_range_block():
     params = SystemParams(n=2, delta=2, ell_u=1, ell_c=0, r_u=1,
                           placement=Placement.UNCODED_ONLY)
