@@ -112,14 +112,22 @@ _SYSTEMS = {
 }
 
 
+# every flag that gives (ell_u, ell_c, r_u) for some kind; each kind takes
+# only those its entry names
+_SYSTEM_FLAGS = tuple(dict.fromkeys(f for _, flags, _ in _SYSTEMS.values() for f in flags if f))
+
+
 def _params_from_args(args, kind: str | None) -> SystemParams:
     """The system that the flags give for ``kind``, a key of ``_SYSTEMS``;
-    --delta defaults to n."""
+    --delta defaults to n, and a flag of another kind is refused."""
     if kind is None:
         raise UsageError("bounds needs either --plan or --placement with parameters")
     if args.n is None:
         raise UsageError("--n is required")
     placement, flags, missing = _SYSTEMS[kind]
+    stray = [flag for flag in _SYSTEM_FLAGS if flag not in flags and getattr(args, flag) is not None]
+    if stray:
+        raise UsageError(f"{kind} {args.command} take no " + ", ".join(f"--{f}" for f in stray))
     values = [0 if flag is None else getattr(args, flag) for flag in flags]
     if None in values:
         raise UsageError(missing.format(args.command))
@@ -144,7 +152,15 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    params = _load_plan(args.plan).params if args.plan else _params_from_args(args, args.placement)
+    if args.plan:
+        given = [f"--{flag}" for flag in ("placement", "n", *_SYSTEM_FLAGS, "delta")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise UsageError("bounds --plan reads the system from the plan and takes no "
+                             + ", ".join(given))
+        params = _load_plan(args.plan).params
+    else:
+        params = _params_from_args(args, args.placement)
     report = bounds_mod.bound_report(params)
     print(f"system: n={params.n} delta={params.delta} ell_u={params.ell_u} "
           f"ell_c={params.ell_c} r_u={params.r_u} placement={params.placement.value}")

@@ -15,21 +15,25 @@ state in turn. Each seed's standard-exponential stream is drawn once, as
 wide as the largest n * ell of the plans, and a plan of shape (n, ell)
 reads the first n * ell values of it. Per plan and batch, one masked
 multiply weights the raw durations (a task a halted worker never reaches
-stays at inf), one cumulative sum gives the completion times and one
-stable argsort over the worker-major flat task index orders the events.
-Ties in time therefore fall in (worker, position) order. Inverting that
-order gives each task's place among its trial's events. On a plan whose checker is ``count_exact``
-(every plan :mod:`codedmv.schemes` builds, designed or relabelled), a
-state decodes exactly when its coded rows plus its known blocks number at
-least delta. Each coded task adds one at its place and each block one at
-the place of its first uncoded copy (one ``min`` over the checker's holder
-table), so the decoding event is the delta-th smallest of those places,
-taken for the whole batch by one ``np.partition``; a trial whose decoding
-event lies past its finite events fails. Any other plan walks each trial's
-finite events (:func:`run_trial`): every event takes the plan checker's
-O(1) step of the state's summary, and the checker's rule ranks only where
-its count cannot decide. Both give the place of the decoding event, from
-which one tail takes finish time, blocks processed and final state.
+stays at inf) and ell - 1 in-place adds take each worker's running sum,
+the completion times; ties in time fall in (worker, position) order. On
+a plan whose checker is ``count_exact`` (every plan
+:mod:`codedmv.schemes` builds, designed or relabelled), a state decodes
+exactly when its coded rows plus its known blocks number at least delta.
+Each coded task adds one when it completes and each block one when its
+first uncoded copy does (one ``min`` over the checker's holder table), so
+the finish time is the delta-th smallest of those gain times, taken for
+the whole batch by one ``np.partition``; a trial whose delta-th gain
+never completes fails. The tasks processed are those complete by the
+finish time, every finite one in a failed trial. Only a trial in which
+another task completes at its finish time needs the tie order: one
+stable argsort of its completions gives each task's place among its
+events, and the delta-th smallest gain place is the decoding event. Any
+other plan orders every trial's events so and walks the finite ones
+(:func:`run_trial`): every event takes the plan checker's O(1) step of
+the state's summary, and the checker's rule ranks only where its count
+cannot decide. The place of the decoding event gives finish time and
+tasks processed.
 An experiment keeps three (plans, trials) columns of results. Summaries
 read the median and p95 off one sort by the arithmetic of ``np.median``
 and ``np.percentile``, bit for bit, as those two import ``numpy.ma`` on
@@ -330,28 +334,29 @@ def run_trial(checker: DecodabilityChecker, events: Sequence[int]) -> int:
     return len(events)
 
 
-def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):
-    """The trials of ``dur``, a batch of :func:`raw_durations` of the
-    plan's shape, for the plan whose checker is ``checker`` and whose
-    :func:`task_weights` are ``weights``. Returns, in seed order, arrays of
-    finish times (inf where the plan never decodes), blocks processed,
-    decode_ok and the (batch, n) final states.
+def _gains(checker: DecodabilityChecker, values: np.ndarray) -> np.ndarray:
+    """Per row of ``values`` (one column per task, then the holder table's
+    sentinel), the delta-th smallest of the coded tasks' values and each
+    block's least value over its uncoded copies."""
+    gains = np.concatenate(
+        [values[:, checker.coded_tasks], values[:, checker.holders].min(axis=2)], axis=1
+    )
+    return np.partition(gains, checker.delta - 1, axis=1)[:, checker.delta - 1]
 
-    The batch shares one pass of array operations (see the module
-    docstring). Each trial's decoding place is, on a plan whose checker is
-    ``count_exact``, the delta-th smallest place among its coded tasks and
-    its blocks' first uncoded copies, taken for the whole batch at once;
-    on any other plan, :func:`run_trial`'s walk of the trial.
+
+def _by_places(checker: DecodabilityChecker, flat: np.ndarray):
+    """(finish, ok, processed) of the trials whose completion times are the
+    rows of ``flat``, one column per task, decided from each task's place
+    among its trial's events.
+
+    One stable argsort orders each trial's events: equal times keep the
+    worker-major (worker, position) order, and the infinite times of
+    unreachable tasks sort last. The decoding event's place is, on a
+    ``count_exact`` checker, the delta-th smallest place among the coded
+    tasks and the blocks' first uncoded copies; on any other, that of
+    :func:`run_trial`'s walk.
     """
-    batch, n, ell = dur.shape
-    tasks = n * ell
-    # a task never completed stays at inf; masking never forms inf * 0
-    times = np.full(dur.shape, np.inf)
-    np.multiply(dur, weights, out=times, where=~np.isinf(dur))
-    np.cumsum(times, axis=2, out=times)
-    # stable: equal times keep the worker-major (worker, position) order,
-    # and the infinite times of unreachable tasks sort last
-    flat = times.reshape(batch, tasks)
+    batch, tasks = flat.shape
     order = np.argsort(flat, axis=1, kind="stable")
     counts = np.isfinite(flat).sum(axis=1)
     # pos[j, t]: the place of task t in trial j's events; column n * ell,
@@ -361,22 +366,55 @@ def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):
     pos[:, tasks] = tasks
     pos[rows[:, None], order] = np.arange(tasks)
     if checker.count_exact:
-        # coded rows plus known blocks reach delta at the decoding event:
-        # a coded task adds one at its place and a block one at its first
-        # copy's, so the delta-th smallest of those places is that event
-        gains = np.concatenate(
-            [pos[:, checker.coded_tasks], pos[:, checker.holders].min(axis=2)], axis=1
-        )
-        at = np.partition(gains, checker.delta - 1, axis=1)[:, checker.delta - 1]
+        at = _gains(checker, pos)
     else:
         at = np.array([run_trial(checker, order[j, :c].tolist())
                        for j, c in enumerate(counts.tolist())], dtype=np.intp)
     ok = at < counts
     last = np.where(ok, at, counts - 1)
-    # each event raises one worker by one task, in position order
     finish = np.where(ok, flat[rows, order[rows, last]], np.inf)
-    states = (pos[:, :tasks].reshape(batch, n, ell) <= last[:, None, None]).sum(axis=2)
-    return finish, last + 1, ok, states
+    return finish, ok, pos[:, :tasks] <= last[:, None]
+
+
+def _trials(checker: DecodabilityChecker, weights: np.ndarray, dur: np.ndarray):
+    """The trials of ``dur``, a batch of :func:`raw_durations` of the
+    plan's shape, for the plan whose checker is ``checker`` and whose
+    :func:`task_weights` are ``weights``. Returns, in seed order, arrays of
+    finish times (inf where the plan never decodes), blocks processed,
+    decode_ok and the (batch, n, ell) mask of the tasks processed.
+
+    The batch shares one pass of array operations (see the module
+    docstring). On a plan whose checker is ``count_exact``, a trial's
+    finish time is the delta-th smallest of its gain times (its coded
+    tasks' completions and its blocks' first uncoded copies), taken for
+    the whole batch at once, and the tasks processed are those complete by
+    then; only a trial in which another task completes at that very time
+    is decided from its events' places (:func:`_by_places`), which fix
+    which of them came first. On any other plan every trial is decided
+    from its places, by :func:`run_trial`'s walk.
+    """
+    batch, n, ell = dur.shape
+    tasks = n * ell
+    # column n * ell, the sentinel that pads the holder table, never completes
+    times = np.full((batch, tasks + 1), np.inf)
+    flat = times[:, :tasks]
+    cube = flat.reshape(batch, n, ell)  # a view: each row's tasks are contiguous
+    # a task never completed stays at inf; masking never forms inf * 0
+    np.multiply(dur, weights, out=cube, where=~np.isinf(dur))
+    # in place, as sequential as cumsum's running sum and so bit for bit its value
+    for k in range(1, ell):
+        cube[:, :, k] += cube[:, :, k - 1]
+    if not checker.count_exact:
+        finish, ok, done = _by_places(checker, flat)
+    else:
+        finish = _gains(checker, times)
+        ok = finish < np.inf
+        # a failed trial processes every task it completes
+        done = flat <= np.minimum(finish, np.finfo(float).max)[:, None]
+        tied = ok & ((flat == finish[:, None]).sum(axis=1) > 1)
+        if tied.any():  # the places give the same finish and ok there
+            done[tied] = _by_places(checker, flat[tied])[2]
+    return finish, done.sum(axis=1), ok, done.reshape(batch, n, ell)
 
 
 @dataclass(frozen=True)

@@ -360,7 +360,8 @@ def trials(plan, speed, cost, seeds):
     """The trials of ``seeds`` through the batched simulator, as one batch,
     each as a :class:`TrialResult`."""
     dur = sim.raw_durations(speed, [(plan.n, plan.ell)], seeds)[plan.n, plan.ell]
-    finish, total, ok, states = sim._trials(plan.checker, sim.task_weights(plan, cost), dur)
+    finish, total, ok, done = sim._trials(plan.checker, sim.task_weights(plan, cost), dur)
+    states = done.sum(axis=2)
     return [TrialResult(f, tuple(w), b, o)
             for f, w, b, o in zip(finish.tolist(), states.tolist(), total.tolist(), ok.tolist())]
 

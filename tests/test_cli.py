@@ -131,6 +131,45 @@ def test_design_and_bounds_refusals(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["design", "cyclic-uncoded", "--n", "5", "--r", "2", "--ell_c", "3", "--ell", "4"],
+     "uncoded design take no --ell_c, --ell"),
+    (["design", "cyclic-uncoded", "--n", "5", "--r", "2", "--r_u", "2"],
+     "uncoded design take no --r_u"),
+    (["design", "cyclic-coded-top", "--n", "5", "--r_u", "2", "--ell_c", "1", "--r", "2"],
+     "coded-top design take no --r"),
+    (["design", "cyclic-coded-bottom", "--n", "5", "--r_u", "2", "--ell_c", "1", "--ell", "3"],
+     "coded-bottom design take no --ell"),
+    (["design", "mds", "--n", "5", "--ell", "2", "--r_u", "1", "--ell_c", "1"],
+     "mds design take no --r_u, --ell_c"),
+    (["bounds", "--placement", "uncoded", "--n", "5", "--r", "3", "--ell", "3"],
+     "uncoded bounds take no --ell"),
+    (["bounds", "--placement", "mds", "--n", "5", "--ell", "2", "--r", "1"],
+     "mds bounds take no --r"),
+    (["bounds", "--placement", "coded-top", "--n", "5", "--r_u", "2", "--ell_c", "1",
+      "--ell", "3"], "coded-top bounds take no --ell"),
+])
+def test_design_and_bounds_refuse_flags_of_another_kind(capsys, argv, message):
+    # each kind reads only the flags its system names; a stray one was
+    # dropped without a word
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--placement", "mds"], ["--n", "9"], ["--r", "2"], ["--r_u", "2"], ["--ell_c", "1"],
+    ["--ell", "2"], ["--delta", "5"], ["--placement", "mds", "--n", "9"],
+])
+def test_bounds_from_a_plan_refuses_system_flags(tmp_path, capsys, extra):
+    # the plan gives the system; bounds used to report the plan's and drop the flags
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(core.plan_to_json(cyclic_uncoded(5, 2)))
+    named = ", ".join(flag for flag in extra if flag.startswith("--"))
+    assert run(capsys, "bounds", "--plan", str(plan_file), *extra) == (
+        1, "", f"error: bounds --plan reads the system from the plan and takes no {named}\n")
+    code, stdout, _ = run(capsys, "bounds", "--plan", str(plan_file), "--format", "csv")
+    assert code == 0 and stdout.startswith("system: n=5 delta=5 ")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1

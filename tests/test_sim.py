@@ -28,6 +28,7 @@ from codedmv.sim import (
 )
 
 from support import (
+    _reference_events,
     arrival_events,
     arrival_states,
     count_eliminations,
@@ -561,6 +562,112 @@ def test_plans_the_count_cannot_decide_are_walked(monkeypatch):
         walks[0] = 0
         assert_rows_match_reference([plan], ShiftedExponential(), Uniform(), sim._BATCH + 3, seed=9)
         assert walks[0] == sim._BATCH + 3
+
+
+# ---------------------------------------------------------------------------
+# ties at the decoding time
+
+
+def assert_batch_matches_walk_and_reference(plan, speed, cost, seeds):
+    """Each trial of one batch of ``seeds`` against ``run_trial``'s walk and
+    the per-trial reference, finish times by ``repr``; returns the trials."""
+    got = trials(plan, speed, cost, seeds)
+    for g, s in zip(got, seeds, strict=True):
+        walked, ref = walked_trial(plan, speed, cost, s), reference_trial(plan, speed, cost, s)
+        assert g == walked == ref, (plan.params, speed, cost, s)
+        assert repr(g.finish_time) == repr(walked.finish_time) == repr(ref.finish_time)
+    return got
+
+
+# FIG1 is cyclic-uncoded (3, 2): workers hold A1 A2, A2 A3 and A3 A1
+@pytest.mark.parametrize("plan, speed, cost, want", [
+    # two gains complete at the finish: MDS (5, 2, 3) decodes at the third
+    # of the five coded rows done at t = 1, and the last two wait
+    (mds_plan(5, 2, 3), Deterministic(1.0), Uniform(), (1.0, (1, 1, 1, 0, 0))),
+    (mds_plan(5, 2, 3), HaltAfter(stragglers=(0,), blocks=0), Uniform(), (1.0, (0, 1, 1, 1, 0))),
+    # a second copy of a known block completes with the decoding gain: worker
+    # 1's A2 before worker 2's A3 counts, worker 3's A3 after it does not
+    (FIG1, Deterministic((1.0, 1.0, 3.0)), Uniform(), (2.0, (2, 2, 0))),
+    (FIG1, Deterministic((1.0, 1.0, 2.0)), Uniform(), (2.0, (2, 2, 0))),
+    (UNCODED, HaltAfter(stragglers=(2, 3), blocks=0), Uniform(), (3.0, (3, 3, 0, 0, 2))),
+    # zero-cost blocks finish at t = 0, in (worker, position) order
+    (mds_plan(3, 1, 1), Deterministic(1.0), SparsityAware(nnz=(0,)), (0.0, (1, 0, 0))),
+    (mds_plan(3, 1, 1), HaltAfter(stragglers=(0,), blocks=0), SparsityAware(nnz=(0,)),
+     (0.0, (0, 1, 0))),
+    (FIG1, Deterministic((2.0, 1.0, 1.0)), SparsityAware(nnz=(0, 0, 0)), (0.0, (2, 2, 0))),
+    # every trial fails: the state is every task a worker completes
+    (UNCODED, HaltAfter(stragglers=(2, 3, 4), blocks=0), Uniform(), (math.inf, (3, 3, 0, 0, 0))),
+    (UNCODED, HaltAfter(stragglers=(2, 3, 4), blocks=0), SparsityAware(nnz=(0,) * 5),
+     (math.inf, (3, 3, 0, 0, 0))),
+    (TOP, HaltAfter(stragglers=(0, 1, 2, 3), blocks=0), Uniform(), (math.inf, (0, 0, 0, 0, 3))),
+])
+def test_ties_at_the_decoding_time(plan, speed, cost, want):
+    assert plan.checker.count_exact
+    for got in assert_batch_matches_walk_and_reference(plan, speed, cost, [0, 5, 2**40]):
+        assert (got.finish_time, got.final_state) == want
+        assert repr(got.finish_time) == repr(want[0])
+        assert got.blocks_processed_total == sum(want[1])
+        assert got.decode_ok == math.isfinite(want[0])
+
+
+def count_sorted_rows(monkeypatch):
+    """The rows of every ``np.argsort`` call from now on, one entry a call."""
+    rows = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(sim.np, "argsort", counted)
+    return rows
+
+
+def tied_at_finish(plan, speed, cost, seed, finish):
+    """Whether more than one of a trial's tasks completes at its finite
+    ``finish``, by the per-trial reference's events."""
+    return math.isfinite(finish) and sum(
+        t == finish for t, _, _ in _reference_events(plan, speed, cost, seed)) > 1
+
+
+def test_count_exact_batches_sort_only_the_trials_tied_at_the_finish(monkeypatch):
+    sorted_rows = count_sorted_rows(monkeypatch)
+    seeds = seeding.trial_seeds(7, range(300))
+    plans = [UNCODED, BOTTOM, TOP, mds_plan(5, 2, 5)]
+    for plan in plans:
+        trials(plan, ShiftedExponential(multipliers=(1.0, 1.0, 1.0, 0.2, 0.2)), Uniform(), seeds)
+    assert sorted_rows == []
+    # every deterministic trial ties at t = 1 on these plans; with zero-cost
+    # A1 and no shift, a worker's A1 ties with the task before it, sometimes
+    # at the finish
+    free = SparsityAware(nnz=(0, 5, 5, 5, 5))
+    cases = [(plan, Deterministic(1.0), Uniform()) for plan in plans]
+    cases += [(plan, ShiftedExponential(shift=0.0), free) for plan in (UNCODED, BOTTOM)]
+    for plan, speed, cost in cases:
+        sorted_rows.clear()
+        got = trials(plan, speed, cost, seeds)
+        tied = sum(tied_at_finish(plan, speed, cost, s, g.finish_time) for s, g in zip(seeds, got))
+        if isinstance(speed, Deterministic):
+            assert tied == len(seeds)
+        else:
+            assert 0 < tied < len(seeds), plan.params
+        assert sorted_rows == [tied], (plan.params, speed)
+
+
+N40 = [cyclic_coded(40, 2, 1, Placement.CODED_TOP), cyclic_coded(40, 2, 1, Placement.CODED_BOTTOM),
+       cyclic_uncoded(40, 3), mds_plan(40, 2, 40)]
+
+
+@pytest.mark.parametrize("size", [1, 150, sim._BATCH + 1])
+def test_batched_count_matches_the_walk_at_n40(size):
+    # the simulate-n40 families under 8 stragglers at 0.2, and with those 8
+    # halted, where every trial ties: the other workers complete alike, and
+    # the coded plans decode part way through one of their rounds
+    seeds = seeding.trial_seeds(40, range(size))
+    for speed in (ShiftedExponential(multipliers=(1.0,) * 32 + (0.2,) * 8),
+                  HaltAfter(stragglers=tuple(range(32, 40)), blocks=0)):
+        for plan in N40:
+            assert_batch_matches_walk(plan, speed, Uniform(), seeds)
 
 
 # ---------------------------------------------------------------------------
