@@ -127,16 +127,25 @@ class Coded:
 
     ``coeffs`` is a tuple of (block, coefficient) pairs with strictly
     increasing blocks and coefficients that are canonical residues in
-    [1, P); :func:`plan_from_dict` reduces a document's values to them.
+    [1, P). ``Coded(...)`` checks all of it; :func:`plan_from_dict`, which
+    reduces a document's values to such pairs and has checked each one,
+    builds its tasks with :meth:`_read`, which does not check again.
     """
 
     coeffs: tuple
 
     def __post_init__(self):
+        if not isinstance(self.coeffs, tuple):
+            raise ValueError(
+                f"coded task needs a tuple of (block, coefficient) pairs, got {type(self.coeffs).__name__}"
+            )
         if not self.coeffs:
             raise ValueError("coded task needs a non-empty coefficient map")
         last = -1
-        for b, c in self.coeffs:
+        for pair in self.coeffs:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValueError(f"coded task needs (block, coefficient) pairs, got {pair!r}")
+            b, c = pair
             if not isinstance(b, int) or isinstance(b, bool) or b < 0:
                 raise ValueError(f"bad block index {b!r} in coded task")
             if b <= last:
@@ -144,6 +153,14 @@ class Coded:
             if not isinstance(c, int) or isinstance(c, bool) or not 0 < c < P:
                 raise ValueError(f"coefficient for block {b} must be an integer in [1, P), got {c!r}")
             last = b
+
+    @classmethod
+    def _read(cls, coeffs: tuple) -> "Coded":
+        """The task of pairs :func:`plan_from_dict` has checked, built
+        without ``__post_init__``."""
+        task = object.__new__(cls)
+        object.__setattr__(task, "coeffs", coeffs)
+        return task
 
     @property
     def support(self) -> tuple:
@@ -548,6 +565,12 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
     coefficient is an integer or such a decimal with an optional minus
     sign, read mod P, where it must not vanish.
 
+    Each distinct key set is checked, read and ordered once per document
+    (dense rows share one), and each task's values are put in its block
+    order through the places kept for its key set; the tasks are built
+    from these checked pairs without :class:`Coded`'s second check. A
+    malformed document fails with the first error in document order.
+
     Raises:
         ValueError / KeyError: a wrong value or a missing field.
         AttributeError / TypeError: a document of the wrong shape, or an
@@ -558,6 +581,8 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
     _known_keys(pd, ("n", "delta", "ell_u", "ell_c", "r_u", "placement"), "params")
     counts = {k: pd[k] for k in ("n", "delta", "ell_u", "ell_c", "r_u")}
     params = SystemParams(**counts, placement=Placement(pd["placement"]))
+    # joined key text -> (its blocks in increasing order, the places that sort them)
+    orders = {}
     workers = []
     for row in doc["workers"]:
         tasks = []
@@ -569,25 +594,40 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
                 tasks.append(Uncoded(t["u"]))
             elif "c" in t:
                 coeffs = t["c"]
+                if not coeffs:  # Coded refuses {}; None, [] or 0 has no items
+                    tasks.append(Coded(tuple(coeffs.items())))
+                    continue
                 # a key or value holding a comma would pass as two fields, so
-                # each joined text must hold fewer commas than there are entries
-                if coeffs and not (_DECIMALS.fullmatch(keys := ",".join(coeffs))
-                                   and keys.count(",") < len(coeffs)):
-                    raise ValueError(
-                        f"coefficient keys {list(coeffs)} must be block numbers such as "
-                        "'0' or '12', with no sign, space or leading zero"
-                    )
-                if coeffs and not (_INTEGERS.fullmatch(values := ",".join(map(str, coeffs.values())))
-                                   and values.count(",") < len(coeffs)):
+                # each joined text must hold fewer commas than there are entries;
+                # a text read before with as many entries passed that check
+                keys = ",".join(coeffs)
+                order = orders.get(keys)
+                if order is None or len(order[1]) != len(coeffs):
+                    if not (_DECIMALS.fullmatch(keys) and keys.count(",") < len(coeffs)):
+                        raise ValueError(
+                            f"coefficient keys {list(coeffs)} must be block numbers such as "
+                            "'0' or '12', with no sign, space or leading zero"
+                        )
+                    order = None
+                if not (_INTEGERS.fullmatch(values := ",".join(map(str, coeffs.values())))
+                        and values.count(",") < len(coeffs)):
                     raise ValueError(
                         f"coefficients {list(coeffs.values())} must be integers or decimal strings "
                         "such as '7' or '-12', with no plus, space, underscore or leading zero"
                     )
-                pairs = sorted((int(b), int(c) % P) for b, c in coeffs.items())
-                for b, c in pairs:
-                    if not c:  # named here: the reduced value would not show what was given
-                        raise ValueError(f"coefficient for block {b} must be nonzero mod P")
-                tasks.append(Coded(tuple(pairs)))
+                if order is None:
+                    # key, value, key, ...: a too-long decimal fails as it did
+                    pairs = [(int(b), int(c)) for b, c in coeffs.items()]
+                    places = sorted(range(len(pairs)), key=pairs.__getitem__)
+                    orders[keys] = order = (tuple(pairs[i][0] for i in places), places)
+                    read = [c for _, c in pairs]
+                else:
+                    read = list(map(int, coeffs.values()))
+                blocks, places = order
+                cs = [read[i] % P for i in places]
+                if 0 in cs:  # named here: the reduced value would not show what was given
+                    raise ValueError(f"coefficient for block {blocks[cs.index(0)]} must be nonzero mod P")
+                tasks.append(Coded._read(tuple(zip(blocks, cs))))
             else:
                 raise ValueError(f"task {t!r} is neither uncoded nor coded")
         workers.append(tuple(tasks))

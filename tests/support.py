@@ -225,6 +225,51 @@ def moved_entry_plan(r, b):
     return hand_plan([[cauchy_task(row, (0, 1, 2))] for row in rows], 3)
 
 
+def reference_plan_from_dict(doc):
+    """``core.plan_from_dict`` as it read documents before it kept one
+    order per key set: every task's keys checked, read and sorted with its
+    values, and built by ``core.Coded``, which checks every pair again."""
+    core._known_keys(doc, ("params", "workers"), "plan")
+    pd = doc["params"]
+    core._known_keys(pd, ("n", "delta", "ell_u", "ell_c", "r_u", "placement"), "params")
+    counts = {k: pd[k] for k in ("n", "delta", "ell_u", "ell_c", "r_u")}
+    params = core.SystemParams(**counts, placement=core.Placement(pd["placement"]))
+    workers = []
+    for row in doc["workers"]:
+        tasks = []
+        for t in row:
+            core._known_keys(t, ("u", "c"), "task")
+            if "u" in t and "c" in t:
+                raise ValueError(f"task {t!r} names both u and c; give one")
+            if "u" in t:
+                tasks.append(core.Uncoded(t["u"]))
+            elif "c" in t:
+                coeffs = t["c"]
+                # a key or value holding a comma would pass as two fields, so
+                # each joined text must hold fewer commas than there are entries
+                if coeffs and not (core._DECIMALS.fullmatch(keys := ",".join(coeffs))
+                                   and keys.count(",") < len(coeffs)):
+                    raise ValueError(
+                        f"coefficient keys {list(coeffs)} must be block numbers such as "
+                        "'0' or '12', with no sign, space or leading zero"
+                    )
+                if coeffs and not (core._INTEGERS.fullmatch(values := ",".join(map(str, coeffs.values())))
+                                   and values.count(",") < len(coeffs)):
+                    raise ValueError(
+                        f"coefficients {list(coeffs.values())} must be integers or decimal strings "
+                        "such as '7' or '-12', with no plus, space, underscore or leading zero"
+                    )
+                pairs = sorted((int(b), int(c) % P) for b, c in coeffs.items())
+                for b, c in pairs:
+                    if not c:  # named here: the reduced value would not show what was given
+                        raise ValueError(f"coefficient for block {b} must be nonzero mod P")
+                tasks.append(core.Coded(tuple(pairs)))
+            else:
+                raise ValueError(f"task {t!r} is neither uncoded nor coded")
+        workers.append(tuple(tasks))
+    return core.AssignmentPlan(params=params, workers=tuple(workers))
+
+
 def reference_certified(coeff_maps):
     """The Cauchy certificate by fixed-point sweeps over every entry: each
     piece of the row-block support graph gets x = 0 on its first row, and

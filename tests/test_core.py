@@ -1,6 +1,8 @@
 import dataclasses
 import gc
+import json
 import re
+import sys
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
@@ -37,6 +39,7 @@ from support import (
     rank_decodable,
     reference_checker,
     reference_decodable,
+    reference_plan_from_dict,
     relabel_blocks,
     scheme_plan_up_to,
     shrunk_supports,
@@ -124,8 +127,15 @@ def test_coded_task_refuses_non_canonical_coefficients(shift):
     (((0, True),), "coefficient for block 0 must be an integer in [1, P), got True"),
     (((1, 3), (4, 0)), "coefficient for block 4 must be an integer in [1, P), got 0"),
     (((0, core.P),), f"coefficient for block 0 must be an integer in [1, P), got {core.P}"),
+    ([(0, 5), (1, 7)], "coded task needs a tuple of (block, coefficient) pairs, got list"),
+    (iter(((0, 5), (1, 7))), "coded task needs a tuple of (block, coefficient) pairs, got tuple_iterator"),
+    ({0: 5}, "coded task needs a tuple of (block, coefficient) pairs, got dict"),
+    (((0, 5), [1, 7]), "coded task needs (block, coefficient) pairs, got [1, 7]"),
+    (((0, 5, 1),), "coded task needs (block, coefficient) pairs, got (0, 5, 1)"),
+    ((5,), "coded task needs (block, coefficient) pairs, got 5"),
 ], ids=["empty", "unsorted", "repeated", "bool-block", "negative-block", "bool-coefficient",
-        "zero-coefficient", "coefficient-P"])
+        "zero-coefficient", "coefficient-P", "list", "iterator", "dict", "list-pair", "triple",
+        "bare-int"])
 def test_coded_refuses_each_single_fault_with_its_message(coeffs, message):
     with pytest.raises(ValueError) as err:
         Coded(coeffs)
@@ -151,9 +161,9 @@ def test_plan_from_dict_refuses_non_canonical_coefficient_values(value):
     assert plan_from_dict(doc) == FIG2
 
 
-def _every_scheme_plan_up_to(n_max):
-    """Plans of all four construction families for n = 2..n_max."""
-    for n in range(2, n_max + 1):
+def _every_scheme_plan_up_to(n_max, n_min=2):
+    """Plans of all four construction families for n = n_min..n_max."""
+    for n in range(n_min, n_max + 1):
         for r in range(1, min(n, 3) + 1):
             yield schemes.cyclic_uncoded(n, r)
         for placement in (Placement.CODED_BOTTOM, Placement.CODED_TOP):
@@ -161,7 +171,7 @@ def _every_scheme_plan_up_to(n_max):
                 for ell_c in range(1, min(n - r_u, 2) + 1):
                     yield schemes.cyclic_coded(n, r_u, ell_c, placement)
         for ell in (1, 2):
-            for delta in sorted({ell, n, n * ell}):
+            for delta in sorted({ell, n, n * ell} - set(range(ell))):
                 yield schemes.mds_plan(n, ell, delta)
 
 
@@ -176,6 +186,143 @@ def test_plan_from_dict_reads_coefficients_mod_p_in_every_family(k):
                     t["c"] = {b: int(c) if k is None else str(int(c) + k * core.P)
                               for b, c in t["c"].items()}
         assert plan_from_dict(doc) == plan
+
+
+def _read(reader, doc):
+    """A reader's plan, or the type and text of what it raised."""
+    try:
+        return reader(doc)
+    except Exception as e:  # every type is compared, AttributeError included
+        return type(e), str(e)
+
+
+def assert_reads_as_the_reference(doc):
+    got, want = _read(plan_from_dict, doc), _read(reference_plan_from_dict, doc)
+    assert got == want
+    if isinstance(want, AssignmentPlan):
+        assert hash(got) == hash(want)
+    return got
+
+
+def _holds_every_block_first(plan):
+    return all(isinstance(tasks[0], Coded) and len(tasks[0].coeffs) == plan.params.delta
+               for tasks in plan.workers)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
+def test_plan_from_dict_reads_every_family_as_the_reference(n):
+    # designed, block-relabelled and worker-shuffled plans, and a perturbed
+    # coefficient where the first tasks are dense rows; plan_to_dict writes
+    # keys in block order, plan_to_json's sorted keys put "10" before "2"
+    rng = np.random.default_rng(n)
+    for plan in _every_scheme_plan_up_to(n, n_min=n):
+        relabelled = relabel_blocks(plan, rng.permutation(plan.params.delta))
+        shuffled = AssignmentPlan(plan.params, tuple(relabelled.workers[i]
+                                                     for i in rng.permutation(plan.n)))
+        variants = [plan, relabelled, shuffled]
+        if _holds_every_block_first(plan):
+            variants += [perturbed(plan, rng), perturbed(shuffled, rng)]
+        for variant in variants:
+            assert assert_reads_as_the_reference(plan_to_dict(variant)) == variant
+            assert assert_reads_as_the_reference(json.loads(plan_to_json(variant))) == variant
+
+
+def _coded_doc(maps):
+    """A fully coded document, worker i holding the one coded task maps[i]."""
+    return {"params": {"n": len(maps), "delta": 6, "ell_u": 0, "ell_c": 1, "r_u": 0,
+                       "placement": "fully-coded"},
+            "workers": [[{"c": m}] for m in maps]}
+
+
+_KEYS = st.one_of(
+    st.integers(0, 11).map(str),
+    st.sampled_from(["00", "01", "+1", " 1", "1 ", "-1", "1,2", "3,", ",", "", "1.0", "\u0661"]),
+    st.integers(0, 5),  # an int key, as a document built in Python may hold
+)
+_VALUES = st.one_of(
+    st.integers(1, core.P - 1).map(str),
+    st.integers(-3 * core.P, 3 * core.P),
+    st.integers(-3 * core.P, 3 * core.P).map(str),
+    st.integers(-3, 3).map(lambda k: k * core.P),  # zero mod P
+    st.integers(-3, 3).map(lambda k: str(k * core.P)),
+    st.integers(-10**40, 10**40),
+    st.integers(-10**40, 10**40).map(str),
+    st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["01", "+5", " 5", "5 ", "5,6", "7,", "", "1_0", "-0", "--1", "0x1", "1e3"]),
+)
+_MAPS = st.one_of(st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=5),
+                  st.sampled_from([None, {}, [], ["0", "1"]]))
+
+
+@st.composite
+def coded_maps(draw):
+    """Coefficient maps in which key sets recur: with new values, with the
+    same entries written in another order, or joined into one key."""
+    maps = [draw(_MAPS)]
+    for _ in range(draw(st.integers(0, 5))):
+        base = draw(st.sampled_from(maps))
+        how = draw(st.sampled_from(["new", "values", "order", "joined"]))
+        if how == "new" or not isinstance(base, dict) or not base:
+            maps.append(draw(_MAPS))
+        elif how == "values":
+            maps.append({k: draw(_VALUES) for k in base})
+        elif how == "joined":
+            maps.append({",".join(map(str, base)): draw(_VALUES)})
+        else:
+            maps.append(dict(draw(st.permutations(list(base.items())))))
+    return maps
+
+
+@given(coded_maps())
+@settings(max_examples=400, deadline=None)
+def test_plan_from_dict_fails_as_the_reference_on_malformed_maps(maps):
+    assert_reads_as_the_reference(_coded_doc(maps))
+
+
+_COMMA_RULE = (ValueError, "coefficient keys ['1,2'] must be block numbers such as '0' or '12', "
+                           "with no sign, space or leading zero")
+_ZERO_AT_3 = (ValueError, "coefficient for block 3 must be nonzero mod P")
+
+
+@pytest.mark.parametrize("maps, outcome", [
+    # both key sets join to "1,2"; a memo on the text alone read the second
+    # as the first's two blocks and failed with an IndexError
+    ([{"1": "3", "2": "4"}, {"1,2": "5"}], _COMMA_RULE),
+    ([{"1,2": "5"}, {"1": "3", "2": "4"}], _COMMA_RULE),
+    # zeros at the middle and the last block of 2 < 3 < 10: the first in
+    # block order is named, not the first in the document, read afresh or
+    # through the order kept for the same keys
+    ([{"10": "0", "2": "4", "3": str(2 * core.P)}], _ZERO_AT_3),
+    ([{"10": "1", "2": "4", "3": "5"}, {"10": "0", "2": "4", "3": str(2 * core.P)}], _ZERO_AT_3),
+    ([{"0": "5"}, None], (AttributeError, "'NoneType' object has no attribute 'items'")),
+    ([{"0": "5"}, {}], (ValueError, "coded task needs a non-empty coefficient map")),
+    ([{"0": "5"}, []], (AttributeError, "'list' object has no attribute 'items'")),
+    ([{"0": "5"}, {0: "5"}], (TypeError, "sequence item 0: expected str instance, int found")),
+    ([{"1": "3", "2": "4"}, "12"], (AttributeError, "'str' object has no attribute 'values'")),
+], ids=["collision", "collision-reversed", "middle-zero", "middle-zero-kept-order", "null",
+        "empty", "list", "int-key", "string"])
+def test_plan_from_dict_keeps_each_error_of_a_document(maps, outcome):
+    assert assert_reads_as_the_reference(_coded_doc(maps)) == outcome
+
+
+@pytest.mark.parametrize("key_first", [True, False], ids=["key-first", "value-first"])
+def test_plan_from_dict_names_the_first_decimal_past_the_digit_limit(key_first):
+    # int() refuses a decimal longer than the interpreter's limit; of a key
+    # and a value both too long, the first in document order is named
+    limit = sys.get_int_max_str_digits()
+    entries = [("1" * (limit + 7), "5"), ("0", "1" * (limit + 3))]
+    maps = [{"0": "5"}, dict(entries if key_first else entries[::-1])]
+    kind, text = assert_reads_as_the_reference(_coded_doc(maps))
+    assert kind is ValueError and f"value has {limit + (7 if key_first else 3)} digits" in text
+
+
+def test_plan_from_dict_reads_one_key_set_in_two_orders_as_one():
+    # "10" sorts before "2" as text; both orders give the same task
+    first, second = {"0": "3", "10": "5", "2": "4"}, {"2": str(4 + core.P), "10": 5, "0": "3"}
+    plan = assert_reads_as_the_reference(_coded_doc([first, second, first]))
+    want = Coded(((0, 3), (2, 4), (10, 5)))
+    assert [tasks[0] for tasks in plan.workers] == [want] * 3
+    assert len({hash(tasks[0]) for tasks in plan.workers}) == 1
 
 
 # ---------------------------------------------------------------------------
