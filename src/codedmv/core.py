@@ -32,12 +32,14 @@ from __future__ import annotations
 import json
 import operator
 import re
+from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Mapping, Sequence, Union
+from itertools import accumulate, chain
+from typing import Union
 
 import numpy as np
 
@@ -526,6 +528,9 @@ def is_decodable(plan: AssignmentPlan, state: Sequence) -> bool:
 # block), and ``decode --state`` counts; _INTEGERS allows a minus on each, for values
 _DECIMALS = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
 _INTEGERS = re.compile(r"-?(?:0|[1-9][0-9]*)(?:,-?(?:0|[1-9][0-9]*))*")
+# _INTEGERS with at most 18 digits a field, so every value fits int64:
+# np.fromstring reads a field past int64 as its largest value, without a word
+_BOUNDED = re.compile(r"-?(?:0|[1-9][0-9]{0,17})(?:,-?(?:0|[1-9][0-9]{0,17}))*")
 
 
 def plan_to_dict(plan: AssignmentPlan) -> dict:
@@ -559,17 +564,22 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
     Nothing is coerced or ignored: the document, its ``params`` and each
     task hold only the keys :func:`plan_to_dict` writes, and a task exactly
     one of ``u`` and ``c``; the ``params`` counts and every ``u`` block
-    must be integers (not bools), and a coefficient key the canonical
-    decimal of a block, as :func:`plan_to_dict` writes it (``"1"``, never
-    ``"01"``, ``" 1"`` or ``"+1"``), so no two keys can name one block. A
-    coefficient is an integer or such a decimal with an optional minus
-    sign, read mod P, where it must not vanish.
+    must be integers (not bools), a ``c`` a non-empty map, and a
+    coefficient key the canonical decimal of a block, as
+    :func:`plan_to_dict` writes it (``"1"``, never ``"01"``, ``" 1"`` or
+    ``"+1"``), so no two keys can name one block. A coefficient is an
+    integer or such a decimal with an optional minus sign, read mod P,
+    where it must not vanish.
 
     Each distinct key set is checked, read and ordered once per document
-    (dense rows share one), and each task's values are put in its block
-    order through the places kept for its key set; the tasks are built
-    from these checked pairs without :class:`Coded`'s second check. A
-    malformed document fails with the first error in document order.
+    (dense rows share one). A task whose values have at most 18 digits
+    each, as every designed plan's have, is read after the walk: all such
+    values are parsed by one array parse into int64, reduced mod P, put in
+    block order through the places kept for their key sets and checked
+    for zeros at once. A longer value is read by ``int`` in document
+    order. The tasks are built from these checked pairs without
+    :class:`Coded`'s second check. A malformed document fails with the
+    first error in document order, as if each task were read in turn.
 
     Raises:
         ValueError / KeyError: a wrong value or a missing field.
@@ -583,55 +593,103 @@ def plan_from_dict(doc: Mapping) -> AssignmentPlan:
     params = SystemParams(**counts, placement=Placement(pd["placement"]))
     # joined key text -> (its blocks in increasing order, the places that sort them)
     orders = {}
+    # the tasks read after the walk: their joined value texts, and for each
+    # its key set's order, its worker's task list and its place there
+    texts, deferred = [], []
     workers = []
-    for row in doc["workers"]:
-        tasks = []
-        for t in row:
-            _known_keys(t, ("u", "c"), "task")
-            if "u" in t and "c" in t:
-                raise ValueError(f"task {t!r} names both u and c; give one")
-            if "u" in t:
-                tasks.append(Uncoded(t["u"]))
-            elif "c" in t:
-                coeffs = t["c"]
-                if not coeffs:  # Coded refuses {}; None, [] or 0 has no items
-                    tasks.append(Coded(tuple(coeffs.items())))
-                    continue
-                # a key or value holding a comma would pass as two fields, so
-                # each joined text must hold fewer commas than there are entries;
-                # a text read before with as many entries passed that check
-                keys = ",".join(coeffs)
-                order = orders.get(keys)
-                if order is None or len(order[1]) != len(coeffs):
-                    if not (_DECIMALS.fullmatch(keys) and keys.count(",") < len(coeffs)):
+    try:
+        for row in doc["workers"]:
+            tasks = []
+            for t in row:
+                _known_keys(t, ("u", "c"), "task")
+                if "u" in t and "c" in t:
+                    raise ValueError(f"task {t!r} names both u and c; give one")
+                if "u" in t:
+                    tasks.append(Uncoded(t["u"]))
+                elif "c" in t:
+                    coeffs = t["c"]
+                    if not isinstance(coeffs, Mapping):
+                        raise ValueError(f"coded task {t!r} needs a map from block numbers to "
+                                         f"coefficients, got {type(coeffs).__name__}")
+                    if not coeffs:
+                        tasks.append(Coded(()))  # refuses {}
+                        continue
+                    # a key or value holding a comma would pass as two fields, so
+                    # each joined text must hold fewer commas than there are entries;
+                    # a text read before with as many entries passed that check
+                    keys = ",".join(coeffs)
+                    order = orders.get(keys)
+                    if order is None or len(order[1]) != len(coeffs):
+                        if not (_DECIMALS.fullmatch(keys) and keys.count(",") < len(coeffs)):
+                            raise ValueError(
+                                f"coefficient keys {list(coeffs)} must be block numbers such as "
+                                "'0' or '12', with no sign, space or leading zero"
+                            )
+                        order = None
+                    try:
+                        values = ",".join(coeffs.values())
+                    except TypeError:  # a value that is not a str: a JSON int, or one refused below
+                        values = ",".join(map(str, coeffs.values()))
+                    commas_ok = values.count(",") < len(coeffs)
+                    if commas_ok and _BOUNDED.fullmatch(values):
+                        if order is None:
+                            blocks = list(map(int, coeffs))
+                            places = sorted(range(len(blocks)), key=blocks.__getitem__)
+                            orders[keys] = order = (tuple(blocks[i] for i in places), np.array(places))
+                        texts.append(values)
+                        deferred.append((order, tasks, len(tasks)))
+                        tasks.append(None)
+                        continue
+                    if not (commas_ok and _INTEGERS.fullmatch(values)):
                         raise ValueError(
-                            f"coefficient keys {list(coeffs)} must be block numbers such as "
-                            "'0' or '12', with no sign, space or leading zero"
+                            f"coefficients {list(coeffs.values())} must be integers or decimal strings "
+                            "such as '7' or '-12', with no plus, space, underscore or leading zero"
                         )
-                    order = None
-                if not (_INTEGERS.fullmatch(values := ",".join(map(str, coeffs.values())))
-                        and values.count(",") < len(coeffs)):
-                    raise ValueError(
-                        f"coefficients {list(coeffs.values())} must be integers or decimal strings "
-                        "such as '7' or '-12', with no plus, space, underscore or leading zero"
-                    )
-                if order is None:
-                    # key, value, key, ...: a too-long decimal fails as it did
-                    pairs = [(int(b), int(c)) for b, c in coeffs.items()]
-                    places = sorted(range(len(pairs)), key=pairs.__getitem__)
-                    orders[keys] = order = (tuple(pairs[i][0] for i in places), places)
-                    read = [c for _, c in pairs]
+                    if order is None:
+                        # key, value, key, ...: a too-long decimal fails as it did
+                        pairs = [(int(b), int(c)) for b, c in coeffs.items()]
+                        places = sorted(range(len(pairs)), key=pairs.__getitem__)
+                        orders[keys] = order = (tuple(pairs[i][0] for i in places), np.array(places))
+                        read = [c for _, c in pairs]
+                    else:
+                        read = list(map(int, coeffs.values()))
+                    blocks, places = order
+                    cs = [read[i] % P for i in places.tolist()]
+                    if 0 in cs:  # named here: the reduced value would not show what was given
+                        raise ValueError(f"coefficient for block {blocks[cs.index(0)]} must be nonzero mod P")
+                    tasks.append(Coded._read(tuple(zip(blocks, cs))))
                 else:
-                    read = list(map(int, coeffs.values()))
-                blocks, places = order
-                cs = [read[i] % P for i in places]
-                if 0 in cs:  # named here: the reduced value would not show what was given
-                    raise ValueError(f"coefficient for block {blocks[cs.index(0)]} must be nonzero mod P")
-                tasks.append(Coded._read(tuple(zip(blocks, cs))))
-            else:
-                raise ValueError(f"task {t!r} is neither uncoded nor coded")
-        workers.append(tuple(tasks))
-    return AssignmentPlan(params=params, workers=tuple(workers))
+                    raise ValueError(f"task {t!r} is neither uncoded nor coded")
+            workers.append(tasks)
+    except Exception:
+        _read_deferred(texts, deferred)  # a zero in an earlier task is the first error
+        raise
+    _read_deferred(texts, deferred)
+    return AssignmentPlan(params=params, workers=tuple(map(tuple, workers)))
+
+
+def _read_deferred(texts: list, deferred: list):
+    """Parse the joined value texts of :func:`plan_from_dict`'s deferred
+    tasks at once, and put each task, in block order, in its place.
+
+    Raises:
+        ValueError: a value that vanishes mod P; the first such task in
+            document order is named, at its first zero in block order.
+    """
+    if not texts:
+        return
+    values = np.fromstring(",".join(texts), dtype=np.int64, sep=",") % P
+    sizes = [len(order[0]) for order, _, _ in deferred]
+    ends = list(accumulate(sizes))
+    starts = np.array(ends) - sizes
+    cs = values[np.concatenate([order[1] for order, _, _ in deferred]) + np.repeat(starts, sizes)]
+    if not cs.all():
+        at = int(cs.argmin())  # the first zero: values are in [0, P)
+        k = bisect_right(ends, at)
+        raise ValueError(f"coefficient for block {deferred[k][0][0][at - starts[k]]} must be nonzero mod P")
+    cs = cs.tolist()
+    for ((blocks, _), tasks, i), hi in zip(deferred, ends):
+        tasks[i] = Coded._read(tuple(zip(blocks, cs[hi - len(blocks):hi])))
 
 
 def plan_to_json(plan: AssignmentPlan) -> str:

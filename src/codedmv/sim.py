@@ -521,11 +521,27 @@ def run_experiment(
 
 
 def rows_to_csv(rows: Trials) -> str:
-    lines = ["plan_id,trial,finish_time,blocks_total,decode_ok"]
-    columns = rows.finish.tolist(), rows.blocks.tolist(), np.where(rows.ok, "true", "false").tolist()
-    for pid, *plan in zip(rows.plan_ids, *columns):
-        lines += [f"{pid},{t},{f!r},{b},{o}" for t, (f, b, o) in enumerate(zip(*plan))]
-    return "\n".join(lines) + "\n"
+    """The rows CSV: a header, then one line per trial, plan-major, of
+    plan id, trial, ``repr`` of the finish time, blocks and ``true`` or
+    ``false``.
+
+    Each plan's text is one join of four interleaved columns: its id, the
+    ``,t,`` trial fields that every plan shares, the finish times' reprs,
+    and the ``,blocks,ok`` line ends, taken from a table of every
+    (blocks, ok) pair up to the largest count.
+    """
+    trials, top = rows.finish.shape[1], int(rows.blocks.max(initial=0))
+    table = [f",{b},{ok}\n" for b in range(top + 1) for ok in ("false", "true")]  # at 2 * b + ok
+    fields = [None] * (4 * trials)
+    fields[1::4] = [f",{t}," for t in range(trials)]
+    text = ["plan_id,trial,finish_time,blocks_total,decode_ok\n"]
+    columns = rows.finish.tolist(), (2 * rows.blocks + rows.ok).tolist()
+    for pid, finish, ends in zip(rows.plan_ids, *columns):
+        fields[0::4] = [pid] * trials
+        fields[2::4] = map(repr, finish)
+        fields[3::4] = map(table.__getitem__, ends)
+        text.append("".join(fields))
+    return "".join(text)
 
 
 def summaries_to_csv(summaries: Iterable[PlanSummary]) -> str:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -227,8 +228,9 @@ def moved_entry_plan(r, b):
 
 def reference_plan_from_dict(doc):
     """``core.plan_from_dict`` as it read documents before it kept one
-    order per key set: every task's keys checked, read and sorted with its
-    values, and built by ``core.Coded``, which checks every pair again."""
+    order per key set: every task's keys checked, read by ``int`` and
+    sorted with its values, and built by ``core.Coded``, which checks
+    every pair again."""
     core._known_keys(doc, ("params", "workers"), "plan")
     pd = doc["params"]
     core._known_keys(pd, ("n", "delta", "ell_u", "ell_c", "r_u", "placement"), "params")
@@ -245,6 +247,9 @@ def reference_plan_from_dict(doc):
                 tasks.append(core.Uncoded(t["u"]))
             elif "c" in t:
                 coeffs = t["c"]
+                if not isinstance(coeffs, Mapping):
+                    raise ValueError(f"coded task {t!r} needs a map from block numbers to "
+                                     f"coefficients, got {type(coeffs).__name__}")
                 # a key or value holding a comma would pass as two fields, so
                 # each joined text must hold fewer commas than there are entries
                 if coeffs and not (core._DECIMALS.fullmatch(keys := ",".join(coeffs))

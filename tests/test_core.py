@@ -175,9 +175,12 @@ def _every_scheme_plan_up_to(n_max, n_min=2):
                 yield schemes.mds_plan(n, ell, delta)
 
 
-@pytest.mark.parametrize("k", [None, -2, -1, 1, 2], ids=["json-int", "-2P", "-P", "+P", "+2P"])
+@pytest.mark.parametrize("k", [None, -2, -1, 1, 2, -10**8, 10**8, -10**9, 10**9],
+                         ids=["json-int", "-2P", "-P", "+P", "+2P", "-1e8P", "+1e8P", "-1e9P", "+1e9P"])
 def test_plan_from_dict_reads_coefficients_mod_p_in_every_family(k):
-    # a JSON integer, or the decimal of c + kP, names the coefficient c
+    # a JSON integer, or the decimal of c + kP, names the coefficient c;
+    # at |k| = 1e8 the decimals have 18 digits and are read as int64, at
+    # 1e9 they have 19 and are read by int
     for plan in _every_scheme_plan_up_to(12):
         doc = plan_to_dict(plan)
         for tasks in doc["workers"]:
@@ -249,6 +252,9 @@ _VALUES = st.one_of(
     st.integers(-10**40, 10**40).map(str),
     st.floats(), st.booleans(), st.none(),
     st.sampled_from(["01", "+5", " 5", "5 ", "5,6", "7,", "", "1_0", "-0", "--1", "0x1", "1e3"]),
+    # the widest values read as int64, and the first past int64 or 18 digits
+    st.sampled_from([10**18 - 1, 10**18, 2**63 - 1, 1 - 2**63, 2**63, -2**63]).flatmap(
+        lambda v: st.sampled_from([v, str(v)])),
 )
 _MAPS = st.one_of(st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=5),
                   st.sampled_from([None, {}, [], ["0", "1"]]))
@@ -294,15 +300,35 @@ _ZERO_AT_3 = (ValueError, "coefficient for block 3 must be nonzero mod P")
     # through the order kept for the same keys
     ([{"10": "0", "2": "4", "3": str(2 * core.P)}], _ZERO_AT_3),
     ([{"10": "1", "2": "4", "3": "5"}, {"10": "0", "2": "4", "3": str(2 * core.P)}], _ZERO_AT_3),
-    ([{"0": "5"}, None], (AttributeError, "'NoneType' object has no attribute 'items'")),
+    ([{"0": "5"}, None], (ValueError, "coded task {'c': None} needs a map from block numbers "
+                                      "to coefficients, got NoneType")),
     ([{"0": "5"}, {}], (ValueError, "coded task needs a non-empty coefficient map")),
-    ([{"0": "5"}, []], (AttributeError, "'list' object has no attribute 'items'")),
+    ([{"0": "5"}, []], (ValueError, "coded task {'c': []} needs a map from block numbers "
+                                    "to coefficients, got list")),
     ([{"0": "5"}, {0: "5"}], (TypeError, "sequence item 0: expected str instance, int found")),
-    ([{"1": "3", "2": "4"}, "12"], (AttributeError, "'str' object has no attribute 'values'")),
+    ([{"1": "3", "2": "4"}, "12"], (ValueError, "coded task {'c': '12'} needs a map from block "
+                                                "numbers to coefficients, got str")),
+    # a zero in a task read after the walk is named before a later task's
+    # error, whether the walk raises that error or reads it by int
+    ([{"2": "4", "3": str(2 * core.P)}, {"1,2": "5"}], _ZERO_AT_3),
+    ([{"2": "4", "3": str(2 * core.P)}, None], _ZERO_AT_3),
+    ([{"2": "4", "3": str(2 * core.P)}, {"0": "1" * (sys.get_int_max_str_digits() + 3)}],
+     _ZERO_AT_3),
+    ([{"3": str(2 * core.P)}, {"5": str(10**9 * core.P)}], _ZERO_AT_3),
+    ([{"3": str(10**9 * core.P)}, {"5": str(2 * core.P)}], _ZERO_AT_3),
 ], ids=["collision", "collision-reversed", "middle-zero", "middle-zero-kept-order", "null",
-        "empty", "list", "int-key", "string"])
+        "empty", "list", "int-key", "string", "zero-then-comma-key", "zero-then-null",
+        "zero-then-too-long", "zero-then-long-zero", "long-zero-then-zero"])
 def test_plan_from_dict_keeps_each_error_of_a_document(maps, outcome):
     assert assert_reads_as_the_reference(_coded_doc(maps)) == outcome
+
+
+@pytest.mark.parametrize("value", [10**18 - 1, 10**18, 2**63 - 1, 2**63, -2**63, -2**63 - 1])
+@pytest.mark.parametrize("spell", [int, str], ids=["json-int", "decimal"])
+def test_plan_from_dict_reads_values_at_the_int64_edge_exactly(value, spell):
+    # an array parse would read 2**63 and -2**63 - 1 as 2**63 - 1
+    plan = assert_reads_as_the_reference(_coded_doc([{"0": "5", "1": spell(value)}]))
+    assert plan.workers[0][0].coeffs == ((0, 5), (1, value % core.P))
 
 
 @pytest.mark.parametrize("key_first", [True, False], ids=["key-first", "value-first"])

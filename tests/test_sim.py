@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from codedmv import core, oracle, seeding, sim
 from codedmv.core import Placement, is_decodable
@@ -881,6 +882,30 @@ def test_rows_csv_writes_the_row_view(trials):
             == {float, int, bool}
     # uncoded fails every halted trial, in its final state (3, 3, 0, 0, 0)
     assert "\nplan_0,0,inf,6,false\n" in texts[0]
+
+
+_FINISH = st.one_of(
+    st.sampled_from([5e-324, 1e-5, 0.1 + 0.2, 1e16, 1e22, math.inf]),
+    st.floats(min_value=0, allow_infinity=False),
+)
+
+
+@st.composite
+def trial_columns(draw):
+    """Trials of 1-4 plans with distinct ids the CSV writers allow, and of
+    1-300 trials each; a trial is ok exactly when it finishes."""
+    plans, trials = draw(st.integers(1, 4)), draw(st.integers(1, 300))
+    ids = draw(st.lists(st.text(st.characters(exclude_characters=',"\r\n'), max_size=6),
+                        min_size=plans, max_size=plans, unique=True))
+    finish = draw(arrays(np.float64, (plans, trials), elements=_FINISH))
+    blocks = draw(arrays(np.intp, (plans, trials), elements=st.integers(0, 200)))
+    return sim.Trials(tuple(ids), finish, blocks, np.isfinite(finish))
+
+
+@given(trial_columns())
+@settings(max_examples=150, deadline=None)
+def test_rows_csv_writes_drawn_columns_as_the_reference(rows):
+    assert rows_to_csv(rows) == reference_rows_csv(list(rows))
 
 
 def test_rows_csv_shape():
